@@ -40,7 +40,6 @@ from .oct import (
     optimize_gate,
     optimize_gate_dissipative,
     optimize_state_prep,
-    penalty,
     phase_spread,
 )
 from .propagator import (
@@ -92,7 +91,6 @@ __all__ = [
     "optimize_gate",
     "optimize_gate_dissipative",
     "optimize_state_prep",
-    "penalty",
     "periodicity_residual",
     "phase_spread",
     "propagate_lindblad",

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .gridsim import Grid
-from .propagator import ControlField, DissipationModel, QuantumState
+from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
+                         QuantumState, rk4_sweep)
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -118,44 +119,6 @@ def periodicity_residual(population_trajectory) -> float:
     return max(float(np.abs(traj[l] - traj[10 - l]).max()) for l in range(5))
 
 
-class _LindbladUnitPropagator:
-    """Lindblad generator acting on a stack of (not necessarily Hermitian)
-    matrices, used to push the matrix-unit basis through pulses."""
-
-    def __init__(self, basis: EigenBasis, diss: DissipationModel):
-        self.energies = basis.energies
-        self.mu = basis.dipole
-        self.gamma = diss.gamma
-        self.out_rates = diss.total_out_rates()
-
-    def rhs(self, t, x, e_field):
-        p = np.exp(1j * self.energies * t)
-        mu_i = (p[:, None] * self.mu) * p.conj()[None, :]
-        comm = np.einsum("ij,tjk->tik", mu_i, x) - np.einsum("tij,jk->tik", x, mu_i)
-        dx = 1j * e_field * comm
-        pops = np.einsum("tii->ti", x)
-        dx -= 0.5 * (self.out_rates[None, :, None] + self.out_rates[None, None, :]) * x
-        idx = np.arange(x.shape[1])
-        dx[:, idx, idx] += pops @ self.gamma.T
-        return dx
-
-    def pulse(self, x, field: ControlField):
-        # every pulse replays the waveform in the rotating frame (t from 0),
-        # which is what makes stroboscopic concatenation exact
-        dt = field.dt
-        s = field.samples
-        for n in range(len(s) - 1):
-            t = n * dt
-            ea, ec = s[n], s[n + 1]
-            eb = 0.5 * (ea + ec)
-            k1 = self.rhs(t, x, ea)
-            k2 = self.rhs(t + dt / 2, x + 0.5 * dt * k1, eb)
-            k3 = self.rhs(t + dt / 2, x + 0.5 * dt * k2, eb)
-            k4 = self.rhs(t + dt, x + dt * k3, ec)
-            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return x
-
-
 def fidelity_trace(
     gate_field: ControlField,
     basis: EigenBasis,
@@ -172,7 +135,9 @@ def fidelity_trace(
     us = getattr(gate, "entries", gate)
     n = us.shape[0]
     d = basis.n_states
-    prop = _LindbladUnitPropagator(basis, diss)
+    frame = InteractionFrame(basis, gate_field.dt)
+    rhs = Lindblad(frame, diss).rhs
+    stages = gate_field.linear_stages()
 
     units = np.zeros((n * n, d, d), dtype=complex)
     for j in range(n):
@@ -183,7 +148,9 @@ def fidelity_trace(
     x = units
     target = np.eye(n, dtype=complex)
     for pulse in range(n_pulses):
-        x = prop.pulse(x, gate_field)
+        # every pulse replays the waveform in the rotating frame (t from 0),
+        # which is what makes stroboscopic concatenation exact
+        x = rk4_sweep(rhs, frame, x, stages)
         target = us @ target
         acc = 0.0
         for j in range(n):

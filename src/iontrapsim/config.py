@@ -42,6 +42,8 @@ def parse_quantity(text: str, kind: str = "plain") -> float:
         value = float(parts[0])
     except ValueError as exc:
         raise ValidationError(f"cannot parse number in {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"quantity {text!r} is not finite")
     unit = parts[1].lower() if len(parts) == 2 else "au"
     table = _UNIT_TABLES[kind]
     if unit not in table:

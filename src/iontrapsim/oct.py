@@ -29,7 +29,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .propagator import ControlField, DissipationModel
+from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
+                         rk4_step, rk4_sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -54,6 +55,8 @@ class OctConfig:
     stall_iterations: int = 20
 
     def __post_init__(self):
+        if not (self.t_pulse > 0 and self.dt > 0):
+            raise ValidationError("t_pulse and dt must be positive")
         if self.alpha0 <= 0:
             raise ValidationError("alpha0 must be positive")
         if not 0 < self.fidelity_goal <= 1:
@@ -135,16 +138,15 @@ class OctTrace:
         )
 
 
-def penalty(t: float, config: OctConfig) -> float:
-    """alpha(t) = alpha0 / sin^2(pi t / t_pulse); +inf at the endpoints, so
-    the update factor 1/alpha vanishes there and the field stays switched
-    off at both ends."""
-    if t < 0 or t > config.t_pulse:
-        raise ValidationError("t outside the pulse")
-    s = np.sin(np.pi * t / config.t_pulse) ** 2
-    if s == 0.0 or t == 0.0 or t == config.t_pulse:
-        return np.inf
-    return config.alpha0 / s
+def switch_envelope(config: OctConfig) -> np.ndarray:
+    """sin^2(pi t / t_pulse) on the sample grid, exactly zero at both ends.
+
+    It shapes the guess field, and envelope / alpha0 weighs the field
+    update, so the field stays switched off at both ends."""
+    t = np.arange(config.n_steps + 1) * config.dt
+    env = np.sin(np.pi * t / config.t_pulse) ** 2
+    env[0] = env[-1] = 0.0
+    return env
 
 
 def fidelity(u_target, u_realized) -> float:
@@ -171,39 +173,15 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
     n = basis.n_qubits
     steps = config.n_steps
     t = np.arange(steps + 1) * config.dt
-    env = np.sin(np.pi * t / config.t_pulse) ** 2
     samples = np.zeros(steps + 1)
     for _, _, freq_hz, _ in transition_table(basis, config.guess_deltas, n):
         samples += np.sin(hz_to_angular_freq_au(freq_hz) * t)
-    samples *= config.guess_amplitude * env
-    samples[0] = samples[-1] = 0.0
+    samples *= config.guess_amplitude * switch_envelope(config)
+    samples[-1] = 0.0   # +0.0, whatever the sign of the sum
     return ControlField(samples, config.dt)
 
 
-class _SweepContext:
-    """Precomputed phases, envelope and dipole shared by one optimization."""
-
-    def __init__(self, basis: EigenBasis, config: OctConfig):
-        self.basis = basis
-        self.config = config
-        self.dim = basis.n_states
-        self.dt = config.dt
-        self.steps = config.n_steps
-        tgrid = np.arange(self.steps + 1) * config.dt
-        env = np.sin(np.pi * tgrid / config.t_pulse) ** 2
-        env[0] = env[-1] = 0.0
-        self.env = env
-        half_t = np.arange(2 * self.steps + 1) * (config.dt / 2.0)
-        self.phases = np.exp(1j * np.multiply.outer(half_t, basis.energies))
-        self.mu = basis.dipole
-
-    def apply_mu(self, half_idx: int, x: np.ndarray) -> np.ndarray:
-        """mu_I(t_half) @ x for a column stack x."""
-        p = self.phases[half_idx]
-        return p[:, None] * (self.mu @ (p.conj()[:, None] * x))
-
-
-def _run_iterations(ctx, config, sweep, evaluate, measure, initial_field, trace,
+def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trace,
                     callback):
     """Iteration driver: stopping rules, trace recording, fault detection.
 
@@ -212,19 +190,19 @@ def _run_iterations(ctx, config, sweep, evaluate, measure, initial_field, trace,
     that already meets the fidelity goal returns without any sweep.
     """
     if initial_field is not None:
-        if len(initial_field.samples) != ctx.steps + 1:
+        if len(initial_field.samples) != config.n_steps + 1:
             raise ValidationError("initial field sample count does not match config")
         field = initial_field.samples.copy()
     else:
-        field = make_guess_field(ctx.basis, config).samples
+        field = make_guess_field(basis, config).samples
     trace = trace if trace is not None else OctTrace()
     stall = 0
     if not len(trace):
         objective, fid = measure(evaluate(field))
-        trace.append(0, objective, fid, float(np.trapezoid(field**2, dx=ctx.dt)))
+        trace.append(0, objective, fid, float(np.trapezoid(field**2, dx=config.dt)))
         if fid >= config.fidelity_goal:
             trace.status = "converged"
-            return ControlField(field, ctx.dt), trace
+            return ControlField(field, config.dt), trace
     start = trace.iterations[-1] + 1
     for it in range(start, config.max_iterations + start):
         field, finals = sweep(field)
@@ -232,7 +210,7 @@ def _run_iterations(ctx, config, sweep, evaluate, measure, initial_field, trace,
             trace.status = "aborted: non-finite field"
             raise NumericalError("field update produced non-finite samples")
         objective, fid = measure(finals)
-        fluence = float(np.trapezoid(field**2, dx=ctx.dt))
+        fluence = float(np.trapezoid(field**2, dx=config.dt))
         prev = trace.objectives[-1]
         if objective < prev - MONOTONE_SLACK * max(1.0, abs(prev)):
             trace.status = f"aborted: objective decreased at iteration {it}"
@@ -246,7 +224,7 @@ def _run_iterations(ctx, config, sweep, evaluate, measure, initial_field, trace,
             stall = 0
         trace.append(it, objective, fid, fluence)
         if callback is not None:
-            callback(it, ControlField(field.copy(), ctx.dt), trace)
+            callback(it, ControlField(field.copy(), config.dt), trace)
         if fid >= config.fidelity_goal:
             trace.status = "converged"
             break
@@ -255,47 +233,36 @@ def _run_iterations(ctx, config, sweep, evaluate, measure, initial_field, trace,
             break
     else:
         trace.status = "iteration budget exhausted"
-    return ControlField(field, ctx.dt), trace
+    return ControlField(field, config.dt), trace
 
 
-def _closed_backward(ctx, targets, field):
-    lam = targets.copy()
-    dt = ctx.dt
-    for n in range(ctx.steps, 0, -1):
-        f = 1j * field[n - 1]
-        k1 = f * ctx.apply_mu(2 * n, lam)
-        k2 = f * ctx.apply_mu(2 * n - 1, lam - 0.5 * dt * k1)
-        k3 = f * ctx.apply_mu(2 * n - 1, lam - 0.5 * dt * k2)
-        k4 = f * ctx.apply_mu(2 * n - 2, lam - dt * k3)
-        lam = lam - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return lam
+def _closed_sweeps(basis, config, initials, targets, functional, n_gate):
+    """Iteration sweep and evaluation of the closed system, with the field
+    held at sample n over step n."""
+    frame = InteractionFrame(basis, config.dt)
+    weight = switch_envelope(config) / config.alpha0
+
+    def sweep(field):
+        lam0 = rk4_sweep(frame.rhs, frame, targets, (field[:-1],) * 3, backward=True)
+        return _closed_forward_update(frame, weight, initials, lam0, field,
+                                      functional, n_gate)
+
+    def evaluate(field):
+        return rk4_sweep(frame.rhs, frame, initials, (field[:-1],) * 3)
+
+    return sweep, evaluate
 
 
-def _closed_evaluate(ctx, initials, field):
-    """Forward propagation of the trajectories with frozen-per-step fields."""
-    x = initials.astype(complex).copy()
-    dt = ctx.dt
-    for n in range(ctx.steps):
-        f = 1j * field[n]
-        k1 = f * ctx.apply_mu(2 * n, x)
-        k2 = f * ctx.apply_mu(2 * n + 1, x + 0.5 * dt * k1)
-        k3 = f * ctx.apply_mu(2 * n + 1, x + 0.5 * dt * k2)
-        k4 = f * ctx.apply_mu(2 * n + 2, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
-
-
-def _closed_forward_update(ctx, initials, lam0, old_field, functional, n_gate):
+def _closed_forward_update(frame, weight, initials, lam0, old_field, functional,
+                           n_gate):
     """Forward sweep with immediate update; the multipliers ride along under
     the old field.  Returns (new field samples, final states)."""
-    dt = ctx.dt
     n_traj = initials.shape[1]
-    x = np.concatenate([initials.astype(complex), lam0], axis=1)
+    x = np.concatenate([initials, lam0], axis=1)
     fvec = np.empty(2 * n_traj)
     new_field = np.zeros_like(old_field)
-    weight = ctx.env / ctx.config.alpha0
-    for n in range(ctx.steps):
-        mx = ctx.apply_mu(2 * n, x)
+    for n, p in frame.step_phases(len(old_field) - 1):
+        mx = frame.apply_mu(p[0], x)
         psi = x[:, :n_traj]
         lam = x[:, n_traj:]
         overlaps = np.einsum("dj,dj->j", lam.conj(), psi)
@@ -310,11 +277,7 @@ def _closed_forward_update(ctx, initials, lam0, old_field, functional, n_gate):
         new_field[n] = e_new
         fvec[:n_traj] = e_new
         fvec[n_traj:] = old_field[n]
-        k1 = (1j * fvec) * mx
-        k2 = (1j * fvec) * ctx.apply_mu(2 * n + 1, x + 0.5 * dt * k1)
-        k3 = (1j * fvec) * ctx.apply_mu(2 * n + 1, x + 0.5 * dt * k2)
-        k4 = (1j * fvec) * ctx.apply_mu(2 * n + 2, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = rk4_step(frame.rhs, x, frame.dt, p, (fvec,) * 3, k1=(1j * fvec) * mx)
     new_field[-1] = old_field[-1]
     return new_field, x[:, :n_traj]
 
@@ -330,13 +293,10 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
     """
     with_sup = (config.functional == "P" and config.include_superposition_target
                 and targets.include_superposition)
-    ctx = _SweepContext(basis, config)
-    init, targ = targets.trajectories(ctx.dim, with_sup)
+    init, targ = targets.trajectories(basis.n_states, with_sup)
     n_gate = targets.n
-
-    def sweep(field):
-        lam0 = _closed_backward(ctx, targ, field)
-        return _closed_forward_update(ctx, init, lam0, field, config.functional, n_gate)
+    sweep, evaluate = _closed_sweeps(basis, config, init, targ, config.functional,
+                                     n_gate)
 
     def measure(finals):
         overlaps = np.einsum("dj,dj->j", targ.conj(), finals)
@@ -346,10 +306,7 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
             objective = float(abs(np.sum(overlaps[:n_gate])) ** 2)
         return objective, fidelity(targets.gate, finals[:n_gate, :n_gate])
 
-    def evaluate(field):
-        return _closed_evaluate(ctx, init, field)
-
-    return _run_iterations(ctx, config, sweep, evaluate, measure, initial_field,
+    return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
                            trace, callback)
 
 
@@ -364,71 +321,26 @@ def optimize_state_prep(basis: EigenBasis, target_amplitudes, config: OctConfig,
     c = np.asarray(getattr(target_amplitudes, "c", target_amplitudes), dtype=complex)
     if abs(np.linalg.norm(c) - 1.0) > 1e-8:
         raise ValidationError("target amplitudes must be normalized")
-    ctx = _SweepContext(basis, config)
-    if len(c) > ctx.dim:
+    dim = basis.n_states
+    if len(c) > dim:
         raise ValidationError("target has more states than the dynamical basis")
-    init = np.zeros((ctx.dim, 1), dtype=complex)
+    init = np.zeros((dim, 1), dtype=complex)
     init[0, 0] = 1.0
-    targ = np.zeros((ctx.dim, 1), dtype=complex)
+    targ = np.zeros((dim, 1), dtype=complex)
     targ[: len(c), 0] = c
-
-    def sweep(field):
-        lam0 = _closed_backward(ctx, targ, field)
-        return _closed_forward_update(ctx, init, lam0, field, "P", 1)
+    sweep, evaluate = _closed_sweeps(basis, config, init, targ, "P", 1)
 
     def measure(finals):
         overlap2 = float(abs(np.vdot(targ[:, 0], finals[:, 0])) ** 2)
         return overlap2, overlap2
 
-    def evaluate(field):
-        return _closed_evaluate(ctx, init, field)
-
-    return _run_iterations(ctx, config, sweep, evaluate, measure, initial_field,
+    return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
                            trace, callback)
 
 
 # ---------------------------------------------------------------------------
 # dissipative variant
 # ---------------------------------------------------------------------------
-
-class _DissContext(_SweepContext):
-    """Adds Lindblad structure; `sign` selects the generator (+1) or its
-    adjoint (-1), which keeps Tr(eta^dag rho) invariant under joint flow."""
-
-    def __init__(self, basis, config, diss: DissipationModel):
-        super().__init__(basis, config)
-        self.gamma = diss.gamma
-        self.out_rates = diss.total_out_rates()
-        self._idx = np.arange(self.dim)
-
-    def rhs(self, half_idx, x, e_field, sign):
-        p = self.phases[half_idx]
-        mu_x = p[None, :, None] * np.einsum(
-            "ij,tjk->tik", self.mu, p.conj()[None, :, None] * x
-        )
-        comm = mu_x - mu_x.conj().transpose(0, 2, 1)   # x stays Hermitian
-        dx = 1j * e_field * comm
-        pops = np.einsum("tii->ti", x).real
-        rate_sum = self.out_rates[None, :, None] + self.out_rates[None, None, :]
-        if sign > 0:
-            dx = dx - 0.5 * rate_sum * x
-            dx[:, self._idx, self._idx] += pops @ self.gamma.T
-        else:
-            dx = dx + 0.5 * rate_sum * x
-            dx[:, self._idx, self._idx] -= pops @ self.gamma
-        return dx
-
-    def rk4(self, half0, direction, x, e_field, sign):
-        """One frozen-field step; stage times follow the integration
-        direction (+1 forward, -1 backward)."""
-        dt = direction * self.dt
-        i1, i2 = half0 + direction, half0 + 2 * direction
-        k1 = self.rhs(half0, x, e_field, sign)
-        k2 = self.rhs(i1, x + 0.5 * dt * k1, e_field, sign)
-        k3 = self.rhs(i1, x + 0.5 * dt * k2, e_field, sign)
-        k4 = self.rhs(i2, x + dt * k3, e_field, sign)
-        return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
 
 def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
                               config: OctConfig, diss: DissipationModel,
@@ -445,25 +357,21 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     """
     with_sup = (config.functional == "P" and config.include_superposition_target
                 and targets.include_superposition)
-    ctx = _DissContext(basis, config, diss)
-    init_vecs, targ_vecs = targets.trajectories(ctx.dim, with_sup)
+    frame = InteractionFrame(basis, config.dt)
+    lindblad = Lindblad(frame, diss)
+    init_vecs, targ_vecs = targets.trajectories(basis.n_states, with_sup)
     rho0 = np.einsum("dt,et->tde", init_vecs, init_vecs.conj())
     eta_final = np.einsum("dt,et->tde", targ_vecs, targ_vecs.conj())
     n_gate = targets.n
-    weight = ctx.env / config.alpha0
+    weight = switch_envelope(config) / config.alpha0
 
     def sweep(field):
-        eta = eta_final.copy()
-        for n in range(ctx.steps, 0, -1):
-            eta = ctx.rk4(2 * n, -1, eta, field[n - 1], sign=-1)
-        rho = rho0.copy()
+        held = (field[:-1],) * 3
+        eta = rk4_sweep(lindblad.adjoint_rhs, frame, eta_final, held, backward=True)
+        rho = rho0
         new_field = np.zeros_like(field)
-        for n in range(ctx.steps):
-            p = ctx.phases[2 * n]
-            mu_rho = p[None, :, None] * np.einsum(
-                "ij,tjk->tik", ctx.mu, p.conj()[None, :, None] * rho
-            )
-            comm = mu_rho - mu_rho.conj().transpose(0, 2, 1)
+        for n, p in frame.step_phases(config.n_steps):
+            comm = lindblad.commutator(p[0], rho)
             pair = np.einsum("tde,tde->t", eta.conj(), comm)
             if config.functional == "P":
                 bracket = 0.5 * float(np.sum(pair.imag))
@@ -472,8 +380,8 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
                 bracket = 0.5 * float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate].imag))
             e_new = field[n] - weight[n] * bracket
             new_field[n] = e_new
-            rho = ctx.rk4(2 * n, +1, rho, e_new, sign=+1)
-            eta = ctx.rk4(2 * n, +1, eta, field[n], sign=-1)
+            rho = rk4_step(lindblad.rhs, rho, frame.dt, p, (e_new,) * 3)
+            eta = rk4_step(lindblad.adjoint_rhs, eta, frame.dt, p, (field[n],) * 3)
         new_field[-1] = field[-1]
         return new_field, rho
 
@@ -482,10 +390,7 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
     def evaluate(field):
-        rho = rho0.copy()
-        for n in range(ctx.steps):
-            rho = ctx.rk4(2 * n, +1, rho, field[n], sign=+1)
-        return rho
+        return rk4_sweep(lindblad.rhs, frame, rho0, (field[:-1],) * 3)
 
-    return _run_iterations(ctx, config, sweep, evaluate, measure, initial_field,
+    return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
                            trace, callback)

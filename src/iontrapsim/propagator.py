@@ -4,11 +4,21 @@ Closed-system amplitudes follow the interaction-picture equation
 
     dc_j/dt = (i/hbar) E(t) sum_k mu_jk exp(i w_jk t) c_k
 
-integrated by fourth-order Runge-Kutta with the field linearly
-interpolated at half-steps.  Open-system density matrices follow the
-Lindblad master equation; for projector jump operators the dissipator is
-identical in the interaction and Schroedinger pictures, so the frame
-change touches only the driving term.
+and density matrices the Lindblad master equation; for the jump operators
+|j><k| the dissipator is identical in the interaction and Schroedinger
+pictures, so the frame change touches only the driving term.  Everything,
+the optimizer in `oct` and the fidelity trace in `analysis` included, is
+integrated by one fourth-order Runge-Kutta step (`rk4_step`, looped by
+`rk4_sweep`) in one `InteractionFrame`, with `Lindblad` as the one
+generator and its adjoint.
+
+Field convention.  The caller passes the field at the start, middle and
+end of every step.  `propagate_tdse`, `evolution_operator`,
+`propagate_lindblad` and `analysis.fidelity_trace` interpolate the samples
+linearly (`ControlField.linear_stages`); the optimizer holds sample n over
+step n.  One field thus gets two fidelities: on converged desk fields the
+optimizer reports 0.995447 (P) and 0.995229 (F), `evolution_operator`
+0.995287 and 0.995107.  One convention everywhere is ROADMAP item 2.
 """
 
 from dataclasses import dataclass
@@ -22,6 +32,7 @@ from .units import FIELD_AU_V_PER_M, TIME_AU_S
 NORM_DRIFT_TOL = 1e-8
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
+PHASE_CHUNK = 256   # steps per block of precomputed frame phases
 
 
 @dataclass
@@ -37,8 +48,8 @@ class ControlField:
             raise ValidationError("field needs at least two samples")
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError("field samples must be finite")
-        if self.dt <= 0:
-            raise ValidationError("sample spacing must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError("sample spacing must be positive and finite")
 
     @property
     def t_pulse(self) -> float:
@@ -47,6 +58,12 @@ class ControlField:
     @property
     def n_steps(self) -> int:
         return len(self.samples) - 1
+
+    def linear_stages(self):
+        """Field at the start, middle and end of every step, interpolating
+        the samples linearly."""
+        s = self.samples
+        return s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]
 
     def times(self) -> np.ndarray:
         return np.arange(len(self.samples)) * self.dt
@@ -64,7 +81,6 @@ class QuantumState:
     """Ion state in the eigenbasis: amplitude vector or density matrix."""
 
     data: np.ndarray
-    picture: str = "interaction"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
@@ -84,26 +100,20 @@ class QuantumState:
     def validate(self) -> None:
         if self.is_matrix:
             rho = self.data
-            if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
+            if not np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
                 raise ValidationError("density matrix is not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
+            if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
                 raise ValidationError("density matrix trace differs from 1")
-            if np.linalg.eigvalsh(rho).min() < -1e-8:
+            if not np.linalg.eigvalsh(rho).min() >= -1e-8:
                 raise ValidationError("density matrix has a negative eigenvalue")
         else:
-            if abs(np.linalg.norm(self.data) - 1.0) > 1e-8:
+            if not abs(np.linalg.norm(self.data) - 1.0) <= 1e-8:
                 raise ValidationError("state vector is not normalized")
-
-    @classmethod
-    def basis_state(cls, dim: int, j: int) -> "QuantumState":
-        c = np.zeros(dim, dtype=complex)
-        c[j] = 1.0
-        return cls(c)
 
     def to_matrix(self) -> "QuantumState":
         if self.is_matrix:
             return self
-        return QuantumState(np.outer(self.data, self.data.conj()), self.picture)
+        return QuantumState(np.outer(self.data, self.data.conj()))
 
 
 @dataclass
@@ -169,48 +179,123 @@ def build_dissipation(
 
 
 class InteractionFrame:
-    """Phase bookkeeping exp(i E_j t) for a basis, shared by the propagators."""
+    """Phases exp(i E_j t) of a basis on the half-step grid t = h dt / 2,
+    h an integer."""
 
-    def __init__(self, basis: EigenBasis):
+    def __init__(self, basis: EigenBasis, dt: float):
         self.energies = basis.energies
         self.mu = basis.dipole
+        self.dt = dt
+        self._block = (None, None)
 
-    def phases(self, t: float) -> np.ndarray:
-        return np.exp(1j * self.energies * t)
+    def phases(self, half_idx) -> np.ndarray:
+        """exp(i E t) at t = half_idx dt / 2, one row per half-step index."""
+        t = np.asarray(half_idx) * (self.dt / 2.0)
+        return np.exp(1j * np.multiply.outer(t, self.energies))
 
-    def mu_at(self, t: float) -> np.ndarray:
-        p = self.phases(t)
-        return (p[:, None] * self.mu) * p.conj()[None, :]
-
-    def apply_mu(self, t: float, x: np.ndarray) -> np.ndarray:
-        """mu_I(t) @ x without forming the dressed matrix."""
-        p = self.phases(t)
-        if x.ndim == 1:
-            return p * (self.mu @ (p.conj() * x))
+    def apply_mu(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """mu_I @ x at phases p without forming the dressed matrix; x is a
+        (D, n) column stack or a (..., D, D) matrix stack."""
         return p[:, None] * (self.mu @ (p.conj()[:, None] * x))
 
+    def rhs(self, x: np.ndarray, p: np.ndarray, e) -> np.ndarray:
+        """dc/dt = i E mu_I c for amplitude columns; e is a scalar or one
+        field value per column."""
+        return (1j * e) * self.apply_mu(p, x)
 
-def _rk4_vector_sweep(frame, field, psi, dt, t0, store_every, out):
-    """Shared RK4 loop for vectors or column stacks with linear field interp."""
-    samples = field.samples
-    n_steps = len(samples) - 1
-    stored = 0
+    def step_phases(self, n_steps: int, backward: bool = False):
+        """Yield (n, (p_start, p_mid, p_end)) for steps n in integration
+        order; start and end follow the direction of integration.
+
+        Phases are built PHASE_CHUNK steps at a time, so memory stays
+        bounded while each step costs a table lookup.  The last block is
+        kept: a sweep starts in the block where the previous one ended."""
+        blocks = range(0, n_steps, PHASE_CHUNK)
+        for a in reversed(blocks) if backward else blocks:
+            b = min(a + PHASE_CHUNK, n_steps)
+            if self._block[0] != (a, b):
+                self._block = ((a, b), self.phases(np.arange(2 * a, 2 * b + 1)))
+            p = self._block[1]
+            if backward:
+                for n in range(b - 1, a - 1, -1):
+                    k = 2 * (n - a)
+                    yield n, (p[k + 2], p[k + 1], p[k])
+            else:
+                for n in range(a, b):
+                    k = 2 * (n - a)
+                    yield n, (p[k], p[k + 1], p[k + 2])
+
+
+def rk4_step(rhs, x, h, p, e, k1=None):
+    """One classical RK4 step of dx/dt = rhs(x, p, e) over h; a negative h
+    integrates backward.  p and e hold the frame phases and the field at the
+    start, middle and end of the step in integration order.  Pass k1 when
+    rhs(x, p[0], e[0]) is already known."""
+    if k1 is None:
+        k1 = rhs(x, p[0], e[0])
+    k2 = rhs(x + 0.5 * h * k1, p[1], e[1])
+    k3 = rhs(x + 0.5 * h * k2, p[1], e[1])
+    k4 = rhs(x + h * k3, p[2], e[2])
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_sweep(rhs, frame, x, fields, backward=False, store_every=0, out=None):
+    """Integrate x through one pulse, from its end to its start if backward.
+
+    `fields` holds three arrays, the field at the start, middle and end of
+    each step, indexed by step in time order.  With `out`, x is stored
+    before the first step and after every `store_every` steps."""
+    lo, mid, hi = fields
+    if backward:
+        lo, hi = hi, lo
+    h = -frame.dt if backward else frame.dt
     if out is not None:
-        out[stored] = psi
-    for n in range(n_steps):
-        t = t0 + n * dt
-        ea = samples[n]
-        ec = samples[n + 1]
-        eb = 0.5 * (ea + ec)
-        k1 = 1j * ea * frame.apply_mu(t, psi)
-        k2 = 1j * eb * frame.apply_mu(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = 1j * eb * frame.apply_mu(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = 1j * ec * frame.apply_mu(t + dt, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[0] = x
+    for n, p in frame.step_phases(len(mid), backward):
+        x = rk4_step(rhs, x, h, p, (lo[n], mid[n], hi[n]))
         if out is not None and (n + 1) % store_every == 0:
-            stored += 1
-            out[stored] = psi
-    return psi
+            out[(n + 1) // store_every] = x
+    return x
+
+
+class Lindblad:
+    """Lindblad generator with jump operators sqrt(gamma_jk) |j><k| in an
+    interaction frame, and its adjoint.  Both act on one matrix or a stack
+    of matrices, which need not be Hermitian."""
+
+    def __init__(self, frame: InteractionFrame, diss: DissipationModel):
+        self.frame = frame
+        self.gamma = diss.gamma
+        out_rates = diss.total_out_rates()
+        self.decay = 0.5 * (out_rates[:, None] + out_rates[None, :])
+        self.idx = np.arange(len(out_rates))
+
+    def commutator(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """[mu_I, x] at phases p."""
+        mu_i = (p[:, None] * self.frame.mu) * p.conj()
+        return mu_i @ x - x @ mu_i
+
+    def rhs(self, x, p, e):
+        """d rho/dt = i E [mu_I, rho] + sum_jk (L rho L^dag - {L^dag L, rho} / 2)."""
+        dx = (1j * e) * self.commutator(p, x) - self.decay * x
+        dx[..., self.idx, self.idx] += x[..., self.idx, self.idx] @ self.gamma.T
+        return dx
+
+    def adjoint_rhs(self, x, p, e):
+        """d eta/dt for the backward multiplier: the adjoint generator with
+        its sign flipped, so Tr(eta^dag rho) stays constant when eta and rho
+        move together."""
+        dx = (1j * e) * self.commutator(p, x) + self.decay * x
+        dx[..., self.idx, self.idx] -= x[..., self.idx, self.idx] @ self.gamma
+        return dx
+
+
+def _snapshots(fieldspec: ControlField, store_every: int, shape: tuple):
+    """Times and an empty buffer for a snapshot before the first step and
+    after every store_every steps; none when store_every is 0."""
+    n_stored = fieldspec.n_steps // store_every + 1 if store_every else 0
+    times = np.arange(n_stored) * store_every * fieldspec.dt
+    return times, np.empty((n_stored,) + shape, dtype=complex)
 
 
 def propagate_tdse(
@@ -218,7 +303,6 @@ def propagate_tdse(
     fieldspec: ControlField,
     basis: EigenBasis,
     store_every: int = 0,
-    t0: float = 0.0,
 ):
     """Propagate an amplitude vector through one pulse.
 
@@ -231,24 +315,14 @@ def propagate_tdse(
     state.validate()
     if state.dim != basis.n_states:
         raise ValidationError("state dimension does not match the basis")
-    frame = InteractionFrame(basis)
-    dt = fieldspec.dt
-
-    if store_every:
-        n_stored = fieldspec.n_steps // store_every + 1
-        stored = np.empty((n_stored, state.dim), dtype=complex)
-        times = t0 + np.arange(n_stored) * store_every * dt
-    else:
-        stored = np.empty((0, state.dim), dtype=complex)
-        times = np.empty(0)
-
-    norm_in = np.linalg.norm(state.data)
-    final = _rk4_vector_sweep(
-        frame, fieldspec, state.data.copy(), dt, t0, max(store_every, 1),
-        stored if store_every else None,
-    )
-    drift = abs(np.linalg.norm(final) - norm_in)
-    if drift > NORM_DRIFT_TOL:
+    frame = InteractionFrame(basis, fieldspec.dt)
+    times, stored = _snapshots(fieldspec, store_every, (state.dim,))
+    final = rk4_sweep(
+        frame.rhs, frame, state.data[:, None], fieldspec.linear_stages(),
+        store_every=store_every, out=stored[:, :, None] if store_every else None,
+    )[:, 0]
+    drift = abs(np.linalg.norm(final) - np.linalg.norm(state.data))
+    if not drift <= NORM_DRIFT_TOL:
         raise NumericalError(
             f"norm drift {drift:.2e} over the pulse; reduce the time step"
         )
@@ -256,66 +330,19 @@ def propagate_tdse(
 
 
 def evolution_operator(
-    fieldspec: ControlField, basis: EigenBasis, n_states: int, t0: float = 0.0
+    fieldspec: ControlField, basis: EigenBasis, n_states: int
 ) -> np.ndarray:
     """Realized gate P U(t_pulse) P on the first n_states (may be sub-unitary)."""
     if n_states > basis.n_states:
         raise ValidationError("n_states exceeds the dynamical basis")
-    frame = InteractionFrame(basis)
+    frame = InteractionFrame(basis, fieldspec.dt)
     cols = np.zeros((basis.n_states, n_states), dtype=complex)
     cols[:n_states, :n_states] = np.eye(n_states)
-    final = _rk4_vector_sweep(frame, fieldspec, cols, fieldspec.dt, t0, 1, None)
+    final = rk4_sweep(frame.rhs, frame, cols, fieldspec.linear_stages())
     col_norms = np.linalg.norm(final, axis=0)
-    if np.abs(col_norms - 1.0).max() > NORM_DRIFT_TOL:
+    if not np.abs(col_norms - 1.0).max() <= NORM_DRIFT_TOL:
         raise NumericalError("column norm drift beyond tolerance in gate propagation")
     return final[:n_states, :]
-
-
-def lindblad_rhs(rho, e_field, frame, t, gamma, out_rates):
-    """d rho/dt in the interaction picture with projector jump operators."""
-    mu_rho = frame.apply_mu(t, rho)
-    comm = mu_rho - mu_rho.conj().T  # [mu_I, rho] for Hermitian rho
-    drho = 1j * e_field * comm
-    pops = np.real(np.diag(rho))
-    gain = gamma @ pops
-    drho = drho - 0.5 * (out_rates[:, None] + out_rates[None, :]) * rho
-    drho[np.diag_indices_from(drho)] += gain
-    return drho
-
-
-def adjoint_lindblad_rhs(eta, e_field, frame, t, gamma, out_rates):
-    """d eta/dt for the backward multiplier; keeps Tr(eta^dag rho) constant."""
-    mu_eta = frame.apply_mu(t, eta)
-    comm = mu_eta - mu_eta.conj().T
-    deta = 1j * e_field * comm
-    pops = np.real(np.diag(eta))
-    gain = gamma.T @ pops
-    deta = deta + 0.5 * (out_rates[:, None] + out_rates[None, :]) * eta
-    deta[np.diag_indices_from(deta)] -= gain
-    return deta
-
-
-def _rk4_matrix_sweep(rhs, field, rho, dt, t0, gamma, out_rates, frame,
-                      store_every=0, out=None):
-    samples = field.samples
-    n_steps = len(samples) - 1
-    stored = 0
-    if out is not None:
-        out[stored] = rho
-    for n in range(n_steps):
-        t = t0 + n * dt
-        ea = samples[n]
-        ec = samples[n + 1]
-        eb = 0.5 * (ea + ec)
-        k1 = rhs(rho, ea, frame, t, gamma, out_rates)
-        k2 = rhs(rho + 0.5 * dt * k1, eb, frame, t + 0.5 * dt, gamma, out_rates)
-        k3 = rhs(rho + 0.5 * dt * k2, eb, frame, t + 0.5 * dt, gamma, out_rates)
-        k4 = rhs(rho + dt * k3, ec, frame, t + dt, gamma, out_rates)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if out is not None and store_every and (n + 1) % store_every == 0:
-            stored += 1
-            out[stored] = rho
-    return rho
 
 
 def propagate_lindblad(
@@ -324,7 +351,6 @@ def propagate_lindblad(
     basis: EigenBasis,
     diss: DissipationModel,
     store_every: int = 0,
-    t0: float = 0.0,
 ):
     """Propagate a density matrix through one pulse with dissipation.
 
@@ -335,27 +361,15 @@ def propagate_lindblad(
     rho_state.validate()
     if rho_state.dim != basis.n_states:
         raise ValidationError("state dimension does not match the basis")
-    frame = InteractionFrame(basis)
-    gamma = diss.gamma
-    out_rates = diss.total_out_rates()
-    dt = fieldspec.dt
-
-    if store_every:
-        n_stored = fieldspec.n_steps // store_every + 1
-        stored = np.empty((n_stored, rho_state.dim, rho_state.dim), dtype=complex)
-        times = t0 + np.arange(n_stored) * store_every * dt
-    else:
-        stored = np.empty((0, rho_state.dim, rho_state.dim), dtype=complex)
-        times = np.empty(0)
-
-    trace_in = np.trace(rho_state.data).real
-    final = _rk4_matrix_sweep(
-        lindblad_rhs, fieldspec, rho_state.data.copy(), dt, t0, gamma, out_rates,
-        frame, store_every, stored if store_every else None,
+    frame = InteractionFrame(basis, fieldspec.dt)
+    times, stored = _snapshots(fieldspec, store_every, (rho_state.dim,) * 2)
+    final = rk4_sweep(
+        Lindblad(frame, diss).rhs, frame, rho_state.data, fieldspec.linear_stages(),
+        store_every=store_every, out=stored if store_every else None,
     )
-    trace_err = abs(np.trace(final).real - trace_in)
+    trace_err = abs(np.trace(final).real - np.trace(rho_state.data).real)
     herm_err = np.abs(final - final.conj().T).max()
-    if trace_err > TRACE_TOL or herm_err > HERMITICITY_TOL:
+    if not (trace_err <= TRACE_TOL and herm_err <= HERMITICITY_TOL):
         raise NumericalError(
             f"Lindblad step-size failure: trace error {trace_err:.2e}, "
             f"Hermiticity error {herm_err:.2e}"

@@ -46,6 +46,10 @@ class TestConfigParsing:
             parse_quantity("fast", "time")
         with pytest.raises(ValidationError):
             parse_quantity("96 parsec", "time")
+        with pytest.raises(ValidationError):
+            parse_quantity("nan us", "time")
+        with pytest.raises(ValidationError):
+            parse_quantity("inf")
 
     def test_tier_presets(self):
         desk = tier_config("desk")
@@ -93,6 +97,16 @@ class TestCliCommands:
         bad = tmp_path / "bad.ini"
         bad.write_text("[trap]\nprimitive_size = 10\ndynamical_size = 32\n")
         assert main(["trap", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_zero_oct_step_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[oct]\ndt = 0 ns\n")
+        code = main([
+            "optimize", "--config", str(bad), "--tier", "desk",
+            "--out", str(tmp_path), "--max-iterations", "1",
+        ])
+        assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_paper_tier_needs_acknowledgment(self, tmp_path, capsys):

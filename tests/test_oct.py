@@ -11,12 +11,12 @@ from iontrapsim import (
     optimize_gate,
     optimize_gate_dissipative,
     optimize_state_prep,
-    penalty,
     zero_field,
     build_dissipation,
     encode,
     gaussian_packet,
 )
+from iontrapsim.oct import switch_envelope
 from iontrapsim.units import TIME_AU_S
 
 
@@ -35,20 +35,20 @@ def small_config(**overrides):
 
 
 class TestPenalty:
+    """The update weight sin^2(pi t / T) / alpha0, i.e. 1 / alpha(t)."""
+
     def test_midpoint_and_quarter(self):
         cfg = small_config()
-        assert penalty(cfg.t_pulse / 2, cfg) == pytest.approx(cfg.alpha0)
-        assert penalty(cfg.t_pulse / 4, cfg) == pytest.approx(2 * cfg.alpha0)
+        weight = switch_envelope(cfg) / cfg.alpha0
+        assert weight[cfg.n_steps // 2] == pytest.approx(1 / cfg.alpha0)
+        assert weight[cfg.n_steps // 4] == pytest.approx(1 / (2 * cfg.alpha0))
 
     def test_endpoints_infinite(self):
+        """alpha is infinite at both ends: the weight is exactly zero."""
         cfg = small_config()
-        assert penalty(0.0, cfg) == np.inf
-        assert penalty(cfg.t_pulse, cfg) == np.inf
-
-    def test_out_of_range_rejected(self):
-        cfg = small_config()
-        with pytest.raises(ValidationError):
-            penalty(-1.0, cfg)
+        weight = switch_envelope(cfg) / cfg.alpha0
+        assert weight[0] == 0.0
+        assert weight[-1] == 0.0
 
 
 class TestFidelity:

@@ -3,7 +3,9 @@ import pytest
 
 from iontrapsim import (
     ControlField,
+    DissipationModel,
     EigenBasis,
+    NumericalError,
     QuantumState,
     TrapParams,
     ValidationError,
@@ -15,11 +17,7 @@ from iontrapsim import (
     zero_field,
 )
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import (
-    InteractionFrame,
-    adjoint_lindblad_rhs,
-    lindblad_rhs,
-)
+from iontrapsim.propagator import InteractionFrame, Lindblad, rk4_sweep
 from iontrapsim.units import TIME_AU_S
 
 
@@ -61,6 +59,25 @@ class TestControlField:
             ControlField(np.array([0.0, np.nan]), dt=1.0)
         with pytest.raises(ValidationError):
             ControlField(np.zeros(5), dt=-1.0)
+        with pytest.raises(ValidationError):
+            ControlField(np.zeros(5), dt=np.nan)
+        with pytest.raises(ValidationError):
+            ControlField(np.zeros(5), dt=np.inf)
+
+    def test_overflowing_field_raises(self, desk_basis):
+        """A finite field whose propagation overflows to NaN must fail the
+        end-of-pulse checks, not return a NaN state."""
+        field = ControlField(np.array([0.0, 1e300, 1e300, 0.0]), dt=1e3)
+        c0 = np.zeros(8, dtype=complex)
+        c0[0] = 1.0
+        diss = build_dissipation(desk_basis, kappa=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                propagate_tdse(QuantumState(c0), field, desk_basis)
+            with pytest.raises(NumericalError):
+                evolution_operator(field, desk_basis, 4)
+            with pytest.raises(NumericalError):
+                propagate_lindblad(QuantumState(c0), field, desk_basis, diss)
 
 
 class TestQuantumState:
@@ -117,8 +134,6 @@ class TestClosedPropagation:
         t = np.arange(steps + 1) * dt
         field = ControlField(0.5 * np.cos(t), dt)
         state = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        from iontrapsim.errors import NumericalError
-
         with pytest.raises(NumericalError):
             propagate_tdse(state, field, basis)
 
@@ -196,8 +211,8 @@ class TestLindblad:
     def test_adjoint_pairing_invariance(self, desk_basis):
         field = short_guess(desk_basis, steps=1500)
         diss = build_dissipation(desk_basis, kappa=1e-15)
-        frame = InteractionFrame(desk_basis)
-        gamma, out_rates = diss.gamma, diss.total_out_rates()
+        frame = InteractionFrame(desk_basis, field.dt)
+        lindblad = Lindblad(frame, diss)
         rng = np.random.default_rng(11)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = a @ a.conj().T
@@ -205,23 +220,40 @@ class TestLindblad:
         b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         eta = 0.5 * (b + b.conj().T)
         pairing0 = np.trace(eta.conj().T @ rho)
-        dt = field.dt
-        for n in range(field.n_steps):
-            t = n * dt
-            ea, ec = field.samples[n], field.samples[n + 1]
-            eb = 0.5 * (ea + ec)
-
-            def step(x, rhs):
-                k1 = rhs(x, ea, frame, t, gamma, out_rates)
-                k2 = rhs(x + 0.5 * dt * k1, eb, frame, t + dt / 2, gamma, out_rates)
-                k3 = rhs(x + 0.5 * dt * k2, eb, frame, t + dt / 2, gamma, out_rates)
-                k4 = rhs(x + dt * k3, ec, frame, t + dt, gamma, out_rates)
-                return x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-            rho = step(rho, lindblad_rhs)
-            eta = step(eta, adjoint_lindblad_rhs)
+        stages = field.linear_stages()
+        rho = rk4_sweep(lindblad.rhs, frame, rho, stages)
+        eta = rk4_sweep(lindblad.adjoint_rhs, frame, eta, stages)
         pairing1 = np.trace(eta.conj().T @ rho)
         assert abs(pairing1 - pairing0) < 1e-8 * max(1.0, abs(pairing0))
+
+    @pytest.mark.parametrize("e_field", [0.0, 0.3])
+    def test_generator_matches_textbook_form(self, desk_basis, e_field):
+        """rhs = i E [mu_I, x] + sum_jk (L x L^dag - {L^dag L, x} / 2) with
+        L = sqrt(gamma_jk) |j><k|, on a non-Hermitian stack; adjoint_rhs is
+        minus the adjoint: Tr(A^dag rhs(B)) = -Tr(adjoint_rhs(A)^dag B).
+        The rates are random and asymmetric, so gamma and gamma^T differ."""
+        rng = np.random.default_rng(5)
+        gamma = rng.uniform(0.0, 100.0, size=(8, 8))
+        np.fill_diagonal(gamma, 0.0)
+        diss = DissipationModel(1.0, np.empty((0, 2), dtype=int), np.empty(0), gamma, 0.0)
+        frame = InteractionFrame(desk_basis, 1e3)
+        lindblad = Lindblad(frame, diss)
+        p = frame.phases(7)
+        x = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+        a = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+
+        mu_i = np.diag(p) @ desk_basis.dipole @ np.diag(p.conj())
+        want = 1j * e_field * (mu_i @ x - x @ mu_i)
+        for j, k in zip(*np.nonzero(diss.gamma)):
+            jump = np.zeros((8, 8))
+            jump[j, k] = np.sqrt(diss.gamma[j, k])
+            want = want + jump @ x @ jump.T - 0.5 * (jump.T @ jump @ x + x @ jump.T @ jump)
+        got = lindblad.rhs(x, p, e_field)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        forward = np.einsum("tij,tij->t", a.conj(), lindblad.rhs(x, p, e_field))
+        backward = -np.einsum("tij,tij->t", lindblad.adjoint_rhs(a, p, e_field).conj(), x)
+        assert np.abs(forward - backward).max() <= 1e-13 * np.abs(forward).max()
 
     def test_rk4_step_halving(self, desk_basis):
         field = short_guess(desk_basis, steps=1000)
