@@ -137,7 +137,6 @@ def fidelity_trace(
     d = basis.n_states
     frame = InteractionFrame(basis, gate_field.dt)
     rhs = Lindblad(frame, diss).rhs
-    stages = gate_field.linear_stages()
 
     units = np.zeros((n * n, d, d), dtype=complex)
     for j in range(n):
@@ -150,7 +149,7 @@ def fidelity_trace(
     for pulse in range(n_pulses):
         # every pulse replays the waveform in the rotating frame (t from 0),
         # which is what makes stroboscopic concatenation exact
-        x = rk4_sweep(rhs, frame, x, stages)
+        x = rk4_sweep(rhs, frame, x, gate_field.samples)
         target = us @ target
         acc = 0.0
         for j in range(n):

@@ -9,7 +9,6 @@ config hash embedded, and prints a short report.  Exit codes: 0 success,
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,13 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_run_config(args) -> RunConfig:
@@ -148,6 +140,8 @@ def cmd_optimize(args) -> int:
                 break
 
     stem = f"{args.mode}_{functional.lower()}"
+    if args.dissipative:
+        stem = f"{stem}_diss"
     callback = _checkpoint_writer(cfg, cfg.outdir, stem, args.checkpoint_every)
 
     if args.mode == "prep":
@@ -166,7 +160,6 @@ def cmd_optimize(args) -> int:
             if not args.kappa:
                 raise ValidationError("--dissipative requires --kappa")
             diss = build_dissipation(basis, args.kappa[0], cfg.deltas)
-            stem = f"{stem}_diss"
             fieldspec, trace = optimize_gate_dissipative(
                 basis, targets, oct_cfg, diss, initial_field, trace, callback
             )
@@ -279,19 +272,10 @@ def cmd_simulate(args) -> int:
                 f"x0={x0:g}): {residual:.3e}"
             )
 
-    kappas = args.kappa if args.kappa else list(cfg.kappas)
-
-    def run_kappa(kappa):
-        return kappa, _dissipative_simulation(cfg, basis, gate, gate_field, grid, c0, kappa)
-
-    workers = min(_threads(), max(1, len(kappas)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_kappa, kappas))
-    else:
-        results = [run_kappa(k) for k in kappas]
-
-    for kappa, (pulses_k, zs, fid_k) in results:
+    for kappa in args.kappa or cfg.kappas:
+        pulses_k, zs, fid_k = _dissipative_simulation(
+            cfg, basis, gate, gate_field, grid, c0, kappa
+        )
         tag = f"kappa_{kappa:.3e}"
         serialization.save_probability_snapshots(
             pulses_k, grid, os.path.join(cfg.outdir, f"probabilities_{tag}.csv"), meta

@@ -99,6 +99,8 @@ class RunConfig:
             )
         if self.functional not in ("F", "P"):
             raise ValidationError("functional must be 'F' or 'P'")
+        if not (self.t_pulse > 0 and self.oct_dt > 0):
+            raise ValidationError("t_pulse and the OCT time step must be positive")
 
 
 def desk_config() -> RunConfig:
@@ -171,7 +173,7 @@ def load_config(path: str, tier: str | None = None, outdir: str | None = None) -
             packets = []
             for token in s["packets"].split(","):
                 sigma, _, x0 = token.partition(":")
-                packets.append((float(sigma), float(x0)))
+                packets.append((parse_quantity(sigma), parse_quantity(x0)))
             cfg.packets = tuple(packets)
     if parser.has_section("oct"):
         o = parser["oct"]

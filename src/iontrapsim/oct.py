@@ -13,9 +13,10 @@ targets through a phase-coherent trace product.  The recorded objective is
 the functional's main term (the fluence is recorded separately); it is the
 quantity the incremental scheme increases monotonically.
 
-The field is frozen within each time step, and the backward sweep steps
-with the same frozen-field rule, which keeps the discrete iteration
-consistent between the two sweeps.
+Both sweeps use the one field rule of `propagator`: sample n is held
+over step n.  The scheme's monotonic convergence is derived for this
+rule, and the fidelity recorded for a field is the one
+`evolution_operator` measures for it.
 
 The dissipative variant replaces amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
@@ -48,7 +49,6 @@ class OctConfig:
     functional: str = "P"
     max_iterations: int = 500
     fidelity_goal: float = 0.99999
-    include_superposition_target: bool = True
     guess_amplitude: float = GUESS_AMPLITUDE_AU
     guess_deltas: tuple = (1, 3)
     stall_improvement: float = 1e-12
@@ -63,8 +63,6 @@ class OctConfig:
             raise ValidationError("fidelity_goal must be in (0, 1]")
         if self.functional not in ("F", "P"):
             raise ValidationError("functional must be 'F' or 'P'")
-        if self.functional == "P" and not self.include_superposition_target:
-            raise ValidationError("the P functional requires the superposition target")
         n = self.t_pulse / self.dt
         if abs(n - round(n)) > 1e-9 * n or round(n) < 2:
             raise ValidationError("t_pulse must be an integer multiple (>= 2) of dt")
@@ -79,7 +77,6 @@ class TargetSet:
     """The gate to realize, expanded into per-trajectory initial/target pairs."""
 
     gate: np.ndarray
-    include_superposition: bool = True
 
     def __post_init__(self):
         self.gate = np.asarray(getattr(self.gate, "entries", self.gate), dtype=complex)
@@ -199,7 +196,7 @@ def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trac
     stall = 0
     if not len(trace):
         objective, fid = measure(evaluate(field))
-        trace.append(0, objective, fid, float(np.trapezoid(field**2, dx=config.dt)))
+        trace.append(0, objective, fid, ControlField(field, config.dt).fluence())
         if fid >= config.fidelity_goal:
             trace.status = "converged"
             return ControlField(field, config.dt), trace
@@ -210,7 +207,6 @@ def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trac
             trace.status = "aborted: non-finite field"
             raise NumericalError("field update produced non-finite samples")
         objective, fid = measure(finals)
-        fluence = float(np.trapezoid(field**2, dx=config.dt))
         prev = trace.objectives[-1]
         if objective < prev - MONOTONE_SLACK * max(1.0, abs(prev)):
             trace.status = f"aborted: objective decreased at iteration {it}"
@@ -222,7 +218,7 @@ def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trac
             stall += 1
         else:
             stall = 0
-        trace.append(it, objective, fid, fluence)
+        trace.append(it, objective, fid, ControlField(field, config.dt).fluence())
         if callback is not None:
             callback(it, ControlField(field.copy(), config.dt), trace)
         if fid >= config.fidelity_goal:
@@ -237,18 +233,17 @@ def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trac
 
 
 def _closed_sweeps(basis, config, initials, targets, functional, n_gate):
-    """Iteration sweep and evaluation of the closed system, with the field
-    held at sample n over step n."""
+    """Iteration sweep and evaluation of the closed system."""
     frame = InteractionFrame(basis, config.dt)
     weight = switch_envelope(config) / config.alpha0
 
     def sweep(field):
-        lam0 = rk4_sweep(frame.rhs, frame, targets, (field[:-1],) * 3, backward=True)
+        lam0 = rk4_sweep(frame.rhs, frame, targets, field, backward=True)
         return _closed_forward_update(frame, weight, initials, lam0, field,
                                       functional, n_gate)
 
     def evaluate(field):
-        return rk4_sweep(frame.rhs, frame, initials, (field[:-1],) * 3)
+        return rk4_sweep(frame.rhs, frame, initials, field)
 
     return sweep, evaluate
 
@@ -277,7 +272,7 @@ def _closed_forward_update(frame, weight, initials, lam0, old_field, functional,
         new_field[n] = e_new
         fvec[:n_traj] = e_new
         fvec[n_traj:] = old_field[n]
-        x = rk4_step(frame.rhs, x, frame.dt, p, (fvec,) * 3, k1=(1j * fvec) * mx)
+        x = rk4_step(frame.rhs, x, frame.dt, p, fvec, k1=(1j * fvec) * mx)
     new_field[-1] = old_field[-1]
     return new_field, x[:, :n_traj]
 
@@ -291,9 +286,7 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
     main objective, the gate fidelity of the projected propagator, and the
     field fluence for every iteration, plus a final status string.
     """
-    with_sup = (config.functional == "P" and config.include_superposition_target
-                and targets.include_superposition)
-    init, targ = targets.trajectories(basis.n_states, with_sup)
+    init, targ = targets.trajectories(basis.n_states, config.functional == "P")
     n_gate = targets.n
     sweep, evaluate = _closed_sweeps(basis, config, init, targ, config.functional,
                                      n_gate)
@@ -355,19 +348,16 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     the mean target population of the gate trajectories, the
     phase-insensitive surrogate available in the density formalism.
     """
-    with_sup = (config.functional == "P" and config.include_superposition_target
-                and targets.include_superposition)
     frame = InteractionFrame(basis, config.dt)
     lindblad = Lindblad(frame, diss)
-    init_vecs, targ_vecs = targets.trajectories(basis.n_states, with_sup)
+    init_vecs, targ_vecs = targets.trajectories(basis.n_states, config.functional == "P")
     rho0 = np.einsum("dt,et->tde", init_vecs, init_vecs.conj())
     eta_final = np.einsum("dt,et->tde", targ_vecs, targ_vecs.conj())
     n_gate = targets.n
     weight = switch_envelope(config) / config.alpha0
 
     def sweep(field):
-        held = (field[:-1],) * 3
-        eta = rk4_sweep(lindblad.adjoint_rhs, frame, eta_final, held, backward=True)
+        eta = rk4_sweep(lindblad.adjoint_rhs, frame, eta_final, field, backward=True)
         rho = rho0
         new_field = np.zeros_like(field)
         for n, p in frame.step_phases(config.n_steps):
@@ -380,8 +370,9 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
                 bracket = 0.5 * float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate].imag))
             e_new = field[n] - weight[n] * bracket
             new_field[n] = e_new
-            rho = rk4_step(lindblad.rhs, rho, frame.dt, p, (e_new,) * 3)
-            eta = rk4_step(lindblad.adjoint_rhs, eta, frame.dt, p, (field[n],) * 3)
+            k1 = lindblad.rhs(rho, p[0], e_new, comm=comm)
+            rho = rk4_step(lindblad.rhs, rho, frame.dt, p, e_new, k1=k1)
+            eta = rk4_step(lindblad.adjoint_rhs, eta, frame.dt, p, field[n])
         new_field[-1] = field[-1]
         return new_field, rho
 
@@ -390,7 +381,7 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
     def evaluate(field):
-        return rk4_sweep(lindblad.rhs, frame, rho0, (field[:-1],) * 3)
+        return rk4_sweep(lindblad.rhs, frame, rho0, field)
 
     return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
                            trace, callback)

@@ -12,13 +12,12 @@ integrated by one fourth-order Runge-Kutta step (`rk4_step`, looped by
 `rk4_sweep`) in one `InteractionFrame`, with `Lindblad` as the one
 generator and its adjoint.
 
-Field convention.  The caller passes the field at the start, middle and
-end of every step.  `propagate_tdse`, `evolution_operator`,
-`propagate_lindblad` and `analysis.fidelity_trace` interpolate the samples
-linearly (`ControlField.linear_stages`); the optimizer holds sample n over
-step n.  One field thus gets two fidelities: on converged desk fields the
-optimizer reports 0.995447 (P) and 0.995229 (F), `evolution_operator`
-0.995287 and 0.995107.  One convention everywhere is ROADMAP item 2.
+Field convention.  The field is held constant over every time step:
+sample n drives step n, from t_n to t_n + dt, and the last sample closes
+the record without driving.  The optimizer's monotonic scheme is derived
+for this rule, so the fidelity it reports is the one `evolution_operator`
+measures.  Only `rk4_step` and `rk4_sweep` apply it; every caller passes
+plain samples.
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,10 @@ PHASE_CHUNK = 256   # steps per block of precomputed frame phases
 
 @dataclass
 class ControlField:
-    """Uniformly sampled real field E(t_i), atomic units."""
+    """Uniformly sampled real field E(t_i), atomic units.
+
+    Sample n drives step n of the propagators, held over [t_n, t_n + dt];
+    the last sample closes the record without driving."""
 
     samples: np.ndarray
     dt: float
@@ -58,12 +60,6 @@ class ControlField:
     @property
     def n_steps(self) -> int:
         return len(self.samples) - 1
-
-    def linear_stages(self):
-        """Field at the start, middle and end of every step, interpolating
-        the samples linearly."""
-        s = self.samples
-        return s[:-1], 0.5 * (s[:-1] + s[1:]), s[1:]
 
     def times(self) -> np.ndarray:
         return np.arange(len(self.samples)) * self.dt
@@ -228,31 +224,29 @@ class InteractionFrame:
 
 def rk4_step(rhs, x, h, p, e, k1=None):
     """One classical RK4 step of dx/dt = rhs(x, p, e) over h; a negative h
-    integrates backward.  p and e hold the frame phases and the field at the
-    start, middle and end of the step in integration order.  Pass k1 when
-    rhs(x, p[0], e[0]) is already known."""
+    integrates backward.  p holds the frame phases at the start, middle and
+    end of the step in integration order; the field e, a scalar or one value
+    per column, is held over the step.  Pass k1 when rhs(x, p[0], e) is
+    already known."""
     if k1 is None:
-        k1 = rhs(x, p[0], e[0])
-    k2 = rhs(x + 0.5 * h * k1, p[1], e[1])
-    k3 = rhs(x + 0.5 * h * k2, p[1], e[1])
-    k4 = rhs(x + h * k3, p[2], e[2])
+        k1 = rhs(x, p[0], e)
+    k2 = rhs(x + 0.5 * h * k1, p[1], e)
+    k3 = rhs(x + 0.5 * h * k2, p[1], e)
+    k4 = rhs(x + h * k3, p[2], e)
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def rk4_sweep(rhs, frame, x, fields, backward=False, store_every=0, out=None):
+def rk4_sweep(rhs, frame, x, field, backward=False, store_every=0, out=None):
     """Integrate x through one pulse, from its end to its start if backward.
 
-    `fields` holds three arrays, the field at the start, middle and end of
-    each step, indexed by step in time order.  With `out`, x is stored
-    before the first step and after every `store_every` steps."""
-    lo, mid, hi = fields
-    if backward:
-        lo, hi = hi, lo
+    `field` is the sample array: field[n] drives step n, and the last
+    sample closes the record.  With `out`, x is stored before the first
+    step and after every `store_every` steps."""
     h = -frame.dt if backward else frame.dt
     if out is not None:
         out[0] = x
-    for n, p in frame.step_phases(len(mid), backward):
-        x = rk4_step(rhs, x, h, p, (lo[n], mid[n], hi[n]))
+    for n, p in frame.step_phases(len(field) - 1, backward):
+        x = rk4_step(rhs, x, h, p, field[n])
         if out is not None and (n + 1) % store_every == 0:
             out[(n + 1) // store_every] = x
     return x
@@ -275,9 +269,12 @@ class Lindblad:
         mu_i = (p[:, None] * self.frame.mu) * p.conj()
         return mu_i @ x - x @ mu_i
 
-    def rhs(self, x, p, e):
-        """d rho/dt = i E [mu_I, rho] + sum_jk (L rho L^dag - {L^dag L, rho} / 2)."""
-        dx = (1j * e) * self.commutator(p, x) - self.decay * x
+    def rhs(self, x, p, e, comm=None):
+        """d rho/dt = i E [mu_I, rho] + sum_jk (L rho L^dag - {L^dag L, rho} / 2).
+        Pass comm when [mu_I, rho] at p is already known."""
+        if comm is None:
+            comm = self.commutator(p, x)
+        dx = (1j * e) * comm - self.decay * x
         dx[..., self.idx, self.idx] += x[..., self.idx, self.idx] @ self.gamma.T
         return dx
 
@@ -318,7 +315,7 @@ def propagate_tdse(
     frame = InteractionFrame(basis, fieldspec.dt)
     times, stored = _snapshots(fieldspec, store_every, (state.dim,))
     final = rk4_sweep(
-        frame.rhs, frame, state.data[:, None], fieldspec.linear_stages(),
+        frame.rhs, frame, state.data[:, None], fieldspec.samples,
         store_every=store_every, out=stored[:, :, None] if store_every else None,
     )[:, 0]
     drift = abs(np.linalg.norm(final) - np.linalg.norm(state.data))
@@ -338,7 +335,7 @@ def evolution_operator(
     frame = InteractionFrame(basis, fieldspec.dt)
     cols = np.zeros((basis.n_states, n_states), dtype=complex)
     cols[:n_states, :n_states] = np.eye(n_states)
-    final = rk4_sweep(frame.rhs, frame, cols, fieldspec.linear_stages())
+    final = rk4_sweep(frame.rhs, frame, cols, fieldspec.samples)
     col_norms = np.linalg.norm(final, axis=0)
     if not np.abs(col_norms - 1.0).max() <= NORM_DRIFT_TOL:
         raise NumericalError("column norm drift beyond tolerance in gate propagation")
@@ -364,7 +361,7 @@ def propagate_lindblad(
     frame = InteractionFrame(basis, fieldspec.dt)
     times, stored = _snapshots(fieldspec, store_every, (rho_state.dim,) * 2)
     final = rk4_sweep(
-        Lindblad(frame, diss).rhs, frame, rho_state.data, fieldspec.linear_stages(),
+        Lindblad(frame, diss).rhs, frame, rho_state.data, fieldspec.samples,
         store_every=store_every, out=stored if store_every else None,
     )
     trace_err = abs(np.trace(final).real - np.trace(rho_state.data).real)

@@ -109,6 +109,21 @@ class TestCliCommands:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ini",
+        ["[oct]\ndt = 0 ns\n", "[oct]\nt_pulse = -1 us\n", "[sim]\npackets = nan:0\n"],
+        ids=["zero-dt", "negative-pulse", "nan-packet"],
+    )
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
+        """Rejected on load, whichever command reads the file."""
+        bad = tmp_path / "bad.ini"
+        bad.write_text(ini)
+        code = main([
+            "trap", "--config", str(bad), "--tier", "desk", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_paper_tier_needs_acknowledgment(self, tmp_path, capsys):
         assert main(["trap", "--tier", "paper", "--out", str(tmp_path)]) == 2
         assert "acknowledge" in capsys.readouterr().err
@@ -135,6 +150,26 @@ class TestCliCommands:
         assert os.path.exists(os.path.join(out, "gate_p_trace.csv"))
         assert os.path.exists(os.path.join(out, "gate_p_checkpoint.csv"))
         assert os.path.exists(os.path.join(out, "gate_p_checkpoint_trace.csv"))
+
+    def test_dissipative_checkpoint_resumes(self, tmp_path):
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        out = str(tmp_path / "d")
+        args = [
+            "optimize", "--config", str(ini), "--tier", "desk", "--out", out,
+            "--functional", "P", "--dissipative", "--kappa", "1e-17",
+            "--max-iterations", "1", "--checkpoint-every", "1",
+        ]
+        assert main(args) == 4
+        checkpoint = os.path.join(out, "gate_p_diss_checkpoint.csv")
+        assert os.path.exists(checkpoint)
+        assert os.path.exists(os.path.join(out, "gate_p_diss_checkpoint_trace.csv"))
+        assert not os.path.exists(os.path.join(out, "gate_p_checkpoint.csv"))
+        assert main(args + ["--resume", checkpoint]) == 4
+        from iontrapsim.serialization import load_trace
+
+        trace = load_trace(os.path.join(out, "gate_p_diss_trace.csv"))
+        assert trace.iterations == [0, 1, 2]
 
     def test_resume_continues_monotonically(self, tmp_path):
         out = str(tmp_path / "r")
