@@ -151,9 +151,8 @@ def fidelity_trace(
         # which is what makes stroboscopic concatenation exact
         x = rk4_sweep(rhs, frame, x, gate_field.samples)
         target = us @ target
-        acc = 0.0
-        for j in range(n):
-            for k in range(n):
-                acc += (target[:, j].conj() @ x[j * n + k, :n, :n] @ target[:, k]).real
+        # blocks[j, k] = Phi_l(|j><k|) on the first n states
+        blocks = x[:, :n, :n].reshape(n, n, n, n)
+        acc = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real
         fids[pulse] = acc / n**2
     return fids

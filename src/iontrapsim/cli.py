@@ -157,8 +157,8 @@ def cmd_optimize(args) -> int:
         _, _, gate = _build_gate(cfg)
         targets = TargetSet(gate.entries)
         if args.dissipative:
-            if not args.kappa:
-                raise ValidationError("--dissipative requires --kappa")
+            if not args.kappa or len(args.kappa) > 1:
+                raise ValidationError("--dissipative requires exactly one --kappa value")
             diss = build_dissipation(basis, args.kappa[0], cfg.deltas)
             fieldspec, trace = optimize_gate_dissipative(
                 basis, targets, oct_cfg, diss, initial_field, trace, callback

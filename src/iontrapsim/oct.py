@@ -21,8 +21,8 @@ rule, and the fidelity recorded for a field is the one
 The dissipative variant replaces amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
 trajectories through Tr(eta^dag (mu rho - rho mu)).  With all rates zero
-it reproduces the closed-system iteration exactly (same fields, same
-objective column).
+it reproduces the closed-system iteration to rounding (same fields, same
+objective column); the two run different RK4 kernels of `propagator`.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         rk4_step, rk4_sweep)
+from .propagator import (BLOCK_STEPS, ControlField, DissipationModel, InteractionFrame,
+                         Lindblad, closed_sweep, rk4_step, rk4_sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -238,12 +238,12 @@ def _closed_sweeps(basis, config, initials, targets, functional, n_gate):
     weight = switch_envelope(config) / config.alpha0
 
     def sweep(field):
-        lam0 = rk4_sweep(frame.rhs, frame, targets, field, backward=True)
+        lam0 = closed_sweep(frame, targets, field, backward=True)
         return _closed_forward_update(frame, weight, initials, lam0, field,
                                       functional, n_gate)
 
     def evaluate(field):
-        return rk4_sweep(frame.rhs, frame, initials, field)
+        return closed_sweep(frame, initials, field)
 
     return sweep, evaluate
 
@@ -251,30 +251,30 @@ def _closed_sweeps(basis, config, initials, targets, functional, n_gate):
 def _closed_forward_update(frame, weight, initials, lam0, old_field, functional,
                            n_gate):
     """Forward sweep with immediate update; the multipliers ride along under
-    the old field.  Returns (new field samples, final states)."""
-    n_traj = initials.shape[1]
-    x = np.concatenate([initials, lam0], axis=1)
-    fvec = np.empty(2 * n_traj)
-    new_field = np.zeros_like(old_field)
-    for n, p in frame.step_phases(len(old_field) - 1):
-        mx = frame.apply_mu(p[0], x)
-        psi = x[:, :n_traj]
-        lam = x[:, n_traj:]
-        overlaps = np.einsum("dj,dj->j", lam.conj(), psi)
-        couplings = np.einsum("dj,dj->j", lam.conj(), mx[:, :n_traj])
-        if functional == "P":
-            bracket = float(np.sum((overlaps.conj() * couplings).imag))
-        else:
-            bracket = float(
-                (np.sum(overlaps[:n_gate]).conj() * np.sum(couplings[:n_gate])).imag
-            )
-        e_new = old_field[n] - weight[n] * bracket
-        new_field[n] = e_new
-        fvec[:n_traj] = e_new
-        fvec[n_traj:] = old_field[n]
-        x = rk4_step(frame.rhs, x, frame.dt, p, fvec, k1=(1j * fvec) * mx)
-    new_field[-1] = old_field[-1]
-    return new_field, x[:, :n_traj]
+    the old field.  Both stay in the rotating variable y = exp(-i E t) x of
+    `closed_sweep`, where <lam|psi> = <y_lam|y_psi> and
+    <lam|mu_I psi> = <y_lam|mu y_psi> with the static dipole.
+    Returns (new field samples, final states)."""
+    drive = old_field[:-1]
+    psi, lam = initials, lam0   # y = x at t = 0
+    new_field = old_field.copy()
+    for a in range(0, len(drive), BLOCK_STEPS):
+        lam_steps = frame.step_matrices(drive[a:a + BLOCK_STEPS])
+        for n, lam_step in enumerate(lam_steps, a):
+            lam_c = lam.conj()
+            overlaps = (lam_c * psi).sum(axis=0)
+            couplings = (lam_c * (frame.mu @ psi)).sum(axis=0)
+            if functional == "P":
+                bracket = float(np.sum((overlaps.conj() * couplings).imag))
+            else:
+                bracket = float(
+                    (np.sum(overlaps[:n_gate]).conj() * np.sum(couplings[:n_gate])).imag
+                )
+            e_new = old_field[n] - weight[n] * bracket
+            new_field[n] = e_new
+            psi = frame.step_matrices([e_new])[0] @ psi
+            lam = lam_step @ lam
+    return new_field, frame.phases(2 * len(drive))[:, None] * psi
 
 
 def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,

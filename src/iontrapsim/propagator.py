@@ -8,16 +8,22 @@ and density matrices the Lindblad master equation; for the jump operators
 |j><k| the dissipator is identical in the interaction and Schroedinger
 pictures, so the frame change touches only the driving term.  Everything,
 the optimizer in `oct` and the fidelity trace in `analysis` included, is
-integrated by one fourth-order Runge-Kutta step (`rk4_step`, looped by
-`rk4_sweep`) in one `InteractionFrame`, with `Lindblad` as the one
-generator and its adjoint.
+integrated by classical fourth-order Runge-Kutta in one `InteractionFrame`.
+
+Closed kernel.  With the field held over a step, mu_I(t_n + s) =
+P_n mu_I(s) P_n^*, P_n = exp(i E t_n), so in the rotating variable
+y = exp(-i E t) x one RK4 step is exactly y <- sum_k e_n^k C_k y, with five
+constant matrices C_k per direction (`InteractionFrame.step_matrices`).
+`closed_sweep` integrates amplitude columns this way, one matmul per step.
+Density matrices step through `rk4_step` (looped by `rk4_sweep`) with
+`Lindblad` as the one generator and its adjoint.
 
 Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
 the record without driving.  The optimizer's monotonic scheme is derived
 for this rule, so the fidelity it reports is the one `evolution_operator`
-measures.  Only `rk4_step` and `rk4_sweep` apply it; every caller passes
-plain samples.
+measures.  Only the two sweeps and `rk4_step` apply it; every caller
+passes plain samples.
 """
 
 from dataclasses import dataclass
@@ -31,7 +37,10 @@ from .units import FIELD_AU_V_PER_M, TIME_AU_S
 NORM_DRIFT_TOL = 1e-8
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
-PHASE_CHUNK = 256   # steps per block of precomputed frame phases
+POSITIVITY_TOL = 1e-8    # how far below 0 a density-matrix eigenvalue may lie
+BLOCK_STEPS = 16   # steps per block of precomputed phases or step matrices;
+                   # 256 KB of step matrices at D = 32 (64 steps, 1 MB, adds
+                   # 1.4 MB to the peak RSS of a paper-size optimize)
 
 
 @dataclass
@@ -100,7 +109,7 @@ class QuantumState:
                 raise ValidationError("density matrix is not Hermitian")
             if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
                 raise ValidationError("density matrix trace differs from 1")
-            if not np.linalg.eigvalsh(rho).min() >= -1e-8:
+            if not np.linalg.eigvalsh(rho).min() >= -POSITIVITY_TOL:
                 raise ValidationError("density matrix has a negative eigenvalue")
         else:
             if not abs(np.linalg.norm(self.data) - 1.0) <= 1e-8:
@@ -176,39 +185,62 @@ def build_dissipation(
 
 class InteractionFrame:
     """Phases exp(i E_j t) of a basis on the half-step grid t = h dt / 2,
-    h an integer."""
+    h an integer, and the RK4 step matrices of its closed amplitudes."""
 
     def __init__(self, basis: EigenBasis, dt: float):
         self.energies = basis.energies
         self.mu = basis.dipole
         self.dt = dt
         self._block = (None, None)
+        self._coefficients = {}
 
     def phases(self, half_idx) -> np.ndarray:
         """exp(i E t) at t = half_idx dt / 2, one row per half-step index."""
         t = np.asarray(half_idx) * (self.dt / 2.0)
         return np.exp(1j * np.multiply.outer(t, self.energies))
 
-    def apply_mu(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """mu_I @ x at phases p without forming the dressed matrix; x is a
-        (D, n) column stack or a (..., D, D) matrix stack."""
-        return p[:, None] * (self.mu @ (p.conj()[:, None] * x))
+    def step_matrices(self, e, backward: bool = False) -> np.ndarray:
+        """RK4 step matrices S = sum_k e^k C_k, one per held field value in e.
 
-    def rhs(self, x: np.ndarray, p: np.ndarray, e) -> np.ndarray:
-        """dc/dt = i E mu_I c for amplitude columns; e is a scalar or one
-        field value per column."""
-        return (1j * e) * self.apply_mu(p, x)
+        y <- S y is one step of the rotating variable y = exp(-i E t) x,
+        toward earlier times if backward.  The C_k hold the RK4 polynomial in
+        (i h mu_I(s))^k, s = 0, h/2, h, times the frame phase exp(-i E h);
+        they are built once per direction."""
+        c = self._coefficients.get(backward)
+        if c is None:
+            c = self._coefficients[backward] = self._rk4_coefficients(backward)
+        e = np.asarray(e, dtype=float)
+        d = len(self.energies)
+        return (e[:, None] ** np.arange(5) @ c).reshape(len(e), d, d)
+
+    def _rk4_coefficients(self, backward: bool) -> np.ndarray:
+        """C_0..C_4 of `step_matrices`, flattened to (5, D^2)."""
+        sign = -1 if backward else 1
+        h = sign * self.dt
+        p_mid, p_end = self.phases([sign, 2 * sign])
+        m0 = 1j * h * self.mu
+        mh = 1j * h * (p_mid[:, None] * self.mu * p_mid.conj())
+        m1 = 1j * h * (p_end[:, None] * self.mu * p_end.conj())
+        mh2 = mh @ mh
+        b = np.array([
+            np.eye(len(self.energies)),
+            (m0 + 4 * mh + m1) / 6,
+            (mh @ m0 + mh2 + m1 @ mh) / 6,
+            (mh2 @ m0 + m1 @ mh2) / 12,
+            m1 @ mh2 @ m0 / 24,
+        ])
+        return (p_end.conj()[:, None] * b).reshape(5, -1)
 
     def step_phases(self, n_steps: int, backward: bool = False):
         """Yield (n, (p_start, p_mid, p_end)) for steps n in integration
         order; start and end follow the direction of integration.
 
-        Phases are built PHASE_CHUNK steps at a time, so memory stays
+        Phases are built BLOCK_STEPS steps at a time, so memory stays
         bounded while each step costs a table lookup.  The last block is
         kept: a sweep starts in the block where the previous one ended."""
-        blocks = range(0, n_steps, PHASE_CHUNK)
+        blocks = range(0, n_steps, BLOCK_STEPS)
         for a in reversed(blocks) if backward else blocks:
-            b = min(a + PHASE_CHUNK, n_steps)
+            b = min(a + BLOCK_STEPS, n_steps)
             if self._block[0] != (a, b):
                 self._block = ((a, b), self.phases(np.arange(2 * a, 2 * b + 1)))
             p = self._block[1]
@@ -222,12 +254,39 @@ class InteractionFrame:
                     yield n, (p[k], p[k + 1], p[k + 2])
 
 
+def closed_sweep(frame, x, field, backward=False, store_every=0, out=None):
+    """Integrate amplitude columns x (D, n) through one pulse by RK4, from its
+    end to its start if backward.
+
+    `field` is the sample array: field[n] drives step n, and the last
+    sample closes the record.  The sweep runs in the rotating variable
+    y = exp(-i E t) x, one matmul per step with the step matrices of
+    `frame.step_matrices`, built BLOCK_STEPS steps at a time.  With `out`,
+    x is stored before the first step and after every `store_every` steps;
+    stored snapshots and the result are rotated back to x."""
+    n_steps = len(field) - 1
+    if out is not None:
+        out[0] = x
+    y = frame.phases(2 * n_steps if backward else 0).conj()[:, None] * x
+    drive = field[:-1]
+    blocks = range(0, n_steps, BLOCK_STEPS)
+    done = 0
+    for a in reversed(blocks) if backward else blocks:
+        steps = frame.step_matrices(drive[a:a + BLOCK_STEPS], backward)
+        for step in steps[::-1] if backward else steps:
+            y = step @ y
+            done += 1
+            if out is not None and done % store_every == 0:
+                t_idx = n_steps - done if backward else done
+                out[done // store_every] = frame.phases(2 * t_idx)[:, None] * y
+    return frame.phases(0 if backward else 2 * n_steps)[:, None] * y
+
+
 def rk4_step(rhs, x, h, p, e, k1=None):
     """One classical RK4 step of dx/dt = rhs(x, p, e) over h; a negative h
     integrates backward.  p holds the frame phases at the start, middle and
-    end of the step in integration order; the field e, a scalar or one value
-    per column, is held over the step.  Pass k1 when rhs(x, p[0], e) is
-    already known."""
+    end of the step in integration order; the field e is held over the
+    step.  Pass k1 when rhs(x, p[0], e) is already known."""
     if k1 is None:
         k1 = rhs(x, p[0], e)
     k2 = rhs(x + 0.5 * h * k1, p[1], e)
@@ -314,8 +373,8 @@ def propagate_tdse(
         raise ValidationError("state dimension does not match the basis")
     frame = InteractionFrame(basis, fieldspec.dt)
     times, stored = _snapshots(fieldspec, store_every, (state.dim,))
-    final = rk4_sweep(
-        frame.rhs, frame, state.data[:, None], fieldspec.samples,
+    final = closed_sweep(
+        frame, state.data[:, None], fieldspec.samples,
         store_every=store_every, out=stored[:, :, None] if store_every else None,
     )[:, 0]
     drift = abs(np.linalg.norm(final) - np.linalg.norm(state.data))
@@ -335,7 +394,7 @@ def evolution_operator(
     frame = InteractionFrame(basis, fieldspec.dt)
     cols = np.zeros((basis.n_states, n_states), dtype=complex)
     cols[:n_states, :n_states] = np.eye(n_states)
-    final = rk4_sweep(frame.rhs, frame, cols, fieldspec.samples)
+    final = closed_sweep(frame, cols, fieldspec.samples)
     col_norms = np.linalg.norm(final, axis=0)
     if not np.abs(col_norms - 1.0).max() <= NORM_DRIFT_TOL:
         raise NumericalError("column norm drift beyond tolerance in gate propagation")
@@ -351,8 +410,9 @@ def propagate_lindblad(
 ):
     """Propagate a density matrix through one pulse with dissipation.
 
-    Returns (final QuantumState, times, stored snapshots).  Trace and
-    Hermiticity are enforced as hard checks at the end of the pulse.
+    Returns (final QuantumState, times, stored snapshots).  Trace,
+    Hermiticity and positivity are enforced as hard checks at the end of
+    the pulse.
     """
     rho_state = state.to_matrix()
     rho_state.validate()
@@ -370,6 +430,11 @@ def propagate_lindblad(
         raise NumericalError(
             f"Lindblad step-size failure: trace error {trace_err:.2e}, "
             f"Hermiticity error {herm_err:.2e}"
+        )
+    min_eig = np.linalg.eigvalsh(final).min()
+    if not min_eig >= -POSITIVITY_TOL:
+        raise NumericalError(
+            f"Lindblad step-size failure: minimum eigenvalue {min_eig:.2e}"
         )
     return QuantumState(final), times, stored
 

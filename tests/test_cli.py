@@ -138,6 +138,14 @@ class TestCliCommands:
         ])
         assert code == 2
 
+    def test_dissipative_with_two_kappas_exits_2(self, tmp_path):
+        code = main([
+            "optimize", "--tier", "desk", "--out", str(tmp_path),
+            "--mode", "gate", "--dissipative", "--kappa", "1e-18", "5e-18",
+            "--max-iterations", "1",
+        ])
+        assert code == 2
+
     def test_optimize_budget_exhaustion_exits_4(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = main([

@@ -17,7 +17,7 @@ from iontrapsim import (
     zero_field,
 )
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import InteractionFrame, Lindblad, rk4_sweep
+from iontrapsim.propagator import InteractionFrame, Lindblad, closed_sweep, rk4_sweep
 from iontrapsim.units import TIME_AU_S
 
 
@@ -44,6 +44,25 @@ def short_guess(basis, steps=2000, t_pulse_us=4.0):
         alpha0=1e15,
     )
     return make_guess_field(basis, cfg)
+
+
+def textbook_rhs(frame):
+    """Textbook dc/dt = i E mu_I(t) c at frame phases p; integrated by
+    `rk4_sweep`, it is the reference for `closed_sweep`."""
+    def rhs(x, p, e):
+        return (1j * e) * (p[:, None] * (frame.mu @ (p.conj()[:, None] * x)))
+    return rhs
+
+
+def random_columns(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, n)) + 1j * rng.normal(size=(dim, n))
+    return x / np.linalg.norm(x, axis=0)
+
+
+def assert_relative(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 class TestControlField:
@@ -136,6 +155,52 @@ class TestClosedPropagation:
         state = QuantumState(np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(NumericalError):
             propagate_tdse(state, field, basis)
+
+
+class TestClosedSweep:
+    """closed_sweep against textbook RK4 of the interaction-picture
+    equation, driven through rk4_sweep."""
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_matches_textbook_rk4(self, desk_basis, backward):
+        field = short_guess(desk_basis)
+        frame = InteractionFrame(desk_basis, field.dt)
+        x = random_columns(8, 5, seed=1)
+        got = closed_sweep(frame, x, field.samples, backward=backward)
+        want = rk4_sweep(textbook_rhs(frame), frame, x, field.samples, backward=backward)
+        assert_relative(got, want)
+
+    def test_snapshots_match(self, desk_basis):
+        field = short_guess(desk_basis)
+        frame = InteractionFrame(desk_basis, field.dt)
+        x = random_columns(8, 2, seed=2)
+        got = np.empty((21, 8, 2), dtype=complex)
+        want = np.empty_like(got)
+        final = closed_sweep(frame, x, field.samples, store_every=100, out=got)
+        rk4_sweep(textbook_rhs(frame), frame, x, field.samples, store_every=100, out=want)
+        assert_relative(got, want)
+        assert np.array_equal(got[-1], final)
+
+    def test_paper_size(self, paper_basis):
+        """80 paper-size steps with a field strong enough (|E mu| dt = 0.2)
+        that the third- and fourth-order terms of every step count."""
+        field = short_guess(paper_basis, steps=80, t_pulse_us=80 * 0.96e-3)
+        scale = 0.2 / (np.abs(field.samples).max() * np.linalg.norm(paper_basis.dipole, 2)
+                       * field.dt)
+        samples = scale * field.samples
+        frame = InteractionFrame(paper_basis, field.dt)
+        x = random_columns(32, 17, seed=3)
+        for backward in (False, True):
+            got = closed_sweep(frame, x, samples, backward=backward)
+            want = rk4_sweep(textbook_rhs(frame), frame, x, samples, backward=backward)
+            assert_relative(got, want)
+
+    def test_zeroth_coefficient_is_frame_phase(self, desk_basis):
+        frame = InteractionFrame(desk_basis, 8e4)
+        for backward, h in ((False, 8e4), (True, -8e4)):
+            c0 = frame.step_matrices([0.0], backward=backward)[0]
+            want = np.diag(np.exp(-1j * desk_basis.energies * h))
+            assert np.abs(c0 - want).max() <= 1e-15
 
 
 class TestEvolutionOperator:
@@ -253,6 +318,16 @@ class TestLindblad:
         forward = np.einsum("tij,tij->t", a.conj(), lindblad.rhs(x, p, e_field))
         backward = -np.einsum("tij,tij->t", lindblad.adjoint_rhs(a, p, e_field).conj(), x)
         assert np.abs(forward - backward).max() <= 1e-13 * np.abs(forward).max()
+
+    def test_negative_eigenvalue_detected(self, desk_basis):
+        """Four zero-field steps with dt times the largest out-rate at 2
+        keep the trace but leave a negative eigenvalue (about -0.09)."""
+        diss = build_dissipation(desk_basis, 1.0)
+        dt = 2.0 / diss.total_out_rates().max()
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[0, 0] = 1.0
+        with pytest.raises(NumericalError, match="eigenvalue"):
+            propagate_lindblad(QuantumState(rho0), zero_field(4 * dt, 4), desk_basis, diss)
 
     def test_rk4_step_halving(self, desk_basis):
         field = short_guess(desk_basis, steps=1000)
