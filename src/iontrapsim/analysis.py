@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .gridsim import Grid
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         QuantumState, rk4_sweep)
+                         QuantumState, lindblad_sweep)
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -128,20 +128,31 @@ def fidelity_trace(
 ) -> np.ndarray:
     """Process fidelity of the cumulative realized map against U_s^l.
 
-    Propagates the N^2 matrix units through successive Lindblad pulses and
-    evaluates (1/N^2) sum_jk <U^l j| Phi_l(|j><k|) |U^l k>, which equals the
-    gate fidelity |Tr(U_s^dag U_P)|^2/N^2 whenever the map is unitary.
+    Propagates N^2 Hermitian units through successive Lindblad pulses: the
+    projectors E_jj and, for j < k, H = E_jk + E_kj and B = i (E_jk - E_kj),
+    from which Phi_l(E_jk) = (Phi_l(H) - i Phi_l(B)) / 2 and
+    Phi_l(E_kj) = (Phi_l(H) + i Phi_l(B)) / 2.  It evaluates
+    (1/N^2) sum_jk <U^l j| Phi_l(|j><k|) |U^l k>, which equals the gate
+    fidelity |Tr(U_s^dag U_P)|^2/N^2 whenever the map is unitary.
     """
     us = getattr(gate, "entries", gate)
     n = us.shape[0]
     d = basis.n_states
-    frame = InteractionFrame(basis, gate_field.dt)
-    rhs = Lindblad(frame, diss).rhs
+    lindblad = Lindblad(InteractionFrame(basis, gate_field.dt), diss)
 
+    # unit u = j n + k holds E_jj (j = k), H (j < k) or B of the pair (k, j);
+    # recombine[j n + k] gives Phi(E_jk) from the propagated units
     units = np.zeros((n * n, d, d), dtype=complex)
+    recombine = np.zeros((n * n, n * n), dtype=complex)
     for j in range(n):
-        for k in range(n):
-            units[j * n + k, j, k] = 1.0
+        units[j * n + j, j, j] = 1.0
+        recombine[j * n + j, j * n + j] = 1.0
+        for k in range(j + 1, n):
+            h, b = j * n + k, k * n + j
+            units[h, j, k] = units[h, k, j] = 1.0
+            units[b, j, k], units[b, k, j] = 1j, -1j
+            recombine[h, h] = recombine[b, h] = 0.5
+            recombine[h, b], recombine[b, b] = -0.5j, 0.5j
 
     fids = np.empty(n_pulses)
     x = units
@@ -149,10 +160,10 @@ def fidelity_trace(
     for pulse in range(n_pulses):
         # every pulse replays the waveform in the rotating frame (t from 0),
         # which is what makes stroboscopic concatenation exact
-        x = rk4_sweep(rhs, frame, x, gate_field.samples)
+        x = lindblad_sweep(lindblad, x, gate_field.samples)
         target = us @ target
         # blocks[j, k] = Phi_l(|j><k|) on the first n states
-        blocks = x[:, :n, :n].reshape(n, n, n, n)
+        blocks = (recombine @ x[:, :n, :n].reshape(n * n, n * n)).reshape(n, n, n, n)
         acc = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real
         fids[pulse] = acc / n**2
     return fids

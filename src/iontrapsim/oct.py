@@ -20,9 +20,10 @@ rule, and the fidelity recorded for a field is the one
 
 The dissipative variant replaces amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
-trajectories through Tr(eta^dag (mu rho - rho mu)).  With all rates zero
+trajectories through Tr(eta (mu rho - rho mu)).  With all rates zero
 it reproduces the closed-system iteration to rounding (same fields, same
-objective column); the two run different RK4 kernels of `propagator`.
+objective column); the two run the closed and the Lindblad kernel of
+`propagator`, both in rotating variables.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .propagator import (BLOCK_STEPS, ControlField, DissipationModel, InteractionFrame,
-                         Lindblad, closed_sweep, rk4_step, rk4_sweep)
+                         Lindblad, closed_sweep, lindblad_sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -350,38 +351,47 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     """
     frame = InteractionFrame(basis, config.dt)
     lindblad = Lindblad(frame, diss)
+    adjoint = Lindblad(frame, diss, adjoint=True)
     init_vecs, targ_vecs = targets.trajectories(basis.n_states, config.functional == "P")
     rho0 = np.einsum("dt,et->tde", init_vecs, init_vecs.conj())
     eta_final = np.einsum("dt,et->tde", targ_vecs, targ_vecs.conj())
     n_gate = targets.n
     weight = switch_envelope(config) / config.alpha0
+    d = basis.n_states
 
     def sweep(field):
-        eta = rk4_sweep(lindblad.adjoint_rhs, frame, eta_final, field, backward=True)
+        """Backward eta, then forward rho with immediate update and eta
+        carried along under the old field, both in the rotating variable
+        y = P^* x P, where Tr(eta [mu_I, rho]) = Tr(y_eta [mu, y_rho]) with
+        the static dipole.  For Hermitian y_rho, [mu, y_rho] = a^dag - a
+        with a = y_rho mu, so the pairing is -2i Im Tr(y_eta a)."""
+        eta = lindblad_sweep(adjoint, eta_final, field, backward=True)
         rho = rho0
-        new_field = np.zeros_like(field)
-        for n, p in frame.step_phases(config.n_steps):
-            comm = lindblad.commutator(p[0], rho)
-            pair = np.einsum("tde,tde->t", eta.conj(), comm)
-            if config.functional == "P":
-                bracket = 0.5 * float(np.sum(pair.imag))
-            else:
-                pops = np.einsum("tde,tde->t", eta.conj(), rho).real
-                bracket = 0.5 * float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate].imag))
-            e_new = field[n] - weight[n] * bracket
-            new_field[n] = e_new
-            k1 = lindblad.rhs(rho, p[0], e_new, comm=comm)
-            rho = rk4_step(lindblad.rhs, rho, frame.dt, p, e_new, k1=k1)
-            eta = rk4_step(lindblad.adjoint_rhs, eta, frame.dt, p, field[n])
-        new_field[-1] = field[-1]
-        return new_field, rho
+        new_field = field.copy()
+        drive = field[:-1]
+        for a in range(0, len(drive), BLOCK_STEPS):
+            eta_kdags = adjoint.generators(drive[a:a + BLOCK_STEPS])
+            for n, eta_kdag in enumerate(eta_kdags, a):
+                rho_mu = (rho.reshape(-1, d) @ frame.mu).reshape(rho.shape)
+                pair = np.einsum("tde,tde->t", eta.conj(), rho_mu).imag
+                if config.functional == "P":
+                    bracket = -float(np.sum(pair))
+                else:
+                    pops = np.einsum("tde,tde->t", eta.conj(), rho).real
+                    bracket = -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate]))
+                e_new = field[n] - weight[n] * bracket
+                new_field[n] = e_new
+                k1 = lindblad.start_rhs(rho, rho_mu, e_new)
+                rho = lindblad.step(rho, lindblad.generators([e_new])[0], k1=k1)
+                eta = adjoint.step(eta, eta_kdag)
+        return new_field, rho * frame.conjugation(2 * len(drive))
 
     def measure(rho):
         pops = np.einsum("tde,tde->t", eta_final.conj(), rho).real
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
     def evaluate(field):
-        return rk4_sweep(lindblad.rhs, frame, rho0, field)
+        return lindblad_sweep(lindblad, rho0, field)
 
     return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
                            trace, callback)

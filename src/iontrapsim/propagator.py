@@ -15,15 +15,21 @@ P_n mu_I(s) P_n^*, P_n = exp(i E t_n), so in the rotating variable
 y = exp(-i E t) x one RK4 step is exactly y <- sum_k e_n^k C_k y, with five
 constant matrices C_k per direction (`InteractionFrame.step_matrices`).
 `closed_sweep` integrates amplitude columns this way, one matmul per step.
-Density matrices step through `rk4_step` (looped by `rk4_sweep`) with
-`Lindblad` as the one generator and its adjoint.
+
+Lindblad kernel.  The dissipator commutes with conjugation by P_n, so
+density matrices step in y = P_n^* rho P_n by RK4 with the three constant
+stage dipoles mu_I(0), mu_I(h/2), mu_I(h), then one elementwise rotation
+exp(-i (E_j - E_k) h).  Every stack propagated is Hermitian, so each stage
+is one product c = y K^dag and the rate -(c + c^dag) plus the population
+transfer (`Lindblad.rhs`); `lindblad_sweep` loops it for the generator and
+its adjoint.
 
 Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
 the record without driving.  The optimizer's monotonic scheme is derived
 for this rule, so the fidelity it reports is the one `evolution_operator`
-measures.  Only the two sweeps and `rk4_step` apply it; every caller
-passes plain samples.
+measures.  Only the sweeps and the optimizer's forward update apply it;
+every caller passes plain samples.
 """
 
 from dataclasses import dataclass
@@ -38,9 +44,9 @@ NORM_DRIFT_TOL = 1e-8
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8    # how far below 0 a density-matrix eigenvalue may lie
-BLOCK_STEPS = 16   # steps per block of precomputed phases or step matrices;
-                   # 256 KB of step matrices at D = 32 (64 steps, 1 MB, adds
-                   # 1.4 MB to the peak RSS of a paper-size optimize)
+BLOCK_STEPS = 16   # steps per block of precomputed step matrices or stage
+                   # generators; 256 KB of step matrices at D = 32 (64 steps,
+                   # 1 MB, adds 1.4 MB to the peak RSS of a paper-size optimize)
 
 
 @dataclass
@@ -185,19 +191,37 @@ def build_dissipation(
 
 class InteractionFrame:
     """Phases exp(i E_j t) of a basis on the half-step grid t = h dt / 2,
-    h an integer, and the RK4 step matrices of its closed amplitudes."""
+    h an integer, the stage dipoles of one RK4 step and the step matrices
+    of its closed amplitudes."""
 
     def __init__(self, basis: EigenBasis, dt: float):
         self.energies = basis.energies
         self.mu = basis.dipole
         self.dt = dt
-        self._block = (None, None)
+        self._stages = {}
         self._coefficients = {}
 
     def phases(self, half_idx) -> np.ndarray:
         """exp(i E t) at t = half_idx dt / 2, one row per half-step index."""
         t = np.asarray(half_idx) * (self.dt / 2.0)
         return np.exp(1j * np.multiply.outer(t, self.energies))
+
+    def conjugation(self, half_idx) -> np.ndarray:
+        """exp(i (E_j - E_k) t) at t = half_idx dt / 2, so that P x P^* is
+        x times it elementwise.  It is Hermitian in floating point, and so
+        keeps a Hermitian x exactly Hermitian."""
+        w = np.subtract.outer(self.energies, self.energies)
+        return np.exp(1j * (half_idx * (self.dt / 2.0)) * w)
+
+    def stage_dipoles(self, backward: bool = False) -> np.ndarray:
+        """mu_I(0), mu_I(h/2), mu_I(h) as a (3, D, D) array, h = -dt if
+        backward else dt; built once per direction."""
+        mu_s = self._stages.get(backward)
+        if mu_s is None:
+            sign = -1 if backward else 1
+            p = self.phases([0, sign, 2 * sign])
+            mu_s = self._stages[backward] = p[:, :, None] * self.mu * p.conj()[:, None, :]
+        return mu_s
 
     def step_matrices(self, e, backward: bool = False) -> np.ndarray:
         """RK4 step matrices S = sum_k e^k C_k, one per held field value in e.
@@ -215,12 +239,8 @@ class InteractionFrame:
 
     def _rk4_coefficients(self, backward: bool) -> np.ndarray:
         """C_0..C_4 of `step_matrices`, flattened to (5, D^2)."""
-        sign = -1 if backward else 1
-        h = sign * self.dt
-        p_mid, p_end = self.phases([sign, 2 * sign])
-        m0 = 1j * h * self.mu
-        mh = 1j * h * (p_mid[:, None] * self.mu * p_mid.conj())
-        m1 = 1j * h * (p_end[:, None] * self.mu * p_end.conj())
+        h = -self.dt if backward else self.dt
+        m0, mh, m1 = 1j * h * self.stage_dipoles(backward)
         mh2 = mh @ mh
         b = np.array([
             np.eye(len(self.energies)),
@@ -229,29 +249,8 @@ class InteractionFrame:
             (mh2 @ m0 + m1 @ mh2) / 12,
             m1 @ mh2 @ m0 / 24,
         ])
+        p_end = self.phases(-2 if backward else 2)
         return (p_end.conj()[:, None] * b).reshape(5, -1)
-
-    def step_phases(self, n_steps: int, backward: bool = False):
-        """Yield (n, (p_start, p_mid, p_end)) for steps n in integration
-        order; start and end follow the direction of integration.
-
-        Phases are built BLOCK_STEPS steps at a time, so memory stays
-        bounded while each step costs a table lookup.  The last block is
-        kept: a sweep starts in the block where the previous one ended."""
-        blocks = range(0, n_steps, BLOCK_STEPS)
-        for a in reversed(blocks) if backward else blocks:
-            b = min(a + BLOCK_STEPS, n_steps)
-            if self._block[0] != (a, b):
-                self._block = ((a, b), self.phases(np.arange(2 * a, 2 * b + 1)))
-            p = self._block[1]
-            if backward:
-                for n in range(b - 1, a - 1, -1):
-                    k = 2 * (n - a)
-                    yield n, (p[k + 2], p[k + 1], p[k])
-            else:
-                for n in range(a, b):
-                    k = 2 * (n - a)
-                    yield n, (p[k], p[k + 1], p[k + 2])
 
 
 def closed_sweep(frame, x, field, backward=False, store_every=0, out=None):
@@ -282,68 +281,94 @@ def closed_sweep(frame, x, field, backward=False, store_every=0, out=None):
     return frame.phases(0 if backward else 2 * n_steps)[:, None] * y
 
 
-def rk4_step(rhs, x, h, p, e, k1=None):
-    """One classical RK4 step of dx/dt = rhs(x, p, e) over h; a negative h
-    integrates backward.  p holds the frame phases at the start, middle and
-    end of the step in integration order; the field e is held over the
-    step.  Pass k1 when rhs(x, p[0], e) is already known."""
-    if k1 is None:
-        k1 = rhs(x, p[0], e)
-    k2 = rhs(x + 0.5 * h * k1, p[1], e)
-    k3 = rhs(x + 0.5 * h * k2, p[1], e)
-    k4 = rhs(x + h * k3, p[2], e)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+class Lindblad:
+    """Lindblad generator with jump operators sqrt(gamma_jk) |j><k|, or its
+    adjoint with the sign flipped (so Tr(eta rho) stays constant when eta
+    and rho move together), acting on stacks of Hermitian matrices in the
+    rotating variable y = P_n^* x P_n of an `InteractionFrame`.
+
+    At a stage dipole mu_s the generator is
+        i E [mu_s, y] - {G, y} / 2 + transfer(diag y),   G = diag(Gamma_k),
+    and the adjoint flips the sign of the last two terms.  For Hermitian y
+    the first two are exactly -(c + c^dag) with c = y K^dag,
+    K^dag = +-G/2 + i E mu_s, so one product per stage gives the rate."""
+
+    def __init__(self, frame: InteractionFrame, diss: DissipationModel,
+                 adjoint: bool = False):
+        self.frame = frame
+        self._half_rates = (-0.5 if adjoint else 0.5) * diss.total_out_rates()
+        self._transfer = -diss.gamma if adjoint else diss.gamma.T
+        self._rotations = {False: frame.conjugation(-2), True: frame.conjugation(2)}
+        self._diag = slice(None, None, len(frame.energies) + 1)   # of a flattened D x D
+
+    def generators(self, e, backward: bool = False) -> np.ndarray:
+        """K^dag at the three stage dipoles, (n, 3, D, D), one row per held
+        field value in e."""
+        mu_s = 1j * self.frame.stage_dipoles(backward)
+        return np.multiply.outer(np.asarray(e, dtype=float), mu_s) + np.diag(self._half_rates)
+
+    def rhs(self, y, kdag):
+        """dy/dt of a Hermitian stack y at one stage generator kdag."""
+        d = y.shape[-1]
+        return self._rate(y, (y.reshape(-1, d) @ kdag).reshape(y.shape))
+
+    def start_rhs(self, y, y_mu, e):
+        """rhs at the first stage of a step with field e, where mu_I(0) = mu,
+        from the product y mu already known."""
+        return self._rate(y, y * self._half_rates + (1j * e) * y_mu)
+
+    def _rate(self, y, c):
+        """dy/dt of a Hermitian stack y from its product c = y K^dag."""
+        dy = -c   # a new C-contiguous array, so the flattened diagonal is a view
+        dy -= c.conj().swapaxes(-1, -2)
+        d2 = y.shape[-1] ** 2
+        dy.reshape(-1, d2)[:, self._diag] += y.reshape(-1, d2)[:, self._diag].real @ self._transfer
+        return dy
+
+    def step(self, y, kdag, backward=False, k1=None):
+        """One RK4 step of y over dt (-dt if backward) with the stage
+        generators kdag, then the frame rotation.  Pass k1 when
+        rhs(y, kdag[0]) is already known."""
+        h = -self.frame.dt if backward else self.frame.dt
+        if k1 is None:
+            k1 = self.rhs(y, kdag[0])
+        k2 = self.rhs(y + 0.5 * h * k1, kdag[1])
+        k3 = self.rhs(y + 0.5 * h * k2, kdag[1])
+        k4 = self.rhs(y + h * k3, kdag[2])
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y *= self._rotations[backward]
+        return y
 
 
-def rk4_sweep(rhs, frame, x, field, backward=False, store_every=0, out=None):
-    """Integrate x through one pulse, from its end to its start if backward.
+def lindblad_sweep(gen: Lindblad, x, field, backward=False, store_every=0, out=None):
+    """Integrate a Hermitian matrix or stack x through one pulse under the
+    generator `gen`, from its end to its start if backward.
 
     `field` is the sample array: field[n] drives step n, and the last
-    sample closes the record.  With `out`, x is stored before the first
-    step and after every `store_every` steps."""
-    h = -frame.dt if backward else frame.dt
+    sample closes the record.  The sweep runs in the rotating variable
+    y = P^* x P with stage generators built BLOCK_STEPS steps at a time.
+    With `out`, x is stored before the first step and after every
+    `store_every` steps.  Raises ValidationError if x is not Hermitian:
+    the one-product rate holds only for Hermitian stacks."""
+    if not np.abs(x - np.swapaxes(x, -1, -2).conj()).max() <= HERMITICITY_TOL:
+        raise ValidationError("the Lindblad sweep needs Hermitian matrices")
+    frame = gen.frame
+    n_steps = len(field) - 1
     if out is not None:
         out[0] = x
-    for n, p in frame.step_phases(len(field) - 1, backward):
-        x = rk4_step(rhs, x, h, p, field[n])
-        if out is not None and (n + 1) % store_every == 0:
-            out[(n + 1) // store_every] = x
-    return x
-
-
-class Lindblad:
-    """Lindblad generator with jump operators sqrt(gamma_jk) |j><k| in an
-    interaction frame, and its adjoint.  Both act on one matrix or a stack
-    of matrices, which need not be Hermitian."""
-
-    def __init__(self, frame: InteractionFrame, diss: DissipationModel):
-        self.frame = frame
-        self.gamma = diss.gamma
-        out_rates = diss.total_out_rates()
-        self.decay = 0.5 * (out_rates[:, None] + out_rates[None, :])
-        self.idx = np.arange(len(out_rates))
-
-    def commutator(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """[mu_I, x] at phases p."""
-        mu_i = (p[:, None] * self.frame.mu) * p.conj()
-        return mu_i @ x - x @ mu_i
-
-    def rhs(self, x, p, e, comm=None):
-        """d rho/dt = i E [mu_I, rho] + sum_jk (L rho L^dag - {L^dag L, rho} / 2).
-        Pass comm when [mu_I, rho] at p is already known."""
-        if comm is None:
-            comm = self.commutator(p, x)
-        dx = (1j * e) * comm - self.decay * x
-        dx[..., self.idx, self.idx] += x[..., self.idx, self.idx] @ self.gamma.T
-        return dx
-
-    def adjoint_rhs(self, x, p, e):
-        """d eta/dt for the backward multiplier: the adjoint generator with
-        its sign flipped, so Tr(eta^dag rho) stays constant when eta and rho
-        move together."""
-        dx = (1j * e) * self.commutator(p, x) + self.decay * x
-        dx[..., self.idx, self.idx] -= x[..., self.idx, self.idx] @ self.gamma
-        return dx
+    y = x * frame.conjugation(-2 * n_steps if backward else 0)
+    drive = field[:-1]
+    blocks = range(0, n_steps, BLOCK_STEPS)
+    done = 0
+    for a in reversed(blocks) if backward else blocks:
+        kdags = gen.generators(drive[a:a + BLOCK_STEPS], backward)
+        for kdag in kdags[::-1] if backward else kdags:
+            y = gen.step(y, kdag, backward)
+            done += 1
+            if out is not None and done % store_every == 0:
+                t_idx = n_steps - done if backward else done
+                out[done // store_every] = y * frame.conjugation(2 * t_idx)
+    return y * frame.conjugation(0 if backward else 2 * n_steps)
 
 
 def _snapshots(fieldspec: ControlField, store_every: int, shape: tuple):
@@ -410,9 +435,11 @@ def propagate_lindblad(
 ):
     """Propagate a density matrix through one pulse with dissipation.
 
-    Returns (final QuantumState, times, stored snapshots).  Trace,
-    Hermiticity and positivity are enforced as hard checks at the end of
-    the pulse.
+    Returns (final QuantumState, times, stored snapshots).  Trace and
+    positivity are enforced as hard checks at the end of the pulse.  The
+    Hermiticity check reads exactly 0 for a Hermitian start, because every
+    stage of `lindblad_sweep` is Hermitian in floating point; it stays as a
+    guard on the result.
     """
     rho_state = state.to_matrix()
     rho_state.validate()
@@ -420,8 +447,8 @@ def propagate_lindblad(
         raise ValidationError("state dimension does not match the basis")
     frame = InteractionFrame(basis, fieldspec.dt)
     times, stored = _snapshots(fieldspec, store_every, (rho_state.dim,) * 2)
-    final = rk4_sweep(
-        Lindblad(frame, diss).rhs, frame, rho_state.data, fieldspec.samples,
+    final = lindblad_sweep(
+        Lindblad(frame, diss), rho_state.data, fieldspec.samples,
         store_every=store_every, out=stored if store_every else None,
     )
     trace_err = abs(np.trace(final).real - np.trace(rho_state.data).real)

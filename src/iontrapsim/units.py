@@ -16,22 +16,6 @@ AMU_IN_ME = 1822.888486             # atomic mass unit in electron masses
 HBAR = 1.0
 
 
-def seconds_to_au(t_s: float) -> float:
-    return t_s / TIME_AU_S
-
-
-def au_to_seconds(t_au: float) -> float:
-    return t_au * TIME_AU_S
-
-
-def field_au_to_v_per_m(e_au):
-    return np.asarray(e_au) * FIELD_AU_V_PER_M
-
-
-def field_v_per_m_to_au(e_si):
-    return np.asarray(e_si) / FIELD_AU_V_PER_M
-
-
 def angular_freq_au_to_hz(omega_au):
     """Angular frequency in a.u. (= energy for hbar=1) to ordinary frequency in Hz."""
     return np.asarray(omega_au) / (2.0 * np.pi * TIME_AU_S)
@@ -39,7 +23,3 @@ def angular_freq_au_to_hz(omega_au):
 
 def hz_to_angular_freq_au(nu_hz):
     return np.asarray(nu_hz) * 2.0 * np.pi * TIME_AU_S
-
-
-def length_au_to_nm(z_au):
-    return np.asarray(z_au) * LENGTH_AU_M * 1e9

@@ -17,7 +17,7 @@ from iontrapsim import (
     zero_field,
 )
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import InteractionFrame, Lindblad, closed_sweep, rk4_sweep
+from iontrapsim.propagator import InteractionFrame, Lindblad, closed_sweep, lindblad_sweep
 from iontrapsim.units import TIME_AU_S
 
 
@@ -46,12 +46,27 @@ def short_guess(basis, steps=2000, t_pulse_us=4.0):
     return make_guess_field(basis, cfg)
 
 
-def textbook_rhs(frame):
-    """Textbook dc/dt = i E mu_I(t) c at frame phases p; integrated by
-    `rk4_sweep`, it is the reference for `closed_sweep`."""
-    def rhs(x, p, e):
-        return (1j * e) * (p[:, None] * (frame.mu @ (p.conj()[:, None] * x)))
-    return rhs
+def textbook_sweep(frame, x, samples, backward=False, store_every=0, out=None):
+    """Classical RK4 of dc/dt = i E mu_I(t) c, mu_I(t) = P(t) mu P(t)^*, with
+    the phases of every stage written out; the reference for `closed_sweep`."""
+    def rhs(c, half_idx, e):
+        p = np.exp(1j * half_idx * (frame.dt / 2) * frame.energies)
+        return (1j * e) * (p[:, None] * (frame.mu @ (p.conj()[:, None] * c)))
+
+    n_steps = len(samples) - 1
+    h, sign = (-frame.dt, -1) if backward else (frame.dt, 1)
+    if out is not None:
+        out[0] = x
+    for done, n in enumerate(range(n_steps - 1, -1, -1) if backward else range(n_steps), 1):
+        t0, e = 2 * (n + 1 if backward else n), samples[n]
+        k1 = rhs(x, t0, e)
+        k2 = rhs(x + 0.5 * h * k1, t0 + sign, e)
+        k3 = rhs(x + 0.5 * h * k2, t0 + sign, e)
+        k4 = rhs(x + h * k3, t0 + 2 * sign, e)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if out is not None and done % store_every == 0:
+            out[done // store_every] = x
+    return x
 
 
 def random_columns(dim, n, seed):
@@ -159,7 +174,7 @@ class TestClosedPropagation:
 
 class TestClosedSweep:
     """closed_sweep against textbook RK4 of the interaction-picture
-    equation, driven through rk4_sweep."""
+    equation."""
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_matches_textbook_rk4(self, desk_basis, backward):
@@ -167,7 +182,7 @@ class TestClosedSweep:
         frame = InteractionFrame(desk_basis, field.dt)
         x = random_columns(8, 5, seed=1)
         got = closed_sweep(frame, x, field.samples, backward=backward)
-        want = rk4_sweep(textbook_rhs(frame), frame, x, field.samples, backward=backward)
+        want = textbook_sweep(frame, x, field.samples, backward=backward)
         assert_relative(got, want)
 
     def test_snapshots_match(self, desk_basis):
@@ -177,7 +192,7 @@ class TestClosedSweep:
         got = np.empty((21, 8, 2), dtype=complex)
         want = np.empty_like(got)
         final = closed_sweep(frame, x, field.samples, store_every=100, out=got)
-        rk4_sweep(textbook_rhs(frame), frame, x, field.samples, store_every=100, out=want)
+        textbook_sweep(frame, x, field.samples, store_every=100, out=want)
         assert_relative(got, want)
         assert np.array_equal(got[-1], final)
 
@@ -192,7 +207,7 @@ class TestClosedSweep:
         x = random_columns(32, 17, seed=3)
         for backward in (False, True):
             got = closed_sweep(frame, x, samples, backward=backward)
-            want = rk4_sweep(textbook_rhs(frame), frame, x, samples, backward=backward)
+            want = textbook_sweep(frame, x, samples, backward=backward)
             assert_relative(got, want)
 
     def test_zeroth_coefficient_is_frame_phase(self, desk_basis):
@@ -277,7 +292,6 @@ class TestLindblad:
         field = short_guess(desk_basis, steps=1500)
         diss = build_dissipation(desk_basis, kappa=1e-15)
         frame = InteractionFrame(desk_basis, field.dt)
-        lindblad = Lindblad(frame, diss)
         rng = np.random.default_rng(11)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = a @ a.conj().T
@@ -285,16 +299,17 @@ class TestLindblad:
         b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         eta = 0.5 * (b + b.conj().T)
         pairing0 = np.trace(eta.conj().T @ rho)
-        rho = rk4_sweep(lindblad.rhs, frame, rho, field.samples)
-        eta = rk4_sweep(lindblad.adjoint_rhs, frame, eta, field.samples)
+        rho = lindblad_sweep(Lindblad(frame, diss), rho, field.samples)
+        eta = lindblad_sweep(Lindblad(frame, diss, adjoint=True), eta, field.samples)
         pairing1 = np.trace(eta.conj().T @ rho)
         assert abs(pairing1 - pairing0) < 1e-8 * max(1.0, abs(pairing0))
 
     @pytest.mark.parametrize("e_field", [0.0, 0.3])
     def test_generator_matches_textbook_form(self, desk_basis, e_field):
-        """rhs = i E [mu_I, x] + sum_jk (L x L^dag - {L^dag L, x} / 2) with
-        L = sqrt(gamma_jk) |j><k|, on a non-Hermitian stack; adjoint_rhs is
-        minus the adjoint: Tr(A^dag rhs(B)) = -Tr(adjoint_rhs(A)^dag B).
+        """At each stage dipole mu_I(s), s = 0, h/2, h of either direction,
+        rhs = i E [mu_I(s), x] + sum_jk (L x L^dag - {L^dag L, x} / 2) with
+        L = sqrt(gamma_jk) |j><k|, on a Hermitian stack; the adjoint generator
+        is minus the adjoint: Tr(A^dag rhs(B)) = -Tr(adjoint rhs(A)^dag B).
         The rates are random and asymmetric, so gamma and gamma^T differ."""
         rng = np.random.default_rng(5)
         gamma = rng.uniform(0.0, 100.0, size=(8, 8))
@@ -302,22 +317,53 @@ class TestLindblad:
         diss = DissipationModel(1.0, np.empty((0, 2), dtype=int), np.empty(0), gamma, 0.0)
         frame = InteractionFrame(desk_basis, 1e3)
         lindblad = Lindblad(frame, diss)
-        p = frame.phases(7)
+        adjoint = Lindblad(frame, diss, adjoint=True)
         x = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+        x = x + x.conj().swapaxes(-1, -2)
         a = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+        a = a + a.conj().swapaxes(-1, -2)
+        for backward, h in ((False, 1e3), (True, -1e3)):
+            kdags = lindblad.generators([e_field], backward)[0]
+            adjoint_kdags = adjoint.generators([e_field], backward)[0]
+            for stage, s in enumerate((0.0, h / 2, h)):
+                p = np.exp(1j * desk_basis.energies * s)
+                mu_i = np.diag(p) @ desk_basis.dipole @ np.diag(p.conj())
+                want = 1j * e_field * (mu_i @ x - x @ mu_i)
+                for j, k in zip(*np.nonzero(diss.gamma)):
+                    jump = np.zeros((8, 8))
+                    jump[j, k] = np.sqrt(diss.gamma[j, k])
+                    want = want + jump @ x @ jump.T - 0.5 * (jump.T @ jump @ x + x @ jump.T @ jump)
+                got = lindblad.rhs(x, kdags[stage])
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-        mu_i = np.diag(p) @ desk_basis.dipole @ np.diag(p.conj())
-        want = 1j * e_field * (mu_i @ x - x @ mu_i)
-        for j, k in zip(*np.nonzero(diss.gamma)):
-            jump = np.zeros((8, 8))
-            jump[j, k] = np.sqrt(diss.gamma[j, k])
-            want = want + jump @ x @ jump.T - 0.5 * (jump.T @ jump @ x + x @ jump.T @ jump)
-        got = lindblad.rhs(x, p, e_field)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                forward = np.einsum("tij,tij->t", a.conj(), got)
+                paired = -np.einsum("tij,tij->t", adjoint.rhs(a, adjoint_kdags[stage]).conj(), x)
+                assert np.abs(forward - paired).max() <= 1e-13 * np.abs(forward).max()
 
-        forward = np.einsum("tij,tij->t", a.conj(), lindblad.rhs(x, p, e_field))
-        backward = -np.einsum("tij,tij->t", lindblad.adjoint_rhs(a, p, e_field).conj(), x)
-        assert np.abs(forward - backward).max() <= 1e-13 * np.abs(forward).max()
+    def test_rejects_non_hermitian_stack(self, desk_basis):
+        frame = InteractionFrame(desk_basis, 1e3)
+        lindblad = Lindblad(frame, build_dissipation(desk_basis, kappa=1e-15))
+        x = np.zeros((2, 8, 8), dtype=complex)
+        x[1, 0, 1] = 1.0
+        with pytest.raises(ValidationError):
+            lindblad_sweep(lindblad, x, np.zeros(3))
+
+    def test_backward_snapshots_count_steps_done(self, desk_basis):
+        """A 4-step backward decay with store_every = 2 stores the states
+        after 0, 2 and 4 steps in slots 0, 1 and 2."""
+        diss = build_dissipation(desk_basis, 1.0)
+        dt = 0.5 / diss.total_out_rates().max()
+        adjoint = Lindblad(InteractionFrame(desk_basis, dt), diss, adjoint=True)
+        eta = np.zeros((8, 8), dtype=complex)
+        eta[2, 2] = 1.0
+        stored = np.empty((3, 8, 8), dtype=complex)
+        final = lindblad_sweep(adjoint, eta, np.zeros(5), backward=True,
+                               store_every=2, out=stored)
+        assert np.array_equal(stored[0], eta)
+        after_two = lindblad_sweep(adjoint, eta, np.zeros(3), backward=True)
+        assert_relative(stored[1], after_two)
+        assert_relative(stored[2], final)
+        assert np.abs(stored[1] - stored[2]).max() > 1e-2
 
     def test_negative_eigenvalue_detected(self, desk_basis):
         """Four zero-field steps with dt times the largest out-rate at 2
