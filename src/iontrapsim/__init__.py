@@ -50,7 +50,6 @@ from .propagator import (
     evolution_operator,
     propagate_lindblad,
     propagate_tdse,
-    zero_field,
 )
 from .trap import EigenBasis, TrapParams, solve_trap, transition_table
 
@@ -100,7 +99,6 @@ __all__ = [
     "split_step",
     "to_wavepacket",
     "transition_table",
-    "zero_field",
 ]
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .gridsim import Grid
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         QuantumState, lindblad_sweep)
+                         QuantumState, sweep)
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -31,10 +31,6 @@ class Spectrum:
         p = self.power
         keep = (p[1:-1] >= p[:-2]) & (p[1:-1] > p[2:]) & (p[1:-1] >= rel_threshold)
         return self.frequencies_hz[1:-1][keep]
-
-    @property
-    def bin_width_hz(self) -> float:
-        return float(self.frequencies_hz[1] - self.frequencies_hz[0])
 
 
 def spectrum(field: ControlField) -> Spectrum:
@@ -160,7 +156,7 @@ def fidelity_trace(
     for pulse in range(n_pulses):
         # every pulse replays the waveform in the rotating frame (t from 0),
         # which is what makes stroboscopic concatenation exact
-        x = lindblad_sweep(lindblad, x, gate_field.samples)
+        x = sweep(lindblad, x, gate_field.samples)
         target = us @ target
         # blocks[j, k] = Phi_l(|j><k|) on the first n states
         blocks = (recombine @ x[:, :n, :n].reshape(n * n, n * n)).reshape(n, n, n, n)

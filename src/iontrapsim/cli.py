@@ -31,12 +31,20 @@ EXIT_NO_CONVERGENCE = 4
 
 
 def _load_run_config(args) -> RunConfig:
+    """The tier preset, the INI file over it, then the command's options
+    over both: the configuration the run resolves and hashes."""
     if args.config:
         cfg = load_config(args.config, tier=args.tier, outdir=args.out)
     else:
         cfg = tier_config(args.tier or "desk")
         if args.out:
             cfg.outdir = args.out
+    if getattr(args, "functional", None):
+        cfg.functional = args.functional.upper()
+    if getattr(args, "max_iterations", None):
+        cfg.max_iterations = args.max_iterations
+    if getattr(args, "kappa", None):
+        cfg.kappas = tuple(args.kappa)
     cfg.validate()
     if cfg.tier == "paper" and not getattr(args, "acknowledge_long_run", False):
         raise ValidationError(
@@ -55,12 +63,12 @@ def _build_gate(cfg: RunConfig):
     return grid, system, elementary_gate(system, grid, cfg.delta_t, cfg.k_substeps)
 
 
-def _oct_config(cfg: RunConfig, functional: str) -> OctConfig:
+def _oct_config(cfg: RunConfig) -> OctConfig:
     return OctConfig(
         t_pulse=cfg.t_pulse,
         dt=cfg.oct_dt,
-        alpha0=cfg.alpha0(functional),
-        functional=functional,
+        alpha0=cfg.alpha0,
+        functional=cfg.functional,
         max_iterations=cfg.max_iterations,
         fidelity_goal=cfg.fidelity_goal,
     )
@@ -124,10 +132,7 @@ def _checkpoint_writer(cfg, outdir, stem, every):
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
     basis = solve_trap(cfg.trap)
-    functional = (args.functional or cfg.functional).upper()
-    oct_cfg = _oct_config(cfg, functional)
-    if args.max_iterations:
-        oct_cfg.max_iterations = args.max_iterations
+    oct_cfg = _oct_config(cfg)
 
     initial_field = trace = None
     if args.resume:
@@ -139,7 +144,7 @@ def cmd_optimize(args) -> int:
                 trace = serialization.load_trace(trace_path)
                 break
 
-    stem = f"{args.mode}_{functional.lower()}"
+    stem = f"{args.mode}_{cfg.functional.lower()}"
     if args.dissipative:
         stem = f"{stem}_diss"
     callback = _checkpoint_writer(cfg, cfg.outdir, stem, args.checkpoint_every)
@@ -171,7 +176,7 @@ def cmd_optimize(args) -> int:
     serialization.save_field(fieldspec, os.path.join(cfg.outdir, f"{stem}_field.csv"), _meta(cfg))
     serialization.save_trace(trace, os.path.join(cfg.outdir, f"{stem}_trace.csv"), _meta(cfg))
     print(
-        f"optimize {args.mode}/{functional}: {trace.status} after {len(trace)} "
+        f"optimize {args.mode}/{cfg.functional}: {trace.status} after {len(trace)} "
         f"iterations, F = {trace.final_fidelity:.6f}, "
         f"peak = {fieldspec.peak_v_per_m():.3f} V/m"
     )
@@ -272,7 +277,7 @@ def cmd_simulate(args) -> int:
                 f"x0={x0:g}): {residual:.3e}"
             )
 
-    for kappa in args.kappa or cfg.kappas:
+    for kappa in cfg.kappas:
         pulses_k, zs, fid_k = _dissipative_simulation(
             cfg, basis, gate, gate_field, grid, c0, kappa
         )

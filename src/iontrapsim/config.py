@@ -7,6 +7,7 @@ units at this boundary and nothing else in the package ever sees SI.
 
 import configparser
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -81,11 +82,18 @@ class RunConfig:
     # dissipation
     kappas: tuple = (1e-18, 5e-18, 1e-17)
     deltas: tuple = (1, 3)
-    config_hash: str = "defaults"
 
-    def alpha0(self, functional: str | None = None) -> float:
-        fn = (functional or self.functional).upper()
-        return self.alpha0_p if fn == "P" else self.alpha0_f
+    @property
+    def config_hash(self) -> str:
+        """Hash of every resolved value but the output directory."""
+        values = dict(vars(self))
+        del values["outdir"]
+        text = json.dumps(values, sort_keys=True, default=vars)   # vars: the TrapParams
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @property
+    def alpha0(self) -> float:
+        return self.alpha0_p if self.functional == "P" else self.alpha0_f
 
     def validate(self) -> None:
         self.trap.validate()
@@ -143,7 +151,6 @@ def load_config(path: str, tier: str | None = None, outdir: str | None = None) -
 
     run = parser["run"] if parser.has_section("run") else {}
     cfg = tier_config(tier or run.get("tier", "desk"))
-    cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     if "out" in run:
         cfg.outdir = run["out"]
 

@@ -22,8 +22,13 @@ The dissipative variant replaces amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
 trajectories through Tr(eta (mu rho - rho mu)).  With all rates zero
 it reproduces the closed-system iteration to rounding (same fields, same
-objective column); the two run the closed and the Lindblad kernel of
-`propagator`, both in rotating variables.
+objective column).
+
+All three optimizers run one iteration driver, `_run_iterations`: the
+backward `propagator.sweep` of the multipliers, one `_forward_update` and
+the evaluation sweep.  Each optimizer supplies only its kernels (the
+closed `InteractionFrame` twice, or a `Lindblad` generator and its
+adjoint), its trajectories, its update bracket and its measure.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -31,8 +36,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .propagator import (BLOCK_STEPS, ControlField, DissipationModel, InteractionFrame,
-                         Lindblad, closed_sweep, lindblad_sweep)
+from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
+                         step_operators, sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -131,9 +136,12 @@ class OctTrace:
 
     def is_monotonic(self, slack: float = MONOTONE_SLACK) -> bool:
         j = self.objectives
-        return all(
-            j[i + 1] >= j[i] - slack * max(1.0, abs(j[i])) for i in range(len(j) - 1)
-        )
+        return all(_no_decrease(j[i], j[i + 1], slack) for i in range(len(j) - 1))
+
+
+def _no_decrease(before: float, after: float, slack: float = MONOTONE_SLACK) -> bool:
+    """after >= before up to a relative slack; False if either is NaN."""
+    return after >= before - slack * max(1.0, abs(before))
 
 
 def switch_envelope(config: OctConfig) -> np.ndarray:
@@ -179,13 +187,32 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
     return ControlField(samples, config.dt)
 
 
-def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trace,
-                    callback):
+def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
+    """Forward sweep with immediate update; the multipliers lam ride along
+    under the old field.  Both start at t = 0, where y = x, and stay in the
+    rotating variable.  `bracket(psi, lam)` returns the bracket and its
+    dipole product, which `kernel.fresh_step` reuses.
+    Returns (new field samples, final states)."""
+    new_field = field.copy()
+    for n, lam_op in step_operators(adjoint, field):
+        value, coupled = bracket(psi, lam)
+        e_new = field[n] - weight[n] * value
+        new_field[n] = e_new
+        psi = kernel.fresh_step(psi, e_new, coupled)
+        lam = adjoint.step(lam, lam_op)
+    return new_field, kernel.rotate_out(psi, 2 * (len(field) - 1))
+
+
+def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, measure,
+                    initial_field, trace, callback):
     """Iteration driver: stopping rules, trace recording, fault detection.
 
-    Iteration 0 in the trace is the evaluation of the starting field; the
-    monotonic sweeps are iterations 1..max_iterations.  A starting field
-    that already meets the fidelity goal returns without any sweep.
+    Each iteration sweeps the multipliers backward from `targets` under the
+    `adjoint` kernel, then runs `_forward_update` from `initials` under
+    `kernel`.  Iteration 0 in the trace is the evaluation of the starting
+    field; the monotonic sweeps are iterations 1..max_iterations.  A
+    starting field that already meets the fidelity goal returns without
+    any sweep.
     """
     if initial_field is not None:
         if len(initial_field.samples) != config.n_steps + 1:
@@ -193,23 +220,26 @@ def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trac
         field = initial_field.samples.copy()
     else:
         field = make_guess_field(basis, config).samples
+    weight = switch_envelope(config) / config.alpha0
     trace = trace if trace is not None else OctTrace()
     stall = 0
     if not len(trace):
-        objective, fid = measure(evaluate(field))
+        objective, fid = measure(sweep(kernel, initials, field))
         trace.append(0, objective, fid, ControlField(field, config.dt).fluence())
         if fid >= config.fidelity_goal:
             trace.status = "converged"
             return ControlField(field, config.dt), trace
     start = trace.iterations[-1] + 1
     for it in range(start, config.max_iterations + start):
-        field, finals = sweep(field)
+        lam = sweep(adjoint, targets, field, backward=True)
+        field, finals = _forward_update(kernel, adjoint, weight, initials, lam, field,
+                                        bracket)
         if not np.all(np.isfinite(field)):
             trace.status = "aborted: non-finite field"
             raise NumericalError("field update produced non-finite samples")
         objective, fid = measure(finals)
         prev = trace.objectives[-1]
-        if objective < prev - MONOTONE_SLACK * max(1.0, abs(prev)):
+        if not _no_decrease(prev, objective):
             trace.status = f"aborted: objective decreased at iteration {it}"
             raise ConvergenceError(
                 f"objective decreased from {prev!r} to {objective!r} at "
@@ -233,49 +263,20 @@ def _run_iterations(basis, config, sweep, evaluate, measure, initial_field, trac
     return ControlField(field, config.dt), trace
 
 
-def _closed_sweeps(basis, config, initials, targets, functional, n_gate):
-    """Iteration sweep and evaluation of the closed system."""
-    frame = InteractionFrame(basis, config.dt)
-    weight = switch_envelope(config) / config.alpha0
+def _closed_bracket(mu, functional, n_gate):
+    """Update bracket of the closed functionals.  In the rotating variable,
+    <lam|psi> = <y_lam|y_psi> and <lam|mu_I psi> = <y_lam|mu y_psi> with the
+    static dipole mu."""
+    def bracket(psi, lam):
+        mu_psi = mu @ psi
+        lam_c = lam.conj()
+        overlaps = (lam_c * psi).sum(axis=0)
+        couplings = (lam_c * mu_psi).sum(axis=0)
+        if functional == "F":   # one phase-coherent sum over the gate trajectories
+            overlaps, couplings = np.sum(overlaps[:n_gate]), np.sum(couplings[:n_gate])
+        return float(np.sum((overlaps.conj() * couplings).imag)), mu_psi
 
-    def sweep(field):
-        lam0 = closed_sweep(frame, targets, field, backward=True)
-        return _closed_forward_update(frame, weight, initials, lam0, field,
-                                      functional, n_gate)
-
-    def evaluate(field):
-        return closed_sweep(frame, initials, field)
-
-    return sweep, evaluate
-
-
-def _closed_forward_update(frame, weight, initials, lam0, old_field, functional,
-                           n_gate):
-    """Forward sweep with immediate update; the multipliers ride along under
-    the old field.  Both stay in the rotating variable y = exp(-i E t) x of
-    `closed_sweep`, where <lam|psi> = <y_lam|y_psi> and
-    <lam|mu_I psi> = <y_lam|mu y_psi> with the static dipole.
-    Returns (new field samples, final states)."""
-    drive = old_field[:-1]
-    psi, lam = initials, lam0   # y = x at t = 0
-    new_field = old_field.copy()
-    for a in range(0, len(drive), BLOCK_STEPS):
-        lam_steps = frame.step_matrices(drive[a:a + BLOCK_STEPS])
-        for n, lam_step in enumerate(lam_steps, a):
-            lam_c = lam.conj()
-            overlaps = (lam_c * psi).sum(axis=0)
-            couplings = (lam_c * (frame.mu @ psi)).sum(axis=0)
-            if functional == "P":
-                bracket = float(np.sum((overlaps.conj() * couplings).imag))
-            else:
-                bracket = float(
-                    (np.sum(overlaps[:n_gate]).conj() * np.sum(couplings[:n_gate])).imag
-                )
-            e_new = old_field[n] - weight[n] * bracket
-            new_field[n] = e_new
-            psi = frame.step_matrices([e_new])[0] @ psi
-            lam = lam_step @ lam
-    return new_field, frame.phases(2 * len(drive))[:, None] * psi
+    return bracket
 
 
 def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
@@ -289,8 +290,7 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
     """
     init, targ = targets.trajectories(basis.n_states, config.functional == "P")
     n_gate = targets.n
-    sweep, evaluate = _closed_sweeps(basis, config, init, targ, config.functional,
-                                     n_gate)
+    frame = InteractionFrame(basis, config.dt)
 
     def measure(finals):
         overlaps = np.einsum("dj,dj->j", targ.conj(), finals)
@@ -300,8 +300,9 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
             objective = float(abs(np.sum(overlaps[:n_gate])) ** 2)
         return objective, fidelity(targets.gate, finals[:n_gate, :n_gate])
 
-    return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
-                           trace, callback)
+    return _run_iterations(basis, config, frame, frame, init, targ,
+                           _closed_bracket(frame.mu, config.functional, n_gate),
+                           measure, initial_field, trace, callback)
 
 
 def optimize_state_prep(basis: EigenBasis, target_amplitudes, config: OctConfig,
@@ -322,14 +323,15 @@ def optimize_state_prep(basis: EigenBasis, target_amplitudes, config: OctConfig,
     init[0, 0] = 1.0
     targ = np.zeros((dim, 1), dtype=complex)
     targ[: len(c), 0] = c
-    sweep, evaluate = _closed_sweeps(basis, config, init, targ, "P", 1)
+    frame = InteractionFrame(basis, config.dt)
 
     def measure(finals):
         overlap2 = float(abs(np.vdot(targ[:, 0], finals[:, 0])) ** 2)
         return overlap2, overlap2
 
-    return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
-                           trace, callback)
+    return _run_iterations(basis, config, frame, frame, init, targ,
+                           _closed_bracket(frame.mu, "P", 1), measure,
+                           initial_field, trace, callback)
 
 
 # ---------------------------------------------------------------------------
@@ -350,48 +352,27 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     phase-insensitive surrogate available in the density formalism.
     """
     frame = InteractionFrame(basis, config.dt)
-    lindblad = Lindblad(frame, diss)
-    adjoint = Lindblad(frame, diss, adjoint=True)
     init_vecs, targ_vecs = targets.trajectories(basis.n_states, config.functional == "P")
     rho0 = np.einsum("dt,et->tde", init_vecs, init_vecs.conj())
     eta_final = np.einsum("dt,et->tde", targ_vecs, targ_vecs.conj())
     n_gate = targets.n
-    weight = switch_envelope(config) / config.alpha0
     d = basis.n_states
 
-    def sweep(field):
-        """Backward eta, then forward rho with immediate update and eta
-        carried along under the old field, both in the rotating variable
-        y = P^* x P, where Tr(eta [mu_I, rho]) = Tr(y_eta [mu, y_rho]) with
-        the static dipole.  For Hermitian y_rho, [mu, y_rho] = a^dag - a
-        with a = y_rho mu, so the pairing is -2i Im Tr(y_eta a)."""
-        eta = lindblad_sweep(adjoint, eta_final, field, backward=True)
-        rho = rho0
-        new_field = field.copy()
-        drive = field[:-1]
-        for a in range(0, len(drive), BLOCK_STEPS):
-            eta_kdags = adjoint.generators(drive[a:a + BLOCK_STEPS])
-            for n, eta_kdag in enumerate(eta_kdags, a):
-                rho_mu = (rho.reshape(-1, d) @ frame.mu).reshape(rho.shape)
-                pair = np.einsum("tde,tde->t", eta.conj(), rho_mu).imag
-                if config.functional == "P":
-                    bracket = -float(np.sum(pair))
-                else:
-                    pops = np.einsum("tde,tde->t", eta.conj(), rho).real
-                    bracket = -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate]))
-                e_new = field[n] - weight[n] * bracket
-                new_field[n] = e_new
-                k1 = lindblad.start_rhs(rho, rho_mu, e_new)
-                rho = lindblad.step(rho, lindblad.generators([e_new])[0], k1=k1)
-                eta = adjoint.step(eta, eta_kdag)
-        return new_field, rho * frame.conjugation(2 * len(drive))
+    def bracket(rho, eta):
+        """In y = P^* x P, Tr(eta [mu_I, rho]) = Tr(y_eta [mu, y_rho]) with
+        the static dipole; for Hermitian y_rho, [mu, y_rho] = a^dag - a with
+        a = y_rho mu, so the pairing is -2i Im Tr(y_eta a)."""
+        rho_mu = (rho.reshape(-1, d) @ frame.mu).reshape(rho.shape)
+        pair = np.einsum("tde,tde->t", eta.conj(), rho_mu).imag
+        if config.functional == "P":
+            return -float(np.sum(pair)), rho_mu
+        pops = np.einsum("tde,tde->t", eta.conj(), rho).real
+        return -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate])), rho_mu
 
     def measure(rho):
         pops = np.einsum("tde,tde->t", eta_final.conj(), rho).real
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
-    def evaluate(field):
-        return lindblad_sweep(lindblad, rho0, field)
-
-    return _run_iterations(basis, config, sweep, evaluate, measure, initial_field,
-                           trace, callback)
+    return _run_iterations(basis, config, Lindblad(frame, diss),
+                           Lindblad(frame, diss, adjoint=True), rho0, eta_final,
+                           bracket, measure, initial_field, trace, callback)

@@ -13,23 +13,29 @@ integrated by classical fourth-order Runge-Kutta in one `InteractionFrame`.
 Closed kernel.  With the field held over a step, mu_I(t_n + s) =
 P_n mu_I(s) P_n^*, P_n = exp(i E t_n), so in the rotating variable
 y = exp(-i E t) x one RK4 step is exactly y <- sum_k e_n^k C_k y, with five
-constant matrices C_k per direction (`InteractionFrame.step_matrices`).
-`closed_sweep` integrates amplitude columns this way, one matmul per step.
+constant matrices C_k per direction: the step operators of an
+`InteractionFrame`, one matmul per step on amplitude columns.
 
 Lindblad kernel.  The dissipator commutes with conjugation by P_n, so
 density matrices step in y = P_n^* rho P_n by RK4 with the three constant
 stage dipoles mu_I(0), mu_I(h/2), mu_I(h), then one elementwise rotation
 exp(-i (E_j - E_k) h).  Every stack propagated is Hermitian, so each stage
 is one product c = y K^dag and the rate -(c + c^dag) plus the population
-transfer (`Lindblad.rhs`); `lindblad_sweep` loops it for the generator and
-its adjoint.
+transfer (`Lindblad.rhs`); the step operators of a `Lindblad` generator or
+its adjoint are the K^dag of the three stages.
+
+Both kernels offer the same methods: `operators` for a block of held
+samples, `step` with one of them, `fresh_step` under a sample the
+optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
+y.  One `sweep` integrates either through a pulse, and `step_operators`
+is the one block loop it shares with the optimizer's forward update.
 
 Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
 the record without driving.  The optimizer's monotonic scheme is derived
 for this rule, so the fidelity it reports is the one `evolution_operator`
-measures.  Only the sweeps and the optimizer's forward update apply it;
-every caller passes plain samples.
+measures.  Only `step_operators` and the optimizer's forward update
+apply it; every caller passes plain samples.
 """
 
 from dataclasses import dataclass
@@ -44,9 +50,9 @@ NORM_DRIFT_TOL = 1e-8
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8    # how far below 0 a density-matrix eigenvalue may lie
-BLOCK_STEPS = 16   # steps per block of precomputed step matrices or stage
-                   # generators; 256 KB of step matrices at D = 32 (64 steps,
-                   # 1 MB, adds 1.4 MB to the peak RSS of a paper-size optimize)
+BLOCK_STEPS = 16   # steps per block of precomputed step operators; 256 KB
+                   # of closed step matrices at D = 32 (64 steps, 1 MB, adds
+                   # 1.4 MB to the peak RSS of a paper-size optimize)
 
 
 @dataclass
@@ -87,6 +93,22 @@ class ControlField:
         return float(np.abs(self.samples).max() * FIELD_AU_V_PER_M)
 
 
+def density_matrix_fault(rho, trace: float = 1.0) -> str:
+    """What keeps rho from being a density matrix of the given trace:
+    Hermiticity, trace or positivity, checked in that order; "" if nothing.
+    Every comparison fails on NaN."""
+    herm_err = np.abs(rho - rho.conj().T).max()
+    if not herm_err <= HERMITICITY_TOL:
+        return f"Hermiticity error {herm_err:.2e}"
+    trace_err = abs(np.trace(rho).real - trace)
+    if not trace_err <= TRACE_TOL:
+        return f"trace error {trace_err:.2e}"
+    min_eig = np.linalg.eigvalsh(rho).min()
+    if not min_eig >= -POSITIVITY_TOL:
+        return f"minimum eigenvalue {min_eig:.2e}"
+    return ""
+
+
 @dataclass
 class QuantumState:
     """Ion state in the eigenbasis: amplitude vector or density matrix."""
@@ -110,16 +132,11 @@ class QuantumState:
 
     def validate(self) -> None:
         if self.is_matrix:
-            rho = self.data
-            if not np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
-                raise ValidationError("density matrix is not Hermitian")
-            if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
-                raise ValidationError("density matrix trace differs from 1")
-            if not np.linalg.eigvalsh(rho).min() >= -POSITIVITY_TOL:
-                raise ValidationError("density matrix has a negative eigenvalue")
-        else:
-            if not abs(np.linalg.norm(self.data) - 1.0) <= 1e-8:
-                raise ValidationError("state vector is not normalized")
+            fault = density_matrix_fault(self.data)
+            if fault:
+                raise ValidationError(f"not a density matrix: {fault}")
+        elif not abs(np.linalg.norm(self.data) - 1.0) <= NORM_DRIFT_TOL:
+            raise ValidationError("state vector is not normalized")
 
     def to_matrix(self) -> "QuantumState":
         if self.is_matrix:
@@ -191,8 +208,10 @@ def build_dissipation(
 
 class InteractionFrame:
     """Phases exp(i E_j t) of a basis on the half-step grid t = h dt / 2,
-    h an integer, the stage dipoles of one RK4 step and the step matrices
-    of its closed amplitudes."""
+    h an integer, the stage dipoles of one RK4 step, and the closed kernel:
+    RK4 steps of amplitude columns in the rotating variable y = exp(-i E t) x."""
+
+    _POWERS = np.arange(5)   # the k of e^k C_k, hoisted: np.arange costs ~1 us a call
 
     def __init__(self, basis: EigenBasis, dt: float):
         self.energies = basis.energies
@@ -223,22 +242,21 @@ class InteractionFrame:
             mu_s = self._stages[backward] = p[:, :, None] * self.mu * p.conj()[:, None, :]
         return mu_s
 
-    def step_matrices(self, e, backward: bool = False) -> np.ndarray:
+    def operators(self, e, backward: bool = False) -> np.ndarray:
         """RK4 step matrices S = sum_k e^k C_k, one per held field value in e.
 
-        y <- S y is one step of the rotating variable y = exp(-i E t) x,
-        toward earlier times if backward.  The C_k hold the RK4 polynomial in
-        (i h mu_I(s))^k, s = 0, h/2, h, times the frame phase exp(-i E h);
-        they are built once per direction."""
+        y <- S y is one step of y, toward earlier times if backward.  The C_k
+        hold the RK4 polynomial in (i h mu_I(s))^k, s = 0, h/2, h, times the
+        frame phase exp(-i E h); they are built once per direction."""
         c = self._coefficients.get(backward)
         if c is None:
             c = self._coefficients[backward] = self._rk4_coefficients(backward)
         e = np.asarray(e, dtype=float)
         d = len(self.energies)
-        return (e[:, None] ** np.arange(5) @ c).reshape(len(e), d, d)
+        return (e[:, None] ** self._POWERS @ c).reshape(len(e), d, d)
 
     def _rk4_coefficients(self, backward: bool) -> np.ndarray:
-        """C_0..C_4 of `step_matrices`, flattened to (5, D^2)."""
+        """C_0..C_4 of `operators`, flattened to (5, D^2)."""
         h = -self.dt if backward else self.dt
         m0, mh, m1 = 1j * h * self.stage_dipoles(backward)
         mh2 = mh @ mh
@@ -252,33 +270,21 @@ class InteractionFrame:
         p_end = self.phases(-2 if backward else 2)
         return (p_end.conj()[:, None] * b).reshape(5, -1)
 
+    def step(self, y, s, backward=False):
+        """One step of the columns y with the step matrix s."""
+        return s @ y
 
-def closed_sweep(frame, x, field, backward=False, store_every=0, out=None):
-    """Integrate amplitude columns x (D, n) through one pulse by RK4, from its
-    end to its start if backward.
+    def fresh_step(self, y, e, mu_y):
+        """One forward step of y under the held field e (mu_y unused)."""
+        return self.operators([e])[0] @ y
 
-    `field` is the sample array: field[n] drives step n, and the last
-    sample closes the record.  The sweep runs in the rotating variable
-    y = exp(-i E t) x, one matmul per step with the step matrices of
-    `frame.step_matrices`, built BLOCK_STEPS steps at a time.  With `out`,
-    x is stored before the first step and after every `store_every` steps;
-    stored snapshots and the result are rotated back to x."""
-    n_steps = len(field) - 1
-    if out is not None:
-        out[0] = x
-    y = frame.phases(2 * n_steps if backward else 0).conj()[:, None] * x
-    drive = field[:-1]
-    blocks = range(0, n_steps, BLOCK_STEPS)
-    done = 0
-    for a in reversed(blocks) if backward else blocks:
-        steps = frame.step_matrices(drive[a:a + BLOCK_STEPS], backward)
-        for step in steps[::-1] if backward else steps:
-            y = step @ y
-            done += 1
-            if out is not None and done % store_every == 0:
-                t_idx = n_steps - done if backward else done
-                out[done // store_every] = frame.phases(2 * t_idx)[:, None] * y
-    return frame.phases(0 if backward else 2 * n_steps)[:, None] * y
+    def rotate_in(self, x, half_idx):
+        """y = exp(-i E t) x at t = half_idx dt / 2."""
+        return self.phases(half_idx).conj()[:, None] * x
+
+    def rotate_out(self, y, half_idx):
+        """x = exp(i E t) y at t = half_idx dt / 2."""
+        return self.phases(half_idx)[:, None] * y
 
 
 class Lindblad:
@@ -301,7 +307,7 @@ class Lindblad:
         self._rotations = {False: frame.conjugation(-2), True: frame.conjugation(2)}
         self._diag = slice(None, None, len(frame.energies) + 1)   # of a flattened D x D
 
-    def generators(self, e, backward: bool = False) -> np.ndarray:
+    def operators(self, e, backward: bool = False) -> np.ndarray:
         """K^dag at the three stage dipoles, (n, 3, D, D), one row per held
         field value in e."""
         mu_s = 1j * self.frame.stage_dipoles(backward)
@@ -312,11 +318,6 @@ class Lindblad:
         d = y.shape[-1]
         return self._rate(y, (y.reshape(-1, d) @ kdag).reshape(y.shape))
 
-    def start_rhs(self, y, y_mu, e):
-        """rhs at the first stage of a step with field e, where mu_I(0) = mu,
-        from the product y mu already known."""
-        return self._rate(y, y * self._half_rates + (1j * e) * y_mu)
-
     def _rate(self, y, c):
         """dy/dt of a Hermitian stack y from its product c = y K^dag."""
         dy = -c   # a new C-contiguous array, so the flattened diagonal is a view
@@ -325,13 +326,19 @@ class Lindblad:
         dy.reshape(-1, d2)[:, self._diag] += y.reshape(-1, d2)[:, self._diag].real @ self._transfer
         return dy
 
-    def step(self, y, kdag, backward=False, k1=None):
+    def step(self, y, kdag, backward=False):
         """One RK4 step of y over dt (-dt if backward) with the stage
-        generators kdag, then the frame rotation.  Pass k1 when
-        rhs(y, kdag[0]) is already known."""
+        generators kdag, then the frame rotation."""
+        return self._rk4(y, kdag, backward, self.rhs(y, kdag[0]))
+
+    def fresh_step(self, y, e, y_mu):
+        """One forward step of y under the held field e; at s = 0, mu_I = mu,
+        so the first stage rate comes from the known product y_mu = y mu."""
+        k1 = self._rate(y, y * self._half_rates + (1j * e) * y_mu)
+        return self._rk4(y, self.operators([e])[0], False, k1)
+
+    def _rk4(self, y, kdag, backward, k1):
         h = -self.frame.dt if backward else self.frame.dt
-        if k1 is None:
-            k1 = self.rhs(y, kdag[0])
         k2 = self.rhs(y + 0.5 * h * k1, kdag[1])
         k3 = self.rhs(y + 0.5 * h * k2, kdag[1])
         k4 = self.rhs(y + h * k3, kdag[2])
@@ -339,36 +346,51 @@ class Lindblad:
         y *= self._rotations[backward]
         return y
 
+    def rotate_in(self, x, half_idx):
+        """y = P^* x P at t = half_idx dt / 2; ValidationError unless x is
+        Hermitian, as the one-product rate needs."""
+        if not np.abs(x - np.swapaxes(x, -1, -2).conj()).max() <= HERMITICITY_TOL:
+            raise ValidationError("the Lindblad sweep needs Hermitian matrices")
+        return x * self.frame.conjugation(-half_idx)
 
-def lindblad_sweep(gen: Lindblad, x, field, backward=False, store_every=0, out=None):
-    """Integrate a Hermitian matrix or stack x through one pulse under the
-    generator `gen`, from its end to its start if backward.
+    def rotate_out(self, y, half_idx):
+        """x = P y P^* at t = half_idx dt / 2."""
+        return y * self.frame.conjugation(half_idx)
 
-    `field` is the sample array: field[n] drives step n, and the last
-    sample closes the record.  The sweep runs in the rotating variable
-    y = P^* x P with stage generators built BLOCK_STEPS steps at a time.
-    With `out`, x is stored before the first step and after every
-    `store_every` steps.  Raises ValidationError if x is not Hermitian:
-    the one-product rate holds only for Hermitian stacks."""
-    if not np.abs(x - np.swapaxes(x, -1, -2).conj()).max() <= HERMITICITY_TOL:
-        raise ValidationError("the Lindblad sweep needs Hermitian matrices")
-    frame = gen.frame
+
+def step_operators(kernel, field, backward=False):
+    """(n, step operator of sample n) for every step of the sample array
+    `field`, in sweep order: from the last step to the first if backward.
+    The operators are built BLOCK_STEPS steps at a time; the last sample
+    closes the record without driving."""
+    drive = field[:-1]
+    blocks = range(0, len(drive), BLOCK_STEPS)
+    for a in reversed(blocks) if backward else blocks:
+        ops = kernel.operators(drive[a:a + BLOCK_STEPS], backward)
+        indices = range(a, a + len(ops))
+        yield from zip(indices[::-1], ops[::-1]) if backward else zip(indices, ops)
+
+
+def sweep(kernel, x, field, backward=False, store_every=0, out=None):
+    """Integrate x through the pulse of the sample array `field` with
+    `kernel`, an `InteractionFrame` for amplitude columns (D, n) or a
+    `Lindblad` generator for a Hermitian matrix or stack, from the pulse's
+    end to its start if backward.  The sweep runs in the kernel's rotating
+    variable y.  With `out`, slot 0 holds x and slot k the state after
+    k store_every steps, rotated back to x like the result."""
     n_steps = len(field) - 1
+    y = kernel.rotate_in(x, 2 * n_steps if backward else 0)
     if out is not None:
         out[0] = x
-    y = x * frame.conjugation(-2 * n_steps if backward else 0)
-    drive = field[:-1]
-    blocks = range(0, n_steps, BLOCK_STEPS)
-    done = 0
-    for a in reversed(blocks) if backward else blocks:
-        kdags = gen.generators(drive[a:a + BLOCK_STEPS], backward)
-        for kdag in kdags[::-1] if backward else kdags:
-            y = gen.step(y, kdag, backward)
-            done += 1
-            if out is not None and done % store_every == 0:
-                t_idx = n_steps - done if backward else done
-                out[done // store_every] = y * frame.conjugation(2 * t_idx)
-    return y * frame.conjugation(0 if backward else 2 * n_steps)
+    step = kernel.step
+    for n, op in step_operators(kernel, field, backward):
+        y = step(y, op, backward)
+        if out is not None:
+            t = n if backward else n + 1
+            done = n_steps - t if backward else t
+            if done % store_every == 0:
+                out[done // store_every] = kernel.rotate_out(y, 2 * t)
+    return kernel.rotate_out(y, 0 if backward else 2 * n_steps)
 
 
 def _snapshots(fieldspec: ControlField, store_every: int, shape: tuple):
@@ -398,7 +420,7 @@ def propagate_tdse(
         raise ValidationError("state dimension does not match the basis")
     frame = InteractionFrame(basis, fieldspec.dt)
     times, stored = _snapshots(fieldspec, store_every, (state.dim,))
-    final = closed_sweep(
+    final = sweep(
         frame, state.data[:, None], fieldspec.samples,
         store_every=store_every, out=stored[:, :, None] if store_every else None,
     )[:, 0]
@@ -419,7 +441,7 @@ def evolution_operator(
     frame = InteractionFrame(basis, fieldspec.dt)
     cols = np.zeros((basis.n_states, n_states), dtype=complex)
     cols[:n_states, :n_states] = np.eye(n_states)
-    final = closed_sweep(frame, cols, fieldspec.samples)
+    final = sweep(frame, cols, fieldspec.samples)
     col_norms = np.linalg.norm(final, axis=0)
     if not np.abs(col_norms - 1.0).max() <= NORM_DRIFT_TOL:
         raise NumericalError("column norm drift beyond tolerance in gate propagation")
@@ -436,10 +458,10 @@ def propagate_lindblad(
     """Propagate a density matrix through one pulse with dissipation.
 
     Returns (final QuantumState, times, stored snapshots).  Trace and
-    positivity are enforced as hard checks at the end of the pulse.  The
-    Hermiticity check reads exactly 0 for a Hermitian start, because every
-    stage of `lindblad_sweep` is Hermitian in floating point; it stays as a
-    guard on the result.
+    positivity are enforced as hard checks at the end of the pulse by
+    `density_matrix_fault`.  Its Hermiticity check reads exactly 0 for a
+    Hermitian start, because every stage of the `Lindblad` kernel is
+    Hermitian in floating point; it stays as a guard on the result.
     """
     rho_state = state.to_matrix()
     rho_state.validate()
@@ -447,25 +469,12 @@ def propagate_lindblad(
         raise ValidationError("state dimension does not match the basis")
     frame = InteractionFrame(basis, fieldspec.dt)
     times, stored = _snapshots(fieldspec, store_every, (rho_state.dim,) * 2)
-    final = lindblad_sweep(
+    final = sweep(
         Lindblad(frame, diss), rho_state.data, fieldspec.samples,
         store_every=store_every, out=stored if store_every else None,
     )
-    trace_err = abs(np.trace(final).real - np.trace(rho_state.data).real)
-    herm_err = np.abs(final - final.conj().T).max()
-    if not (trace_err <= TRACE_TOL and herm_err <= HERMITICITY_TOL):
-        raise NumericalError(
-            f"Lindblad step-size failure: trace error {trace_err:.2e}, "
-            f"Hermiticity error {herm_err:.2e}"
-        )
-    min_eig = np.linalg.eigvalsh(final).min()
-    if not min_eig >= -POSITIVITY_TOL:
-        raise NumericalError(
-            f"Lindblad step-size failure: minimum eigenvalue {min_eig:.2e}"
-        )
+    fault = density_matrix_fault(final, np.trace(rho_state.data).real)
+    if fault:
+        raise NumericalError(f"Lindblad step-size failure: {fault}")
     return QuantumState(final), times, stored
 
-
-def zero_field(t_pulse: float, n_steps: int) -> ControlField:
-    """An identically zero field with the given duration and step count."""
-    return ControlField(np.zeros(n_steps + 1), t_pulse / n_steps)

@@ -10,10 +10,7 @@ import numpy as np
 # CODATA 2018
 TIME_AU_S = 2.4188843265e-17        # 1 a.u. of time in seconds
 FIELD_AU_V_PER_M = 5.14220675e11    # 1 a.u. of electric field in V/m
-LENGTH_AU_M = 0.529177210903e-10    # Bohr radius in metres
 AMU_IN_ME = 1822.888486             # atomic mass unit in electron masses
-
-HBAR = 1.0
 
 
 def angular_freq_au_to_hz(omega_au):

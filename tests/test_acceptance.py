@@ -47,7 +47,6 @@ from iontrapsim import (
     solve_trap,
     spectrum,
     transition_table,
-    zero_field,
 )
 from iontrapsim.propagator import ControlField
 from iontrapsim.units import TIME_AU_S
@@ -160,7 +159,8 @@ def test_propagators(desk_basis):
     rng = np.random.default_rng(42)
     c = rng.normal(size=8) + 1j * rng.normal(size=8)
     c /= np.linalg.norm(c)
-    out, _, _ = propagate_tdse(QuantumState(c), zero_field(1e8, 400), desk_basis)
+    zero = ControlField(np.zeros(400 + 1), 1e8 / 400)
+    out, _, _ = propagate_tdse(QuantumState(c), zero, desk_basis)
     zero_ok = np.abs(out.data - c).max() < 1e-12
 
     # Rabi oracle
@@ -318,7 +318,8 @@ def test_converged_spectrum_alignment(desk_basis, desk_converged):
         field, _ = desk_converged[functional]
         spec = spectrum(field)
         peaks = spec.peak_frequencies(0.01)
-        worst = max(np.abs(peaks - t).min() / spec.bin_width_hz for t in trans)
+        bin_width = float(spec.frequencies_hz[1] - spec.frequencies_hz[0])
+        worst = max(np.abs(peaks - t).min() / bin_width for t in trans)
         passed &= worst <= 1.0
         details.append(f"{functional}: worst transition-to-peak {worst:.2f} bins")
     report("field spectra (transition alignment)", passed, "; ".join(details))
@@ -331,7 +332,8 @@ def test_guess_field_line_count(paper_basis):
     spec = spectrum(field)
     peaks = spec.peak_frequencies(0.01)
     trans = np.array([r[2] for r in transition_table(paper_basis, (1, 3), 16)])
-    aligned = all(np.abs(trans - p).min() <= spec.bin_width_hz for p in peaks)
+    bin_width = float(spec.frequencies_hz[1] - spec.frequencies_hz[0])
+    aligned = all(np.abs(trans - p).min() <= bin_width for p in peaks)
     passed = len(peaks) == 28 and aligned
     report(
         "guess field (28 spectral lines)",

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from iontrapsim.cli import main
+from iontrapsim.cli import _load_run_config, build_parser, main
 from iontrapsim.config import load_config, parse_quantity, tier_config
 from iontrapsim.errors import ValidationError
 from iontrapsim.units import TIME_AU_S
@@ -68,6 +68,28 @@ class TestConfigParsing:
         assert cfg.max_iterations == 3
         assert cfg.kappas == (1e-16,)
         assert cfg.config_hash != "defaults"
+
+    def test_config_hash_follows_resolved_config(self):
+        """The hash is taken after the command's options are laid over the
+        tier preset: distinct presets and distinct options give distinct
+        hashes, and the output directory does not enter it."""
+        desk, paper = tier_config("desk"), tier_config("paper")
+        assert len({desk.config_hash, paper.config_hash, "defaults"}) == 3
+
+        def resolved_hash(*options):
+            args = build_parser().parse_args(["optimize", *options])
+            return _load_run_config(args).config_hash
+
+        hashes = [
+            resolved_hash(),
+            resolved_hash("--max-iterations", "3"),
+            resolved_hash("--max-iterations", "4"),
+            resolved_hash("--functional", "F"),
+            resolved_hash("--kappa", "1e-16"),
+        ]
+        assert hashes[0] == desk.config_hash
+        assert len(set(hashes)) == len(hashes)
+        assert resolved_hash("--out", "elsewhere") == hashes[0]
 
     def test_inconsistent_mapping_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -11,7 +11,6 @@ from iontrapsim import (
     optimize_gate,
     optimize_gate_dissipative,
     optimize_state_prep,
-    zero_field,
     build_dissipation,
     encode,
     evolution_operator,
@@ -105,7 +104,8 @@ class TestOptimizeGate:
         cfg = small_config(dt=2e-7 / TIME_AU_S, fidelity_goal=0.99999)
         field, trace = optimize_gate(
             desk_basis, TargetSet(np.eye(4)), cfg,
-            initial_field=zero_field(cfg.t_pulse, cfg.n_steps),
+            initial_field=ControlField(np.zeros(cfg.n_steps + 1),
+                                       cfg.t_pulse / cfg.n_steps),
         )
         assert trace.status == "converged"
         assert trace.iterations == [0]
@@ -155,7 +155,7 @@ class TestOptimizeGate:
         with pytest.raises(ValidationError):
             optimize_gate(
                 desk_basis, TargetSet(desk_gate.entries), cfg,
-                initial_field=zero_field(cfg.t_pulse, 17),
+                initial_field=ControlField(np.zeros(17 + 1), cfg.t_pulse / 17),
             )
 
 
@@ -166,7 +166,8 @@ class TestOptimizeStatePrep:
         cfg = small_config(dt=2e-7 / TIME_AU_S, fidelity_goal=0.99999)
         field, trace = optimize_state_prep(
             desk_basis, target, cfg,
-            initial_field=zero_field(cfg.t_pulse, cfg.n_steps),
+            initial_field=ControlField(np.zeros(cfg.n_steps + 1),
+                                       cfg.t_pulse / cfg.n_steps),
         )
         assert trace.status == "converged"
         assert trace.iterations == [0]

@@ -14,10 +14,9 @@ from iontrapsim import (
     make_guess_field,
     propagate_lindblad,
     propagate_tdse,
-    zero_field,
 )
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import InteractionFrame, Lindblad, closed_sweep, lindblad_sweep
+from iontrapsim.propagator import InteractionFrame, Lindblad, sweep
 from iontrapsim.units import TIME_AU_S
 
 
@@ -48,7 +47,8 @@ def short_guess(basis, steps=2000, t_pulse_us=4.0):
 
 def textbook_sweep(frame, x, samples, backward=False, store_every=0, out=None):
     """Classical RK4 of dc/dt = i E mu_I(t) c, mu_I(t) = P(t) mu P(t)^*, with
-    the phases of every stage written out; the reference for `closed_sweep`."""
+    the phases of every stage written out; the reference for `sweep` of an
+    `InteractionFrame`."""
     def rhs(c, half_idx, e):
         p = np.exp(1j * half_idx * (frame.dt / 2) * frame.energies)
         return (1j * e) * (p[:, None] * (frame.mu @ (p.conj()[:, None] * c)))
@@ -136,7 +136,8 @@ class TestClosedPropagation:
         c = rng.normal(size=8) + 1j * rng.normal(size=8)
         c /= np.linalg.norm(c)
         state = QuantumState(c)
-        out, _, _ = propagate_tdse(state, zero_field(1e8, 500), desk_basis)
+        field = ControlField(np.zeros(500 + 1), 1e8 / 500)
+        out, _, _ = propagate_tdse(state, field, desk_basis)
         assert np.abs(out.data - c).max() < 1e-12
 
     def test_rabi_oracle_period(self):
@@ -173,28 +174,36 @@ class TestClosedPropagation:
 
 
 class TestClosedSweep:
-    """closed_sweep against textbook RK4 of the interaction-picture
-    equation."""
+    """sweep of an InteractionFrame against textbook RK4 of the
+    interaction-picture equation."""
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_matches_textbook_rk4(self, desk_basis, backward):
         field = short_guess(desk_basis)
         frame = InteractionFrame(desk_basis, field.dt)
         x = random_columns(8, 5, seed=1)
-        got = closed_sweep(frame, x, field.samples, backward=backward)
+        got = sweep(frame, x, field.samples, backward=backward)
         want = textbook_sweep(frame, x, field.samples, backward=backward)
         assert_relative(got, want)
 
     def test_snapshots_match(self, desk_basis):
-        field = short_guess(desk_basis)
-        frame = InteractionFrame(desk_basis, field.dt)
+        """Snapshot slot k holds the state after k store_every steps in both
+        directions, also when the pulse ends inside a block of step
+        operators (37 steps)."""
         x = random_columns(8, 2, seed=2)
-        got = np.empty((21, 8, 2), dtype=complex)
-        want = np.empty_like(got)
-        final = closed_sweep(frame, x, field.samples, store_every=100, out=got)
-        textbook_sweep(frame, x, field.samples, store_every=100, out=want)
-        assert_relative(got, want)
-        assert np.array_equal(got[-1], final)
+        for steps, store_every in ((2000, 100), (37, 5)):
+            field = short_guess(desk_basis, steps=steps)
+            frame = InteractionFrame(desk_basis, field.dt)
+            for backward in (False, True):
+                got = np.empty((steps // store_every + 1, 8, 2), dtype=complex)
+                want = np.empty_like(got)
+                final = sweep(frame, x, field.samples, backward=backward,
+                              store_every=store_every, out=got)
+                textbook_sweep(frame, x, field.samples, backward=backward,
+                               store_every=store_every, out=want)
+                assert_relative(got, want)
+                if steps % store_every == 0:
+                    assert np.array_equal(got[-1], final)
 
     def test_paper_size(self, paper_basis):
         """80 paper-size steps with a field strong enough (|E mu| dt = 0.2)
@@ -206,21 +215,21 @@ class TestClosedSweep:
         frame = InteractionFrame(paper_basis, field.dt)
         x = random_columns(32, 17, seed=3)
         for backward in (False, True):
-            got = closed_sweep(frame, x, samples, backward=backward)
+            got = sweep(frame, x, samples, backward=backward)
             want = textbook_sweep(frame, x, samples, backward=backward)
             assert_relative(got, want)
 
     def test_zeroth_coefficient_is_frame_phase(self, desk_basis):
         frame = InteractionFrame(desk_basis, 8e4)
         for backward, h in ((False, 8e4), (True, -8e4)):
-            c0 = frame.step_matrices([0.0], backward=backward)[0]
+            c0 = frame.operators([0.0], backward=backward)[0]
             want = np.diag(np.exp(-1j * desk_basis.energies * h))
             assert np.abs(c0 - want).max() <= 1e-15
 
 
 class TestEvolutionOperator:
     def test_zero_field_identity(self, desk_basis):
-        u = evolution_operator(zero_field(1e8, 400), desk_basis, 4)
+        u = evolution_operator(ControlField(np.zeros(400 + 1), 1e8 / 400), desk_basis, 4)
         assert np.abs(u - np.eye(4)).max() < 1e-12
 
     def test_weak_field_contraction(self, desk_basis):
@@ -233,7 +242,7 @@ class TestEvolutionOperator:
 
     def test_rejects_oversized_projection(self, desk_basis):
         with pytest.raises(ValidationError):
-            evolution_operator(zero_field(1e8, 100), desk_basis, 16)
+            evolution_operator(ControlField(np.zeros(100 + 1), 1e8 / 100), desk_basis, 16)
 
 
 class TestDissipationModel:
@@ -280,7 +289,8 @@ class TestLindblad:
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[1, 1] = 1.0
         out, _, _ = propagate_lindblad(
-            QuantumState(rho0), zero_field(8e8, 2000), desk_basis, diss
+            QuantumState(rho0), ControlField(np.zeros(2000 + 1), 8e8 / 2000),
+            desk_basis, diss,
         )
         pops = np.real(np.diag(out.data))
         assert abs(pops.sum() - 1.0) < 1e-10
@@ -299,8 +309,8 @@ class TestLindblad:
         b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         eta = 0.5 * (b + b.conj().T)
         pairing0 = np.trace(eta.conj().T @ rho)
-        rho = lindblad_sweep(Lindblad(frame, diss), rho, field.samples)
-        eta = lindblad_sweep(Lindblad(frame, diss, adjoint=True), eta, field.samples)
+        rho = sweep(Lindblad(frame, diss), rho, field.samples)
+        eta = sweep(Lindblad(frame, diss, adjoint=True), eta, field.samples)
         pairing1 = np.trace(eta.conj().T @ rho)
         assert abs(pairing1 - pairing0) < 1e-8 * max(1.0, abs(pairing0))
 
@@ -323,8 +333,8 @@ class TestLindblad:
         a = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
         a = a + a.conj().swapaxes(-1, -2)
         for backward, h in ((False, 1e3), (True, -1e3)):
-            kdags = lindblad.generators([e_field], backward)[0]
-            adjoint_kdags = adjoint.generators([e_field], backward)[0]
+            kdags = lindblad.operators([e_field], backward)[0]
+            adjoint_kdags = adjoint.operators([e_field], backward)[0]
             for stage, s in enumerate((0.0, h / 2, h)):
                 p = np.exp(1j * desk_basis.energies * s)
                 mu_i = np.diag(p) @ desk_basis.dipole @ np.diag(p.conj())
@@ -346,24 +356,29 @@ class TestLindblad:
         x = np.zeros((2, 8, 8), dtype=complex)
         x[1, 0, 1] = 1.0
         with pytest.raises(ValidationError):
-            lindblad_sweep(lindblad, x, np.zeros(3))
+            sweep(lindblad, x, np.zeros(3))
 
     def test_backward_snapshots_count_steps_done(self, desk_basis):
-        """A 4-step backward decay with store_every = 2 stores the states
-        after 0, 2 and 4 steps in slots 0, 1 and 2."""
+        """A backward zero-field decay stores the state after k store_every
+        steps in slot k: with 4 steps and store_every = 2, the states after
+        0, 2 and 4 steps in slots 0, 1 and 2; with 37 steps and
+        store_every = 5 the pulse ends inside a block of step operators."""
         diss = build_dissipation(desk_basis, 1.0)
         dt = 0.5 / diss.total_out_rates().max()
         adjoint = Lindblad(InteractionFrame(desk_basis, dt), diss, adjoint=True)
         eta = np.zeros((8, 8), dtype=complex)
         eta[2, 2] = 1.0
-        stored = np.empty((3, 8, 8), dtype=complex)
-        final = lindblad_sweep(adjoint, eta, np.zeros(5), backward=True,
-                               store_every=2, out=stored)
-        assert np.array_equal(stored[0], eta)
-        after_two = lindblad_sweep(adjoint, eta, np.zeros(3), backward=True)
-        assert_relative(stored[1], after_two)
-        assert_relative(stored[2], final)
-        assert np.abs(stored[1] - stored[2]).max() > 1e-2
+        for steps, store_every in ((4, 2), (37, 5)):
+            stored = np.empty((steps // store_every + 1, 8, 8), dtype=complex)
+            final = sweep(adjoint, eta, np.zeros(steps + 1), backward=True,
+                          store_every=store_every, out=stored)
+            assert np.array_equal(stored[0], eta)
+            for k in range(1, len(stored)):
+                after_k = sweep(adjoint, eta, np.zeros(k * store_every + 1), backward=True)
+                assert_relative(stored[k], after_k)
+            if steps % store_every == 0:
+                assert_relative(stored[-1], final)
+            assert np.abs(stored[1] - stored[2]).max() > 1e-2
 
     def test_negative_eigenvalue_detected(self, desk_basis):
         """Four zero-field steps with dt times the largest out-rate at 2
@@ -373,7 +388,8 @@ class TestLindblad:
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[0, 0] = 1.0
         with pytest.raises(NumericalError, match="eigenvalue"):
-            propagate_lindblad(QuantumState(rho0), zero_field(4 * dt, 4), desk_basis, diss)
+            propagate_lindblad(QuantumState(rho0), ControlField(np.zeros(4 + 1), 4 * dt / 4),
+                               desk_basis, diss)
 
     def test_rk4_step_halving(self, desk_basis):
         field = short_guess(desk_basis, steps=1000)
