@@ -1,5 +1,9 @@
 """Post-processing: spectra, filtering, mean positions, fidelity traces.
 
+The fidelity trace over l = 1..n pulses takes one `LindbladPulseMap` per
+field and dissipation model: the Hermitian coordinates of the N^2 units
+meet the map's real (D^2, D^2) matrix once per pulse.
+
 The band-pass filter works in the interior sine basis (DST-I), whose basis
 functions vanish at both pulse ends.  Masking sine components is an exact
 projection, so filtering twice equals filtering once and the output always
@@ -12,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .gridsim import Grid
-from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         QuantumState, sweep)
+from .propagator import (ControlField, DissipationModel, LindbladPulseMap, QuantumState,
+                         hermitian_matrices)
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -122,44 +126,47 @@ def fidelity_trace(
     n_pulses: int,
     gate,
 ) -> np.ndarray:
-    """Process fidelity of the cumulative realized map against U_s^l.
+    """Process fidelity of the cumulative realized map against U_s^l after
+    each of n_pulses Lindblad pulses of gate_field; see `map_fidelity_trace`."""
+    return map_fidelity_trace(LindbladPulseMap(gate_field, basis, diss), n_pulses, gate)
 
-    Propagates N^2 Hermitian units through successive Lindblad pulses: the
-    projectors E_jj and, for j < k, H = E_jk + E_kj and B = i (E_jk - E_kj),
-    from which Phi_l(E_jk) = (Phi_l(H) - i Phi_l(B)) / 2 and
+
+def map_fidelity_trace(pulse_map: LindbladPulseMap, n_pulses: int, gate) -> np.ndarray:
+    """Process fidelity of Phi^l against U_s^l for l = 1..n_pulses.
+
+    Carries the Hermitian coordinates of the N^2 units through the pulses,
+    one product with the pulse map's matrix per pulse: the projectors E_jj
+    and, for j < k, H = E_jk + E_kj and B = i (E_jk - E_kj), from which
+    Phi_l(E_jk) = (Phi_l(H) - i Phi_l(B)) / 2 and
     Phi_l(E_kj) = (Phi_l(H) + i Phi_l(B)) / 2.  It evaluates
     (1/N^2) sum_jk <U^l j| Phi_l(|j><k|) |U^l k>, which equals the gate
     fidelity |Tr(U_s^dag U_P)|^2/N^2 whenever the map is unitary.
     """
     us = getattr(gate, "entries", gate)
     n = us.shape[0]
-    d = basis.n_states
-    lindblad = Lindblad(InteractionFrame(basis, gate_field.dt), diss)
+    d = pulse_map.dim
 
-    # unit u = j n + k holds E_jj (j = k), H (j < k) or B of the pair (k, j);
-    # recombine[j n + k] gives Phi(E_jk) from the propagated units
-    units = np.zeros((n * n, d, d), dtype=complex)
+    # unit u = j n + k holds E_jj (j = k), H (j < k) or B of the pair (k, j),
+    # which is coordinate j d + k in the D-state space; recombine[j n + k]
+    # gives Phi(E_jk) from the propagated units
+    units = (np.arange(n)[:, None] * d + np.arange(n)).ravel()
     recombine = np.zeros((n * n, n * n), dtype=complex)
     for j in range(n):
-        units[j * n + j, j, j] = 1.0
         recombine[j * n + j, j * n + j] = 1.0
         for k in range(j + 1, n):
             h, b = j * n + k, k * n + j
-            units[h, j, k] = units[h, k, j] = 1.0
-            units[b, j, k], units[b, k, j] = 1j, -1j
             recombine[h, h] = recombine[b, h] = 0.5
             recombine[h, b], recombine[b, b] = -0.5j, 0.5j
 
     fids = np.empty(n_pulses)
-    x = units
+    x = np.eye(d * d)[units]
     target = np.eye(n, dtype=complex)
     for pulse in range(n_pulses):
-        # every pulse replays the waveform in the rotating frame (t from 0),
-        # which is what makes stroboscopic concatenation exact
-        x = sweep(lindblad, x, gate_field.samples)
+        x = x @ pulse_map.matrix
         target = us @ target
         # blocks[j, k] = Phi_l(|j><k|) on the first n states
-        blocks = (recombine @ x[:, :n, :n].reshape(n * n, n * n)).reshape(n, n, n, n)
+        phi_units = hermitian_matrices(x.reshape(n * n, d, d)[:, :n, :n])
+        blocks = (recombine @ phi_units.reshape(n * n, n * n)).reshape(n, n, n, n)
         acc = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real
         fids[pulse] = acc / n**2
     return fids

@@ -19,8 +19,8 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
 from .oct import OctConfig, TargetSet, fidelity, optimize_gate, \
     optimize_gate_dissipative, optimize_state_prep
-from .propagator import QuantumState, build_dissipation, evolution_operator, \
-    propagate_lindblad, propagate_tdse
+from .propagator import ClosedPulseMap, LindbladPulseMap, QuantumState, build_dissipation, \
+    evolution_operator
 from .trap import solve_trap, transition_table
 from .units import TIME_AU_S
 
@@ -41,7 +41,7 @@ def _load_run_config(args) -> RunConfig:
             cfg.outdir = args.out
     if getattr(args, "functional", None):
         cfg.functional = args.functional.upper()
-    if getattr(args, "max_iterations", None):
+    if getattr(args, "max_iterations", None) is not None:
         cfg.max_iterations = args.max_iterations
     if getattr(args, "kappa", None):
         cfg.kappas = tuple(args.kappa)
@@ -185,22 +185,18 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _closed_simulation(cfg, basis, gate_field, grid, c0):
-    dim = basis.n_states
-    state = np.zeros(dim, dtype=complex)
+def _closed_simulation(cfg, pulse_map, grid, c0):
+    state = np.zeros(len(pulse_map.final), dtype=complex)
     state[: len(c0)] = c0
     pulses = [np.abs(state[: grid.n]) ** 2]
-    store_every = max(1, gate_field.n_steps // 1000)
     times, populations, norms = [], [], []
     for pulse in range(cfg.n_pulses):
-        out, t_stored, stored = propagate_tdse(
-            QuantumState(state), gate_field, basis, store_every=store_every
-        )
-        times.append(t_stored + pulse * gate_field.t_pulse)
+        out, stored = pulse_map.apply(state)
+        times.append(pulse_map.times + pulse * pulse_map.t_pulse)
         populations.append(np.abs(stored) ** 2)
         norms.append(np.linalg.norm(stored, axis=1) ** 2)
         # absorb the per-pulse integrator drift before concatenating
-        state = out.data / np.linalg.norm(out.data)
+        state = out / np.linalg.norm(out)
         pulses.append(np.abs(state[: grid.n]) ** 2)
     trajectory = (
         np.concatenate(times),
@@ -210,20 +206,18 @@ def _closed_simulation(cfg, basis, gate_field, grid, c0):
     return pulses, trajectory
 
 
-def _dissipative_simulation(cfg, basis, gate, gate_field, grid, c0, kappa):
-    dim = basis.n_states
-    c = np.zeros(dim, dtype=complex)
+def _dissipative_simulation(cfg, basis, gate, pulse_map, grid, c0):
+    c = np.zeros(basis.n_states, dtype=complex)
     c[: len(c0)] = c0
-    rho = QuantumState(np.outer(c, c.conj()))
-    diss = build_dissipation(basis, kappa, cfg.deltas)
-    pulses = [np.real(np.diag(rho.data))[: grid.n].copy()]
-    zs = [analysis.mean_position_ion(rho, basis)]
+    rho = np.outer(c, c.conj())
+    pulses = [np.real(np.diag(rho))[: grid.n].copy()]
+    zs = [analysis.mean_position_ion(QuantumState(rho), basis)]
     for _ in range(cfg.n_pulses):
-        rho, _, _ = propagate_lindblad(rho, gate_field, basis, diss)
-        rho = QuantumState(rho.data / np.trace(rho.data).real)
-        pulses.append(np.real(np.diag(rho.data))[: grid.n].copy())
-        zs.append(analysis.mean_position_ion(rho, basis))
-    fid_trace = analysis.fidelity_trace(gate_field, basis, diss, cfg.n_pulses, gate)
+        rho = pulse_map.apply(rho)
+        rho = rho / np.trace(rho).real
+        pulses.append(np.real(np.diag(rho))[: grid.n].copy())
+        zs.append(analysis.mean_position_ion(QuantumState(rho), basis))
+    fid_trace = analysis.map_fidelity_trace(pulse_map, cfg.n_pulses, gate)
     return pulses, zs, fid_trace
 
 
@@ -240,6 +234,9 @@ def cmd_simulate(args) -> int:
     u_realized = evolution_operator(gate_field, basis, gate.n)
     fid = fidelity(gate, u_realized)
     print(f"simulate: gate field realizes F = {fid:.6f}")
+    closed_map = ClosedPulseMap(gate_field, basis, max(1, gate_field.n_steps // 1000))
+    # the drift of this map is what each pulse's renormalization removes
+    print(f"closed pulse map: max |U^dag U - I| = {closed_map.unitarity_drift():.3e}")
 
     # closed run for every configured packet; the first one keeps the
     # unsuffixed file names and feeds the dissipative sweep
@@ -256,7 +253,7 @@ def cmd_simulate(args) -> int:
             meta,
         )
         pulses, (traj_t, traj_pops, traj_norms) = _closed_simulation(
-            cfg, basis, gate_field, grid, amplitudes.c
+            cfg, closed_map, grid, amplitudes.c
         )
         serialization.save_state_trajectory(
             traj_t, traj_pops, traj_norms,
@@ -278,8 +275,10 @@ def cmd_simulate(args) -> int:
             )
 
     for kappa in cfg.kappas:
+        lindblad_map = LindbladPulseMap(gate_field, basis,
+                                        build_dissipation(basis, kappa, cfg.deltas))
         pulses_k, zs, fid_k = _dissipative_simulation(
-            cfg, basis, gate, gate_field, grid, c0, kappa
+            cfg, basis, gate, lindblad_map, grid, c0
         )
         tag = f"kappa_{kappa:.3e}"
         serialization.save_probability_snapshots(
@@ -291,7 +290,8 @@ def cmd_simulate(args) -> int:
         serialization.save_fidelity_trace(
             fid_k, os.path.join(cfg.outdir, f"fidelity_{tag}.csv"), meta
         )
-        print(f"kappa = {kappa:.3e}: final-pulse fidelity {fid_k[-1]:.6f}")
+        print(f"kappa = {kappa:.3e}: final-pulse fidelity {fid_k[-1]:.6f}, "
+              f"pulse map trace drift {lindblad_map.trace_drift():.3e}")
     return EXIT_OK
 
 

@@ -109,6 +109,10 @@ class RunConfig:
             raise ValidationError("functional must be 'F' or 'P'")
         if not (self.t_pulse > 0 and self.oct_dt > 0):
             raise ValidationError("t_pulse and the OCT time step must be positive")
+        if self.n_pulses < 1:
+            raise ValidationError("n_pulses must be at least 1")
+        if self.max_iterations < 0:
+            raise ValidationError("max_iterations must be non-negative (0 only evaluates)")
 
 
 def desk_config() -> RunConfig:

@@ -30,6 +30,19 @@ optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
 y.  One `sweep` integrates either through a pulse, and `step_operators`
 is the one block loop it shares with the optimizer's forward update.
 
+Pulse maps.  Every pulse of a train replays the same waveform in the
+rotating frame, so `simulate` and the fidelity trace build each pulse's
+map once and apply it by products.  `ClosedPulseMap` is one sweep of the D
+identity columns with snapshots, U(t_k) over the pulse (16 MB at paper
+size with 1,000 snapshots).  `LindbladPulseMap` holds the Lindblad pulse
+Phi, real-linear on Hermitian matrices, as one real (D^2, D^2) matrix on
+`hermitian_coordinates` (Re on and above the diagonal, Im of the upper
+triangle mirrored below it), built by sweeping the D^2 Hermitian units
+E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at a time.  At paper
+size that is a 1024^2 matrix (8 MB) from 16 sweeps of 64 units, 1 MB per
+stack.  Both apply the end-of-pulse checks of `propagate_tdse` and
+`propagate_lindblad` to every pulse.
+
 Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
 the record without driving.  The optimizer's monotonic scheme is derived
@@ -50,6 +63,10 @@ NORM_DRIFT_TOL = 1e-8
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8    # how far below 0 a density-matrix eigenvalue may lie
+MAP_UNITS = 64     # Hermitian units per sweep of a `LindbladPulseMap`: 1 MB
+                   # at D = 32, where on a 2-vCPU host the 1024 units step in
+                   # 42 ms in blocks of 64, and in 68 ms with 180 MB of
+                   # working set as one stack
 BLOCK_STEPS = 16   # steps per block of precomputed step operators; 256 KB
                    # of closed step matrices at D = 32 (64 steps, 1 MB, adds
                    # 1.4 MB to the peak RSS of a paper-size optimize)
@@ -401,6 +418,24 @@ def _snapshots(fieldspec: ControlField, store_every: int, shape: tuple):
     return times, np.empty((n_stored,) + shape, dtype=complex)
 
 
+def _check_norm(final, initial):
+    """NumericalError if one pulse changed the norm of an amplitude vector
+    beyond tolerance."""
+    drift = abs(np.linalg.norm(final) - np.linalg.norm(initial))
+    if not drift <= NORM_DRIFT_TOL:
+        raise NumericalError(
+            f"norm drift {drift:.2e} over the pulse; reduce the time step"
+        )
+
+
+def _check_density(final, initial):
+    """NumericalError unless one Lindblad pulse left a density matrix of the
+    initial trace (`density_matrix_fault`)."""
+    fault = density_matrix_fault(final, np.trace(initial).real)
+    if fault:
+        raise NumericalError(f"Lindblad step-size failure: {fault}")
+
+
 def propagate_tdse(
     state: QuantumState,
     fieldspec: ControlField,
@@ -424,11 +459,7 @@ def propagate_tdse(
         frame, state.data[:, None], fieldspec.samples,
         store_every=store_every, out=stored[:, :, None] if store_every else None,
     )[:, 0]
-    drift = abs(np.linalg.norm(final) - np.linalg.norm(state.data))
-    if not drift <= NORM_DRIFT_TOL:
-        raise NumericalError(
-            f"norm drift {drift:.2e} over the pulse; reduce the time step"
-        )
+    _check_norm(final, state.data)
     return QuantumState(final), times, stored
 
 
@@ -473,8 +504,89 @@ def propagate_lindblad(
         Lindblad(frame, diss), rho_state.data, fieldspec.samples,
         store_every=store_every, out=stored if store_every else None,
     )
-    fault = density_matrix_fault(final, np.trace(rho_state.data).real)
-    if fault:
-        raise NumericalError(f"Lindblad step-size failure: {fault}")
+    _check_density(final, rho_state.data)
     return QuantumState(final), times, stored
 
+
+def hermitian_coordinates(x) -> np.ndarray:
+    """Real coordinates of Hermitian matrices x (..., D, D), in the same
+    shape: Re x_jk on and above the diagonal and, at (k, j) below it,
+    Im x_jk.  Flattened row-major, coordinate j D + k weighs the Hermitian
+    unit E_jj (j = k) or H = E_jk + E_kj (j < k), and k D + j weighs
+    B = i (E_jk - E_kj)."""
+    d = x.shape[-1]
+    return np.where(np.tri(d, k=-1, dtype=bool), -x.imag, x.real)
+
+
+def hermitian_matrices(c) -> np.ndarray:
+    """The Hermitian matrices whose coordinates (`hermitian_coordinates`)
+    are c (..., D, D)."""
+    below = np.tri(c.shape[-1], k=-1, dtype=bool)
+    im = c * below
+    return np.where(below, np.swapaxes(c, -1, -2), c) + 1j * (np.swapaxes(im, -1, -2) - im)
+
+
+class ClosedPulseMap:
+    """The closed evolution operators of one pulse from one sweep of the D
+    identity columns: U(t_k) at the snapshot times (every store_every
+    steps, none when 0) and U(t_pulse).
+
+    Every pulse of a train replays the waveform in the rotating frame from
+    t = 0, so each pulse of any state is a product with them."""
+
+    def __init__(self, fieldspec: ControlField, basis: EigenBasis, store_every: int = 0):
+        d = basis.n_states
+        self.t_pulse = fieldspec.t_pulse
+        self.times, self.snapshots = _snapshots(fieldspec, store_every, (d, d))
+        self.final = sweep(
+            InteractionFrame(basis, fieldspec.dt), np.eye(d, dtype=complex),
+            fieldspec.samples, store_every=store_every,
+            out=self.snapshots if store_every else None,
+        )
+
+    def unitarity_drift(self) -> float:
+        """max |U^dag U - I| of U(t_pulse)."""
+        u = self.final
+        return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+
+    def apply(self, state):
+        """(amplitudes after the pulse, their snapshots) of an amplitude
+        vector; NumericalError on norm drift, as in `propagate_tdse`."""
+        final = self.final @ state
+        _check_norm(final, state)
+        return final, self.snapshots @ state
+
+
+class LindbladPulseMap:
+    """One Lindblad pulse Phi as one real (D^2, D^2) matrix on Hermitian
+    coordinates.
+
+    Phi keeps matrices Hermitian, so it is real-linear on them: with c the
+    flattened `hermitian_coordinates`, c(Phi(x)) = c(x) @ matrix.  Row u of
+    the matrix is c(Phi(unit u)), from a `sweep` of the D^2 Hermitian units
+    (E_jj, H and B), MAP_UNITS at a time; every pulse of a train replays
+    the waveform in the rotating frame, so a train costs one small real
+    product per pulse.  At paper size (D = 32) the matrix is 1024^2 reals,
+    8 MB, built by 16 sweeps of 64 units."""
+
+    def __init__(self, fieldspec: ControlField, basis: EigenBasis, diss: DissipationModel):
+        d = self.dim = basis.n_states
+        units = hermitian_matrices(np.eye(d * d).reshape(d * d, d, d))
+        lindblad = Lindblad(InteractionFrame(basis, fieldspec.dt), diss)
+        final = np.concatenate([sweep(lindblad, units[a:a + MAP_UNITS], fieldspec.samples)
+                                for a in range(0, d * d, MAP_UNITS)])
+        self.matrix = hermitian_coordinates(final).reshape(d * d, d * d)
+
+    def trace_drift(self) -> float:
+        """max over the units u of |Tr Phi(u) - Tr u|."""
+        d = self.dim
+        unit_traces = np.eye(d).ravel()   # 1 for E_jj, 0 for H and B
+        return float(np.abs(self.matrix[:, ::d + 1].sum(axis=1) - unit_traces).max())
+
+    def apply(self, rho) -> np.ndarray:
+        """The density matrix rho after the pulse; NumericalError unless it
+        is one of the same trace, as in `propagate_lindblad`."""
+        c = hermitian_coordinates(rho).ravel() @ self.matrix
+        final = hermitian_matrices(c.reshape(rho.shape))
+        _check_density(final, rho)
+        return final

@@ -181,6 +181,65 @@ class TestCliCommands:
         assert os.path.exists(os.path.join(out, "gate_p_checkpoint.csv"))
         assert os.path.exists(os.path.join(out, "gate_p_checkpoint_trace.csv"))
 
+    def test_zero_max_iterations_only_evaluates(self, tmp_path):
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        out = str(tmp_path / "z")
+        code = main([
+            "optimize", "--config", str(ini), "--tier", "desk", "--out", out,
+            "--functional", "P", "--max-iterations", "0",
+        ])
+        assert code == 4
+        from iontrapsim.serialization import load_trace
+
+        trace = load_trace(os.path.join(out, "gate_p_trace.csv"))
+        assert trace.iterations == [0]
+        assert trace.status == "iteration budget exhausted"
+
+    def test_negative_max_iterations_exits_2(self, tmp_path, capsys):
+        code = main([
+            "optimize", "--tier", "desk", "--out", str(tmp_path),
+            "--max-iterations", "-3",
+        ])
+        assert code == 2
+        assert "max_iterations" in capsys.readouterr().err
+
+    def test_zero_pulses_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[sim]\nn_pulses = 0\n")
+        code = main([
+            "simulate", "--config", str(ini), "--tier", "desk", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "n_pulses" in capsys.readouterr().err
+
+    def test_simulate_reports_map_drift_and_reruns_identically(self, tmp_path, capsys):
+        """The drift of each pulse map goes to the console only; the
+        artifacts of a rerun are byte-identical."""
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        field = os.path.join(str(tmp_path / "f"), "gate_p_field.csv")
+        main([
+            "optimize", "--config", str(ini), "--tier", "desk", "--out",
+            str(tmp_path / "f"), "--max-iterations", "0",
+        ])
+        capsys.readouterr()
+        outs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        for out in outs:
+            assert main([
+                "simulate", "--config", str(ini), "--tier", "desk", "--out", out,
+                "--field", field, "--kappa", "1e-16", "5e-18",
+            ]) == 0
+        console = capsys.readouterr().out
+        assert console.count("closed pulse map: max |U^dag U - I| = ") == 2
+        assert console.count("pulse map trace drift") == 4
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_dissipative_checkpoint_resumes(self, tmp_path):
         ini = tmp_path / "short.ini"
         ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")

@@ -16,7 +16,7 @@ from iontrapsim import (
     propagate_tdse,
 )
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import InteractionFrame, Lindblad, sweep
+from iontrapsim.propagator import ClosedPulseMap, InteractionFrame, Lindblad, sweep
 from iontrapsim.units import TIME_AU_S
 
 
@@ -171,6 +171,16 @@ class TestClosedPropagation:
         state = QuantumState(np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(NumericalError):
             propagate_tdse(state, field, basis)
+
+    def test_pulse_map_norm_drift_detected(self):
+        """The same pulse through `ClosedPulseMap`, whose U reports the
+        drift."""
+        dt = 50.0 / 10
+        field = ControlField(0.5 * np.cos(np.arange(11) * dt), dt)
+        pulse_map = ClosedPulseMap(field, two_level_basis())
+        assert pulse_map.unitarity_drift() > 1e-8
+        with pytest.raises(NumericalError, match="norm drift"):
+            pulse_map.apply(np.array([1.0, 0.0], dtype=complex))
 
 
 class TestClosedSweep:
