@@ -19,8 +19,7 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
 from .oct import OctConfig, TargetSet, fidelity, optimize_gate, \
     optimize_gate_dissipative, optimize_state_prep
-from .propagator import ClosedPulseMap, LindbladPulseMap, QuantumState, build_dissipation, \
-    evolution_operator
+from .propagator import ClosedPulseMap, LindbladPulseMap, QuantumState, build_dissipation
 from .trap import solve_trap, transition_table
 from .units import TIME_AU_S
 
@@ -43,7 +42,7 @@ def _load_run_config(args) -> RunConfig:
         cfg.functional = args.functional.upper()
     if getattr(args, "max_iterations", None) is not None:
         cfg.max_iterations = args.max_iterations
-    if getattr(args, "kappa", None):
+    if getattr(args, "kappa", None) is not None:
         cfg.kappas = tuple(args.kappa)
     cfg.validate()
     if cfg.tier == "paper" and not getattr(args, "acknowledge_long_run", False):
@@ -231,10 +230,9 @@ def cmd_simulate(args) -> int:
     grid, _, gate = _build_gate(cfg)
     meta = _meta(cfg)
 
-    u_realized = evolution_operator(gate_field, basis, gate.n)
-    fid = fidelity(gate, u_realized)
-    print(f"simulate: gate field realizes F = {fid:.6f}")
     closed_map = ClosedPulseMap(gate_field, basis, max(1, gate_field.n_steps // 1000))
+    fid = fidelity(gate, closed_map.gate(gate.n))
+    print(f"simulate: gate field realizes F = {fid:.6f}")
     # the drift of this map is what each pulse's renormalization removes
     print(f"closed pulse map: max |U^dag U - I| = {closed_map.unitarity_drift():.3e}")
 

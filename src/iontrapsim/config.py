@@ -113,6 +113,8 @@ class RunConfig:
             raise ValidationError("n_pulses must be at least 1")
         if self.max_iterations < 0:
             raise ValidationError("max_iterations must be non-negative (0 only evaluates)")
+        if not self.kappas:
+            raise ValidationError("kappa needs at least one value")
 
 
 def desk_config() -> RunConfig:

@@ -28,16 +28,28 @@ All three optimizers run one iteration driver, `_run_iterations`: the
 backward `propagator.sweep` of the multipliers, one `_forward_update` and
 the evaluation sweep.  Each optimizer supplies only its kernels (the
 closed `InteractionFrame` twice, or a `Lindblad` generator and its
-adjoint), its trajectories, its update bracket and its measure.
+adjoint), its trajectories, its update bracket and its measure.  The
+driver records the wall time of each backward sweep and forward update on
+the `OctTrace`.
+
+The forward update is sequential in time, since the corrected sample of
+step n depends on the states at t_n, but the multipliers ride along under
+the old field.  So `_forward_update` works a block of `propagator.BLOCK_STEPS`
+steps at a time: it steps the multipliers through the block first, and the
+bracket prepares everything that does not depend on the states for the
+whole block at once (for the closed functionals, the conjugated bras lam
+and mu lam of every step).  A step then pairs the states with its bras,
+corrects its sample, and takes one step of the states under it.
 """
 
+import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         step_operators, sweep)
+                         step_blocks, sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -113,13 +125,20 @@ class TargetSet:
 
 @dataclass
 class OctTrace:
-    """Per-iteration convergence record."""
+    """Per-iteration convergence record.
+
+    `backward_s` and `forward_s` hold the wall seconds of the backward
+    sweep and of the forward update of every iteration swept by the last
+    optimizer call on this trace; they stay in memory, so artifacts do not
+    depend on timing."""
 
     iterations: list = dataclass_field(default_factory=list)
     objectives: list = dataclass_field(default_factory=list)
     fidelities: list = dataclass_field(default_factory=list)
     fluences: list = dataclass_field(default_factory=list)
     status: str = "running"
+    backward_s: list = dataclass_field(default_factory=list)
+    forward_s: list = dataclass_field(default_factory=list)
 
     def append(self, iteration, objective, fid, fluence):
         self.iterations.append(int(iteration))
@@ -190,16 +209,26 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
 def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     """Forward sweep with immediate update; the multipliers lam ride along
     under the old field.  Both start at t = 0, where y = x, and stay in the
-    rotating variable.  `bracket(psi, lam)` returns the bracket and its
+    rotating variable.  Per block of steps, the multipliers are stepped
+    through the block first, and `bracket` of their stacked trajectory
+    returns `pairing(i, psi)`: the bracket at step i of the block and its
     dipole product, which `kernel.fresh_step` reuses.
     Returns (new field samples, final states)."""
     new_field = field.copy()
-    for n, lam_op in step_operators(adjoint, field):
-        value, coupled = bracket(psi, lam)
-        e_new = field[n] - weight[n] * value
-        new_field[n] = e_new
-        psi = kernel.fresh_step(psi, e_new, coupled)
-        lam = adjoint.step(lam, lam_op)
+    for steps, lam_ops in step_blocks(adjoint, field):
+        lams = np.empty((len(lam_ops),) + lam.shape, dtype=lam.dtype)
+        for i, op in enumerate(lam_ops):
+            lams[i] = lam
+            lam = adjoint.step(lam, op)
+        pairing = bracket(lams)
+        block = slice(steps.start, steps.stop)
+        updated = []
+        for i, (e, w) in enumerate(zip(field[block].tolist(), weight[block].tolist())):
+            value, coupled = pairing(i, psi)
+            e_new = e - w * value
+            updated.append(e_new)
+            psi = kernel.fresh_step(psi, e_new, coupled)
+        new_field[block] = updated
     return new_field, kernel.rotate_out(psi, 2 * (len(field) - 1))
 
 
@@ -230,10 +259,14 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
             trace.status = "converged"
             return ControlField(field, config.dt), trace
     start = trace.iterations[-1] + 1
+    trace.backward_s, trace.forward_s = [], []
     for it in range(start, config.max_iterations + start):
+        t0 = time.perf_counter()
         lam = sweep(adjoint, targets, field, backward=True)
+        t1 = time.perf_counter()
         field, finals = _forward_update(kernel, adjoint, weight, initials, lam, field,
                                         bracket)
+        t2 = time.perf_counter()
         if not np.all(np.isfinite(field)):
             trace.status = "aborted: non-finite field"
             raise NumericalError("field update produced non-finite samples")
@@ -250,6 +283,8 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
         else:
             stall = 0
         trace.append(it, objective, fid, ControlField(field, config.dt).fluence())
+        trace.backward_s.append(t1 - t0)
+        trace.forward_s.append(t2 - t1)
         if callback is not None:
             callback(it, ControlField(field.copy(), config.dt), trace)
         if fid >= config.fidelity_goal:
@@ -263,18 +298,27 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     return ControlField(field, config.dt), trace
 
 
-def _closed_bracket(mu, functional, n_gate):
+def _closed_bracket(mu, functional):
     """Update bracket of the closed functionals.  In the rotating variable,
-    <lam|psi> = <y_lam|y_psi> and <lam|mu_I psi> = <y_lam|mu y_psi> with the
-    static dipole mu."""
-    def bracket(psi, lam):
-        mu_psi = mu @ psi
-        lam_c = lam.conj()
-        overlaps = (lam_c * psi).sum(axis=0)
-        couplings = (lam_c * mu_psi).sum(axis=0)
-        if functional == "F":   # one phase-coherent sum over the gate trajectories
-            overlaps, couplings = np.sum(overlaps[:n_gate]), np.sum(couplings[:n_gate])
-        return float(np.sum((overlaps.conj() * couplings).imag)), mu_psi
+    <lam|psi> = <y_lam|y_psi> and <lam|mu_I psi> = <y_lam|mu y_psi> =
+    <mu y_lam|y_psi> with the static, real symmetric dipole mu.  Per block,
+    one conjugation and one real product of mu with the real view give both
+    bras of every step, so a step pairs them with psi by one
+    multiply-and-sum.  The F functional takes one phase-coherent sum over
+    its trajectories, the gate's N."""
+    def bracket(lams):
+        pairs = np.empty((len(lams), 2) + lams.shape[1:], dtype=complex)
+        bras = np.conjugate(lams, out=pairs[:, 0])
+        np.matmul(mu, bras.view(float), out=pairs[:, 1].view(float))
+        if functional == "F":
+            def pairing(i, psi):
+                overlap, coupling = np.add.reduce(pairs[i] * psi, axis=(1, 2))
+                return float((overlap.conjugate() * coupling).imag), None
+        else:
+            def pairing(i, psi):
+                overlaps, couplings = np.add.reduce(pairs[i] * psi, axis=1)
+                return float(np.vdot(overlaps, couplings).imag), None
+        return pairing
 
     return bracket
 
@@ -301,7 +345,7 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
         return objective, fidelity(targets.gate, finals[:n_gate, :n_gate])
 
     return _run_iterations(basis, config, frame, frame, init, targ,
-                           _closed_bracket(frame.mu, config.functional, n_gate),
+                           _closed_bracket(frame.mu, config.functional),
                            measure, initial_field, trace, callback)
 
 
@@ -330,7 +374,7 @@ def optimize_state_prep(basis: EigenBasis, target_amplitudes, config: OctConfig,
         return overlap2, overlap2
 
     return _run_iterations(basis, config, frame, frame, init, targ,
-                           _closed_bracket(frame.mu, "P", 1), measure,
+                           _closed_bracket(frame.mu, "P"), measure,
                            initial_field, trace, callback)
 
 
@@ -358,16 +402,21 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     n_gate = targets.n
     d = basis.n_states
 
-    def bracket(rho, eta):
+    def bracket(etas):
         """In y = P^* x P, Tr(eta [mu_I, rho]) = Tr(y_eta [mu, y_rho]) with
         the static dipole; for Hermitian y_rho, [mu, y_rho] = a^dag - a with
         a = y_rho mu, so the pairing is -2i Im Tr(y_eta a)."""
-        rho_mu = (rho.reshape(-1, d) @ frame.mu).reshape(rho.shape)
-        pair = np.einsum("tde,tde->t", eta.conj(), rho_mu).imag
-        if config.functional == "P":
-            return -float(np.sum(pair)), rho_mu
-        pops = np.einsum("tde,tde->t", eta.conj(), rho).real
-        return -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate])), rho_mu
+        etas_c = etas.conj()
+
+        def pairing(i, rho):
+            rho_mu = (rho.reshape(-1, d) @ frame.mu).reshape(rho.shape)
+            pair = np.einsum("tde,tde->t", etas_c[i], rho_mu).imag
+            if config.functional == "P":
+                return -float(np.sum(pair)), rho_mu
+            pops = np.einsum("tde,tde->t", etas_c[i], rho).real
+            return -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate])), rho_mu
+
+        return pairing
 
     def measure(rho):
         pops = np.einsum("tde,tde->t", eta_final.conj(), rho).real

@@ -14,7 +14,10 @@ Closed kernel.  With the field held over a step, mu_I(t_n + s) =
 P_n mu_I(s) P_n^*, P_n = exp(i E t_n), so in the rotating variable
 y = exp(-i E t) x one RK4 step is exactly y <- sum_k e_n^k C_k y, with five
 constant matrices C_k per direction: the step operators of an
-`InteractionFrame`, one matmul per step on amplitude columns.
+`InteractionFrame`, one matmul per step on amplitude columns.  The powers
+of e_n are real, so S = sum_k e_n^k C_k is one real product with the real
+view of the C_k, for a block of samples or for the one sample the
+optimizer has just corrected.
 
 Lindblad kernel.  The dissipator commutes with conjugation by P_n, so
 density matrices step in y = P_n^* rho P_n by RK4 with the three constant
@@ -27,8 +30,8 @@ its adjoint are the K^dag of the three stages.
 Both kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them, `fresh_step` under a sample the
 optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
-y.  One `sweep` integrates either through a pulse, and `step_operators`
-is the one block loop it shares with the optimizer's forward update.
+y.  One `sweep` integrates either through a pulse, and `step_blocks` is
+the one block loop it shares with the optimizer's forward update.
 
 Pulse maps.  Every pulse of a train replays the same waveform in the
 rotating frame, so `simulate` and the fidelity trace build each pulse's
@@ -47,7 +50,8 @@ Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
 the record without driving.  The optimizer's monotonic scheme is derived
 for this rule, so the fidelity it reports is the one `evolution_operator`
-measures.  Only `step_operators` and the optimizer's forward update
+measures, and `simulate` reads it off its `ClosedPulseMap` by the same
+column-norm check.  Only `step_blocks` and the optimizer's forward update
 apply it; every caller passes plain samples.
 """
 
@@ -67,9 +71,11 @@ MAP_UNITS = 64     # Hermitian units per sweep of a `LindbladPulseMap`: 1 MB
                    # at D = 32, where on a 2-vCPU host the 1024 units step in
                    # 42 ms in blocks of 64, and in 68 ms with 180 MB of
                    # working set as one stack
-BLOCK_STEPS = 16   # steps per block of precomputed step operators; 256 KB
-                   # of closed step matrices at D = 32 (64 steps, 1 MB, adds
-                   # 1.4 MB to the peak RSS of a paper-size optimize)
+BLOCK_STEPS = 16   # steps per block of precomputed step operators, and of
+                   # the optimizer's prepared multipliers; at D = 32, 256 KB
+                   # of closed step matrices (64 steps, 1 MB, adds 1.4 MB
+                   # to the peak RSS of a paper-size optimize), 420 KB of
+                   # closed multipliers and bras, and 9 MB of Lindblad ones
 
 
 @dataclass
@@ -265,12 +271,17 @@ class InteractionFrame:
         y <- S y is one step of y, toward earlier times if backward.  The C_k
         hold the RK4 polynomial in (i h mu_I(s))^k, s = 0, h/2, h, times the
         frame phase exp(-i E h); they are built once per direction."""
+        e = np.asarray(e, dtype=float)
+        return self._step_matrices(e[:, None] ** self._POWERS, backward)
+
+    def _step_matrices(self, powers, backward: bool) -> np.ndarray:
+        """sum_k e^k C_k for real powers (..., 5) of e: one real product
+        with the real view of the C_k, half the work of a complex one."""
         c = self._coefficients.get(backward)
         if c is None:
-            c = self._coefficients[backward] = self._rk4_coefficients(backward)
-        e = np.asarray(e, dtype=float)
+            c = self._coefficients[backward] = self._rk4_coefficients(backward).view(float)
         d = len(self.energies)
-        return (e[:, None] ** self._POWERS @ c).reshape(len(e), d, d)
+        return (powers @ c).view(complex).reshape(powers.shape[:-1] + (d, d))
 
     def _rk4_coefficients(self, backward: bool) -> np.ndarray:
         """C_0..C_4 of `operators`, flattened to (5, D^2)."""
@@ -292,8 +303,9 @@ class InteractionFrame:
         return s @ y
 
     def fresh_step(self, y, e, mu_y):
-        """One forward step of y under the held field e (mu_y unused)."""
-        return self.operators([e])[0] @ y
+        """One forward step of y under the held field e, a Python float
+        (mu_y unused): S(e) built from its powers, then S y."""
+        return self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False) @ y
 
     def rotate_in(self, x, half_idx):
         """y = exp(-i E t) x at t = half_idx dt / 2."""
@@ -375,17 +387,17 @@ class Lindblad:
         return y * self.frame.conjugation(half_idx)
 
 
-def step_operators(kernel, field, backward=False):
-    """(n, step operator of sample n) for every step of the sample array
-    `field`, in sweep order: from the last step to the first if backward.
-    The operators are built BLOCK_STEPS steps at a time; the last sample
-    closes the record without driving."""
+def step_blocks(kernel, field, backward=False):
+    """(steps, ops) for every block of up to BLOCK_STEPS steps of the sample
+    array `field`, in sweep order: ops[i] is the step operator of sample
+    steps[i], and blocks and steps run from the last step to the first if
+    backward.  The last sample closes the record without driving."""
     drive = field[:-1]
     blocks = range(0, len(drive), BLOCK_STEPS)
     for a in reversed(blocks) if backward else blocks:
         ops = kernel.operators(drive[a:a + BLOCK_STEPS], backward)
-        indices = range(a, a + len(ops))
-        yield from zip(indices[::-1], ops[::-1]) if backward else zip(indices, ops)
+        steps = range(a, a + len(ops))
+        yield (steps[::-1], ops[::-1]) if backward else (steps, ops)
 
 
 def sweep(kernel, x, field, backward=False, store_every=0, out=None):
@@ -400,13 +412,14 @@ def sweep(kernel, x, field, backward=False, store_every=0, out=None):
     if out is not None:
         out[0] = x
     step = kernel.step
-    for n, op in step_operators(kernel, field, backward):
-        y = step(y, op, backward)
-        if out is not None:
-            t = n if backward else n + 1
-            done = n_steps - t if backward else t
-            if done % store_every == 0:
-                out[done // store_every] = kernel.rotate_out(y, 2 * t)
+    for steps, ops in step_blocks(kernel, field, backward):
+        for n, op in zip(steps, ops):
+            y = step(y, op, backward)
+            if out is not None:
+                t = n if backward else n + 1
+                done = n_steps - t if backward else t
+                if done % store_every == 0:
+                    out[done // store_every] = kernel.rotate_out(y, 2 * t)
     return kernel.rotate_out(y, 0 if backward else 2 * n_steps)
 
 
@@ -472,11 +485,17 @@ def evolution_operator(
     frame = InteractionFrame(basis, fieldspec.dt)
     cols = np.zeros((basis.n_states, n_states), dtype=complex)
     cols[:n_states, :n_states] = np.eye(n_states)
-    final = sweep(frame, cols, fieldspec.samples)
-    col_norms = np.linalg.norm(final, axis=0)
+    return _gate_block(sweep(frame, cols, fieldspec.samples), n_states)
+
+
+def _gate_block(u, n_states):
+    """The first n_states rows of the first n_states columns of the
+    propagated basis columns u; NumericalError if the norm of one of those
+    columns drifted beyond tolerance."""
+    col_norms = np.linalg.norm(u[:, :n_states], axis=0)
     if not np.abs(col_norms - 1.0).max() <= NORM_DRIFT_TOL:
         raise NumericalError("column norm drift beyond tolerance in gate propagation")
-    return final[:n_states, :]
+    return u[:n_states, :n_states]
 
 
 def propagate_lindblad(
@@ -543,6 +562,11 @@ class ClosedPulseMap:
             fieldspec.samples, store_every=store_every,
             out=self.snapshots if store_every else None,
         )
+
+    def gate(self, n_states) -> np.ndarray:
+        """P U(t_pulse) P on the first n_states, as `evolution_operator`
+        gives it, with its column-norm check."""
+        return _gate_block(self.final, n_states)
 
     def unitarity_drift(self) -> float:
         """max |U^dag U - I| of U(t_pulse)."""

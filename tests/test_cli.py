@@ -3,9 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from iontrapsim import SimSystem, elementary_gate, evolution_operator, fidelity, make_grid, \
+    solve_trap
 from iontrapsim.cli import _load_run_config, build_parser, main
 from iontrapsim.config import load_config, parse_quantity, tier_config
 from iontrapsim.errors import ValidationError
+from iontrapsim.serialization import load_field
 from iontrapsim.units import TIME_AU_S
 
 DESK_INI = """
@@ -133,8 +136,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize(
         "ini",
-        ["[oct]\ndt = 0 ns\n", "[oct]\nt_pulse = -1 us\n", "[sim]\npackets = nan:0\n"],
-        ids=["zero-dt", "negative-pulse", "nan-packet"],
+        ["[oct]\ndt = 0 ns\n", "[oct]\nt_pulse = -1 us\n", "[sim]\npackets = nan:0\n",
+         "[dissipation]\nkappa =\n"],
+        ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file."""
@@ -159,6 +163,13 @@ class TestCliCommands:
             "--mode", "gate", "--dissipative", "--max-iterations", "1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_kappa_without_values_exits_2(self, tmp_path, capsys, command):
+        """`--kappa` given no values is refused, not read as the preset's."""
+        code = main([command, "--tier", "desk", "--out", str(tmp_path), "--kappa"])
+        assert code == 2
+        assert "kappa" in capsys.readouterr().err
 
     def test_dissipative_with_two_kappas_exits_2(self, tmp_path):
         code = main([
@@ -239,6 +250,29 @@ class TestCliCommands:
             with open(os.path.join(outs[0], name), "rb") as a, \
                     open(os.path.join(outs[1], name), "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_simulate_reports_evolution_operator_fidelity(self, tmp_path, capsys):
+        """The `realizes F` line, now read off the closed pulse map, prints
+        the fidelity `evolution_operator` measures for the field."""
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n[sim]\nn_pulses = 2\n")
+        out = str(tmp_path / "s")
+        main([
+            "optimize", "--config", str(ini), "--tier", "desk", "--out", out,
+            "--max-iterations", "1",
+        ])
+        capsys.readouterr()
+        field_path = os.path.join(out, "gate_p_field.csv")
+        assert main([
+            "simulate", "--config", str(ini), "--tier", "desk", "--out", out,
+            "--field", field_path, "--kappa", "1e-16",
+        ]) == 0
+        cfg = tier_config("desk")
+        basis = solve_trap(cfg.trap)
+        gate = elementary_gate(SimSystem(), make_grid(cfg.x_min, cfg.x_max, cfg.grid_points),
+                               cfg.delta_t, cfg.k_substeps)
+        want = fidelity(gate, evolution_operator(load_field(field_path), basis, gate.n))
+        assert f"simulate: gate field realizes F = {want:.6f}\n" in capsys.readouterr().out
 
     def test_dissipative_checkpoint_resumes(self, tmp_path):
         ini = tmp_path / "short.ini"

@@ -17,6 +17,7 @@ from iontrapsim import (
     gaussian_packet,
 )
 from iontrapsim.oct import switch_envelope
+from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
 
 
@@ -143,6 +144,24 @@ class TestOptimizeGate:
         )
         assert t2.iterations == [0, 1, 2, 3, 4]
         assert t2.is_monotonic()
+
+    def test_records_phase_seconds_of_its_sweeps(self, desk_basis, desk_gate, tmp_path):
+        """Wall seconds of every backward sweep and forward update run by
+        the call, kept in memory only."""
+        targets = TargetSet(desk_gate.entries)
+        cfg = small_config(t_pulse=0.2e-6 / TIME_AU_S, max_iterations=3)
+        field, trace = optimize_gate(desk_basis, targets, cfg)
+        assert len(trace) == 4
+        for seconds in (trace.backward_s, trace.forward_s):
+            assert len(seconds) == len(trace) - 1
+            assert all(s > 0 for s in seconds)
+        save_trace(trace, str(tmp_path / "trace.csv"))
+        loaded = load_trace(str(tmp_path / "trace.csv"))
+        assert loaded.backward_s == [] and loaded.forward_s == []
+        _, trace = optimize_gate(desk_basis, targets, small_config(
+            t_pulse=0.2e-6 / TIME_AU_S, max_iterations=1), initial_field=field, trace=loaded)
+        assert trace.iterations == [0, 1, 2, 3, 4]
+        assert len(trace.backward_s) == len(trace.forward_s) == 1
 
     def test_functional_configs_validated(self):
         with pytest.raises(ValidationError):

@@ -181,6 +181,8 @@ class TestClosedPropagation:
         assert pulse_map.unitarity_drift() > 1e-8
         with pytest.raises(NumericalError, match="norm drift"):
             pulse_map.apply(np.array([1.0, 0.0], dtype=complex))
+        with pytest.raises(NumericalError, match="column norm drift"):
+            pulse_map.gate(2)
 
 
 class TestClosedSweep:

@@ -17,6 +17,7 @@ from iontrapsim import (
     QuantumState,
     build_dissipation,
     encode,
+    evolution_operator,
     fidelity_trace,
     gaussian_packet,
     make_guess_field,
@@ -102,6 +103,13 @@ def test_closed_simulation_matches_propagate_tdse(desk_basis, desk_grid, train_f
     assert_relative(got_norms, np.concatenate(norms))
     assert_relative(periodicity_residual(got_pulses), periodicity_residual(pulses))
     assert np.abs(pulses[1] - pulses[0]).max() > 0.1
+
+
+def test_closed_map_gate_is_evolution_operator(desk_basis, train_field):
+    """`simulate` reads its realized gate off the map: bit for bit the one
+    `evolution_operator` sweeps for the N gate columns alone."""
+    assert np.array_equal(ClosedPulseMap(train_field, desk_basis, 7).gate(4),
+                          evolution_operator(train_field, desk_basis, 4))
 
 
 def test_dissipative_simulation_matches_propagate_lindblad(
