@@ -5,6 +5,14 @@ byte-identical.  Files are written atomically (temp file, then rename).
 Each writer accepts a `meta` mapping that is embedded verbatim (JSON) or
 as `# key=value` comment lines (CSV), used by the CLI for provenance
 hashes.
+
+Every loader reads its CSV files through one reader, `_read_table`, in
+one pass: meta lines, a header, then rows parsed by Python's `float` into
+one float64 array, so loaded values are bit-identical to what was
+written.  Every cell must be a number and every row must have the
+header's column count; a loader also checks the shape its artifact
+needs.  A file that breaks either raises ValidationError, which the CLI
+reports on one line with exit code 2.
 """
 
 import csv
@@ -55,21 +63,47 @@ def _write_csv(path, header, rows, meta=None):
     _atomic_write(path, cb)
 
 
-def _read_csv(path):
-    meta = {}
+def _read_table(path):
+    """Read a CSV artifact in one pass: (header, data, meta).
+
+    `# key=value` lines go to `meta`; the first other line is the header;
+    blank lines are skipped.  Every data row must have one cell per header
+    column and every cell must parse as a Python `float`, or this raises
+    ValidationError naming the file and line.  `data` is a float64
+    (rows, columns) array, (0, columns) when the file has no rows.
+    """
     with open(path, newline="") as handle:
-        rows = []
-        header = None
-        for line in handle:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-                continue
-            if header is None:
-                header = next(csv.reader([line]))
-            else:
-                rows.append(next(csv.reader([line])))
-    return header, rows, meta
+        lines = handle.read().splitlines()
+    meta, header, cells, numbers = {}, None, [], []
+    for number, line in enumerate(lines, 1):
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            meta[key.strip()] = value
+        elif not line.strip():
+            continue
+        elif header is None:
+            header = line.split(",")
+        else:
+            row = line.split(",")
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}, line {number}: {len(row)} cells, the header has {len(header)}"
+                )
+            cells.extend(row)
+            numbers.append(number)
+    if header is None:
+        raise ValidationError(f"{path} has no header line")
+    try:
+        data = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}, line {numbers[i // len(header)]}: {cell!r} is not a number"
+                ) from None
+    return header, data.reshape(len(numbers), len(header)), meta
 
 
 def _matrix_rows(matrix):
@@ -113,13 +147,24 @@ def load_eigenbasis(outdir: str) -> EigenBasis:
         payload = json.load(handle)
     params = TrapParams(**payload["params"])
     energies = np.array(payload["energies_au"])
+    d = params.dynamical_size
+    if energies.shape != (d,):
+        raise ValidationError(
+            f"{os.path.join(outdir, 'basis.json')} holds {energies.size} energies, not {d}"
+        )
 
-    def read_matrix(name):
-        _, rows, _ = _read_csv(os.path.join(outdir, f"{name}.csv"))
-        return np.array([[float(v) for v in row[1:]] for row in rows])
+    def read_matrix(name, rows):
+        path = os.path.join(outdir, f"{name}.csv")
+        _, data, _ = _read_table(path)
+        if data.shape != (rows, d + 1):
+            raise ValidationError(
+                f"{path} holds a {data.shape[0]}x{data.shape[1] - 1} matrix, "
+                f"basis.json needs {rows}x{d}"
+            )
+        return np.ascontiguousarray(data[:, 1:])
 
-    vectors = read_matrix("vectors")
-    z_matrix = read_matrix("z_matrix")
+    vectors = read_matrix("vectors", params.primitive_size)
+    z_matrix = read_matrix("z_matrix", d)
     return EigenBasis(
         params=params,
         energies=energies,
@@ -158,10 +203,20 @@ def load_gate(path_csv: str, path_json: str) -> GateMatrix:
     with open(path_json) as handle:
         header = json.load(handle)
     n = int(header["n"])
+    _, data, _ = _read_table(path_csv)
+    index = data[:, :2].astype(int)
+    if (
+        data.shape != (n * n, 4)
+        or (index != data[:, :2]).any()
+        or (index < 0).any()
+        or (index >= n).any()
+        or (np.bincount(index[:, 0] * n + index[:, 1], minlength=n * n) != 1).any()
+    ):
+        raise ValidationError(
+            f"gate file {path_csv} does not hold each (row, col) of a {n}x{n} matrix once"
+        )
     entries = np.zeros((n, n), dtype=complex)
-    _, rows, _ = _read_csv(path_csv)
-    for row in rows:
-        entries[int(row[0]), int(row[1])] = float(row[2]) + 1j * float(row[3])
+    entries[index[:, 0], index[:, 1]] = data[:, 2] + 1j * data[:, 3]
     return GateMatrix(
         entries, float(header["delta_t_au"]), int(header["k_substeps"]),
         label=header.get("potential", ""),
@@ -180,11 +235,10 @@ def save_field(field: ControlField, path: str, meta=None):
 
 
 def load_field(path: str) -> ControlField:
-    _, rows, _ = _read_csv(path)
-    if len(rows) < 2:
-        raise ValidationError(f"field file {path} has fewer than two samples")
-    t = np.array([float(r[0]) for r in rows])
-    e = np.array([float(r[1]) for r in rows])
+    _, data, _ = _read_table(path)
+    if len(data) < 2 or data.shape[1] < 2:
+        raise ValidationError(f"field file {path} has fewer than two (t_au, e_au) samples")
+    t, e = data[:, 0], data[:, 1].copy()
     dts = np.diff(t)
     if np.abs(dts - dts[0]).max() > 1e-9 * abs(dts[0]):
         raise ValidationError(f"field file {path} is not uniformly sampled")
@@ -206,12 +260,17 @@ def save_trace(trace: OctTrace, path: str, meta=None):
 
 
 def load_trace(path: str) -> OctTrace:
-    _, rows, meta = _read_csv(path)
-    trace = OctTrace()
-    for row in rows:
-        trace.append(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-    trace.status = meta.get("status", "loaded")
-    return trace
+    _, data, meta = _read_table(path)
+    iterations = data[:, 0].astype(int)
+    if data.shape[1] != 4 or (iterations != data[:, 0]).any():
+        raise ValidationError(f"trace file {path} needs 4 columns and integer iterations")
+    return OctTrace(
+        iterations=iterations.tolist(),
+        objectives=data[:, 1].tolist(),
+        fidelities=data[:, 2].tolist(),
+        fluences=data[:, 3].tolist(),
+        status=meta.get("status", "loaded"),
+    )
 
 
 # ---------------------------------------------------------------- amplitudes

@@ -1,14 +1,16 @@
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
 
-from iontrapsim import SimSystem, elementary_gate, evolution_operator, fidelity, make_grid, \
-    solve_trap
+from iontrapsim import ControlField, SimSystem, elementary_gate, evolution_operator, fidelity, \
+    make_grid, solve_trap
 from iontrapsim.cli import _load_run_config, build_parser, main
 from iontrapsim.config import load_config, parse_quantity, tier_config
 from iontrapsim.errors import ValidationError
-from iontrapsim.serialization import load_field
+from iontrapsim.serialization import load_eigenbasis, load_field, load_gate, save_field
 from iontrapsim.units import TIME_AU_S
 
 DESK_INI = """
@@ -355,3 +357,82 @@ class TestCliCommands:
         assert "peaks" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "gate_p_field_spectrum.csv"))
         assert os.path.exists(os.path.join(out, "gate_p_field_filtered.csv"))
+
+
+def _replace_cell(line_no, col, value):
+    def edit(lines):
+        cells = lines[line_no].split(",")
+        cells[col] = value
+        lines[line_no] = ",".join(cells)
+    return edit
+
+
+def _drop_last_cell(line_no):
+    def edit(lines):
+        lines[line_no] = lines[line_no].rsplit(",", 1)[0]
+    return edit
+
+
+def _drop_last_column(lines):
+    lines[:] = [line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines]
+
+
+def _keep_meta_only(lines):
+    lines[:] = [line for line in lines if line.startswith("#")]
+
+
+# (file, edit of its lines, error message pattern); the field file has two
+# meta lines and a header, so lines[4] is its second data row, line 5
+MALFORMED = {
+    "non_numeric_cell": ("gate_p_field.csv", _replace_cell(4, 1, "abc"),
+                         r"gate_p_field\.csv, line 5: 'abc' is not a number"),
+    "ragged_row": ("gate_p_field.csv", _drop_last_cell(4),
+                   r"gate_p_field\.csv, line 5: 3 cells, the header has 4"),
+    "missing_header": ("gate_p_field.csv", _keep_meta_only,
+                       r"gate_p_field\.csv has no header line"),
+    "short_gate": ("gate.csv", lambda lines: lines.pop(), r"gate\.csv does not hold"),
+    "gate_index_out_of_range": ("gate.csv", _replace_cell(-1, 1, "4"), r"gate\.csv does not hold"),
+    "gate_duplicate_pair": ("gate.csv", _replace_cell(-1, 1, "2"), r"gate\.csv does not hold"),
+    "wrong_z_matrix": ("z_matrix.csv", _drop_last_column, r"z_matrix\.csv holds a 8x7 matrix"),
+}
+
+
+@pytest.fixture(scope="module")
+def desk_artifacts(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("artifacts"))
+    assert main(["trap", "--tier", "desk", "--out", out]) == 0
+    assert main(["gate", "--tier", "desk", "--out", out]) == 0
+    save_field(ControlField(np.linspace(0.0, 1e-13, 11), dt=40.0),
+               os.path.join(out, "gate_p_field.csv"), {"config_hash": "x", "tier": "desk"})
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_exits_2(tmp_path, capsys, desk_artifacts, case):
+    """A malformed artifact is a ValidationError naming the file (and the
+    line, for a bad cell or row).  No CLI command loads the gate or the
+    basis (they are rebuilt from the config), so those cases check the
+    loaders; every field-loading command exits 2 with one line."""
+    name, edit, message = MALFORMED[case]
+    out = str(tmp_path / "art")
+    shutil.copytree(desk_artifacts, out)
+    path = os.path.join(out, name)
+    with open(path, newline="") as handle:
+        lines = handle.read().splitlines()
+    edit(lines)
+    with open(path, "w", newline="") as handle:
+        handle.write("\r\n".join(lines) + "\r\n")
+
+    if name == "gate.csv":
+        with pytest.raises(ValidationError, match=message):
+            load_gate(path, os.path.join(out, "gate.json"))
+    elif name == "z_matrix.csv":
+        with pytest.raises(ValidationError, match=message):
+            load_eigenbasis(out)
+    else:
+        capsys.readouterr()
+        for argv in (["analyze", "--field", path], ["simulate", "--field", path],
+                     ["optimize", "--resume", path]):
+            assert main(argv + ["--tier", "desk", "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and re.search(message, err), err
