@@ -10,7 +10,6 @@ Lindblad dissipation.
 from .analysis import (
     Spectrum,
     bandpass_filter,
-    default_filter_band,
     fidelity_trace,
     mean_position_ion,
     mean_position_sim,
@@ -45,11 +44,8 @@ from .oct import (
 from .propagator import (
     ControlField,
     DissipationModel,
-    QuantumState,
     build_dissipation,
     evolution_operator,
-    propagate_lindblad,
-    propagate_tdse,
 )
 from .trap import EigenBasis, TrapParams, solve_trap, transition_table
 
@@ -64,7 +60,6 @@ __all__ = [
     "NumericalError",
     "OctConfig",
     "OctTrace",
-    "QuantumState",
     "QubitAmplitudes",
     "SimSystem",
     "Spectrum",
@@ -76,7 +71,6 @@ __all__ = [
     "build_dissipation",
     "classic_propagate",
     "decode",
-    "default_filter_band",
     "elementary_gate",
     "encode",
     "evolution_operator",
@@ -92,8 +86,6 @@ __all__ = [
     "optimize_state_prep",
     "periodicity_residual",
     "phase_spread",
-    "propagate_lindblad",
-    "propagate_tdse",
     "solve_trap",
     "spectrum",
     "split_step",

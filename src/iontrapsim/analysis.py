@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gridsim import Grid
-from .propagator import (ControlField, DissipationModel, LindbladPulseMap, QuantumState,
-                         hermitian_matrices)
+from .propagator import ControlField, DissipationModel, LindbladPulseMap, hermitian_matrices
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -84,21 +83,17 @@ def bandpass_filter(field: ControlField, keep_band) -> ControlField:
     return ControlField(out, field.dt)
 
 
-def default_filter_band(basis: EigenBasis) -> tuple:
-    """[0.5 MHz, 1.05 x highest delta-nu = 3 transition frequency] in Hz."""
-    n = basis.n_qubits
-    top = (basis.energies[n - 1] - basis.energies[n - 4]) / (2 * np.pi * TIME_AU_S)
-    return (0.5e6, 1.05 * float(top))
-
-
-def mean_position_ion(state: QuantumState, basis: EigenBasis, t: float = 0.0) -> float:
-    """<z> in a.u. with interaction-picture phases restored at time t."""
-    z = basis.z_matrix[: state.dim, : state.dim]
-    phase = np.exp(-1j * basis.energies[: state.dim] * t)
-    if state.is_matrix:
-        rho = phase[:, None] * state.data * phase.conj()[None, :]
+def mean_position_ion(state, basis: EigenBasis, t: float = 0.0) -> float:
+    """<z> in a.u. of an amplitude vector or a density matrix in the
+    eigenbasis, with interaction-picture phases restored at time t."""
+    state = np.asarray(state)
+    dim = state.shape[0]
+    z = basis.z_matrix[:dim, :dim]
+    phase = np.exp(-1j * basis.energies[:dim] * t)
+    if state.ndim == 2:
+        rho = phase[:, None] * state * phase.conj()[None, :]
         return float(np.trace(rho @ z).real)
-    c = phase * state.data
+    c = phase * state
     return float((c.conj() @ z @ c).real)
 
 

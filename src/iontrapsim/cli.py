@@ -19,7 +19,7 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
 from .oct import OctConfig, TargetSet, fidelity, optimize_gate, \
     optimize_gate_dissipative, optimize_state_prep
-from .propagator import ClosedPulseMap, LindbladPulseMap, QuantumState, build_dissipation
+from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation
 from .trap import solve_trap, transition_table
 from .units import TIME_AU_S
 
@@ -210,12 +210,12 @@ def _dissipative_simulation(cfg, basis, gate, pulse_map, grid, c0):
     c[: len(c0)] = c0
     rho = np.outer(c, c.conj())
     pulses = [np.real(np.diag(rho))[: grid.n].copy()]
-    zs = [analysis.mean_position_ion(QuantumState(rho), basis)]
+    zs = [analysis.mean_position_ion(rho, basis)]
     for _ in range(cfg.n_pulses):
         rho = pulse_map.apply(rho)
         rho = rho / np.trace(rho).real
         pulses.append(np.real(np.diag(rho))[: grid.n].copy())
-        zs.append(analysis.mean_position_ion(QuantumState(rho), basis))
+        zs.append(analysis.mean_position_ion(rho, basis))
     fid_trace = analysis.map_fidelity_trace(pulse_map, cfg.n_pulses, gate)
     return pulses, zs, fid_trace
 

@@ -391,9 +391,11 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     Trajectories are density matrices rho_j from the basis projectors (plus
     the superposition projector for the P functional); multipliers eta_j
     run backward from the target projectors under the adjoint generator.
-    The objective is sum_j Tr(W_j rho_j(T)); the fidelity column reports
-    the mean target population of the gate trajectories, the
-    phase-insensitive surrogate available in the density formalism.
+    The objective is sum_j Tr(W_j rho_j(T)).  The trace's fidelities, and
+    so the `fidelity` column of `*_diss_trace.csv`, are the mean target
+    population of the gate trajectories, the phase-insensitive surrogate
+    available in the density formalism.  They are not the gate fidelity
+    that `fidelity` and the process-fidelity trace of `analysis` report.
     """
     frame = InteractionFrame(basis, config.dt)
     init_vecs, targ_vecs = targets.trajectories(basis.n_states, config.functional == "P")

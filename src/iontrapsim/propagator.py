@@ -43,8 +43,9 @@ Phi, real-linear on Hermitian matrices, as one real (D^2, D^2) matrix on
 triangle mirrored below it), built by sweeping the D^2 Hermitian units
 E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at a time.  At paper
 size that is a 1024^2 matrix (8 MB) from 16 sweeps of 64 units, 1 MB per
-stack.  Both apply the end-of-pulse checks of `propagate_tdse` and
-`propagate_lindblad` to every pulse.
+stack.  Their `apply` checks every pulse's result: the norm of an
+amplitude vector, and the Hermiticity, trace and positivity of a density
+matrix.  Drift beyond tolerance raises NumericalError.
 
 Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
@@ -114,57 +115,6 @@ class ControlField:
 
     def peak_v_per_m(self) -> float:
         return float(np.abs(self.samples).max() * FIELD_AU_V_PER_M)
-
-
-def density_matrix_fault(rho, trace: float = 1.0) -> str:
-    """What keeps rho from being a density matrix of the given trace:
-    Hermiticity, trace or positivity, checked in that order; "" if nothing.
-    Every comparison fails on NaN."""
-    herm_err = np.abs(rho - rho.conj().T).max()
-    if not herm_err <= HERMITICITY_TOL:
-        return f"Hermiticity error {herm_err:.2e}"
-    trace_err = abs(np.trace(rho).real - trace)
-    if not trace_err <= TRACE_TOL:
-        return f"trace error {trace_err:.2e}"
-    min_eig = np.linalg.eigvalsh(rho).min()
-    if not min_eig >= -POSITIVITY_TOL:
-        return f"minimum eigenvalue {min_eig:.2e}"
-    return ""
-
-
-@dataclass
-class QuantumState:
-    """Ion state in the eigenbasis: amplitude vector or density matrix."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.ndim not in (1, 2):
-            raise ValidationError("state must be a vector or a square matrix")
-        if self.data.ndim == 2 and self.data.shape[0] != self.data.shape[1]:
-            raise ValidationError("density matrix must be square")
-
-    @property
-    def is_matrix(self) -> bool:
-        return self.data.ndim == 2
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def validate(self) -> None:
-        if self.is_matrix:
-            fault = density_matrix_fault(self.data)
-            if fault:
-                raise ValidationError(f"not a density matrix: {fault}")
-        elif not abs(np.linalg.norm(self.data) - 1.0) <= NORM_DRIFT_TOL:
-            raise ValidationError("state vector is not normalized")
-
-    def to_matrix(self) -> "QuantumState":
-        if self.is_matrix:
-            return self
-        return QuantumState(np.outer(self.data, self.data.conj()))
 
 
 @dataclass
@@ -423,14 +373,6 @@ def sweep(kernel, x, field, backward=False, store_every=0, out=None):
     return kernel.rotate_out(y, 0 if backward else 2 * n_steps)
 
 
-def _snapshots(fieldspec: ControlField, store_every: int, shape: tuple):
-    """Times and an empty buffer for a snapshot before the first step and
-    after every store_every steps; none when store_every is 0."""
-    n_stored = fieldspec.n_steps // store_every + 1 if store_every else 0
-    times = np.arange(n_stored) * store_every * fieldspec.dt
-    return times, np.empty((n_stored,) + shape, dtype=complex)
-
-
 def _check_norm(final, initial):
     """NumericalError if one pulse changed the norm of an amplitude vector
     beyond tolerance."""
@@ -443,37 +385,19 @@ def _check_norm(final, initial):
 
 def _check_density(final, initial):
     """NumericalError unless one Lindblad pulse left a density matrix of the
-    initial trace (`density_matrix_fault`)."""
-    fault = density_matrix_fault(final, np.trace(initial).real)
-    if fault:
-        raise NumericalError(f"Lindblad step-size failure: {fault}")
-
-
-def propagate_tdse(
-    state: QuantumState,
-    fieldspec: ControlField,
-    basis: EigenBasis,
-    store_every: int = 0,
-):
-    """Propagate an amplitude vector through one pulse.
-
-    Returns (final QuantumState, times, stored) where `stored` is an array of
-    amplitude snapshots every `store_every` steps (empty when 0).  Raises
-    NumericalError if the norm drifts beyond tolerance.
-    """
-    if state.is_matrix:
-        raise ValidationError("propagate_tdse expects an amplitude vector")
-    state.validate()
-    if state.dim != basis.n_states:
-        raise ValidationError("state dimension does not match the basis")
-    frame = InteractionFrame(basis, fieldspec.dt)
-    times, stored = _snapshots(fieldspec, store_every, (state.dim,))
-    final = sweep(
-        frame, state.data[:, None], fieldspec.samples,
-        store_every=store_every, out=stored[:, :, None] if store_every else None,
-    )[:, 0]
-    _check_norm(final, state.data)
-    return QuantumState(final), times, stored
+    initial trace: Hermiticity, trace and positivity, checked in that order.
+    Every comparison fails on NaN.  `hermitian_matrices` returns exactly
+    Hermitian matrices, so the Hermiticity check fails on NaN alone; it
+    stays as a guard on the result."""
+    herm_err = np.abs(final - final.conj().T).max()
+    if not herm_err <= HERMITICITY_TOL:
+        raise NumericalError(f"Lindblad step-size failure: Hermiticity error {herm_err:.2e}")
+    trace_err = abs(np.trace(final).real - np.trace(initial).real)
+    if not trace_err <= TRACE_TOL:
+        raise NumericalError(f"Lindblad step-size failure: trace error {trace_err:.2e}")
+    min_eig = np.linalg.eigvalsh(final).min()
+    if not min_eig >= -POSITIVITY_TOL:
+        raise NumericalError(f"Lindblad step-size failure: minimum eigenvalue {min_eig:.2e}")
 
 
 def evolution_operator(
@@ -496,35 +420,6 @@ def _gate_block(u, n_states):
     if not np.abs(col_norms - 1.0).max() <= NORM_DRIFT_TOL:
         raise NumericalError("column norm drift beyond tolerance in gate propagation")
     return u[:n_states, :n_states]
-
-
-def propagate_lindblad(
-    state: QuantumState,
-    fieldspec: ControlField,
-    basis: EigenBasis,
-    diss: DissipationModel,
-    store_every: int = 0,
-):
-    """Propagate a density matrix through one pulse with dissipation.
-
-    Returns (final QuantumState, times, stored snapshots).  Trace and
-    positivity are enforced as hard checks at the end of the pulse by
-    `density_matrix_fault`.  Its Hermiticity check reads exactly 0 for a
-    Hermitian start, because every stage of the `Lindblad` kernel is
-    Hermitian in floating point; it stays as a guard on the result.
-    """
-    rho_state = state.to_matrix()
-    rho_state.validate()
-    if rho_state.dim != basis.n_states:
-        raise ValidationError("state dimension does not match the basis")
-    frame = InteractionFrame(basis, fieldspec.dt)
-    times, stored = _snapshots(fieldspec, store_every, (rho_state.dim,) * 2)
-    final = sweep(
-        Lindblad(frame, diss), rho_state.data, fieldspec.samples,
-        store_every=store_every, out=stored if store_every else None,
-    )
-    _check_density(final, rho_state.data)
-    return QuantumState(final), times, stored
 
 
 def hermitian_coordinates(x) -> np.ndarray:
@@ -555,8 +450,10 @@ class ClosedPulseMap:
 
     def __init__(self, fieldspec: ControlField, basis: EigenBasis, store_every: int = 0):
         d = basis.n_states
+        n_stored = fieldspec.n_steps // store_every + 1 if store_every else 0
         self.t_pulse = fieldspec.t_pulse
-        self.times, self.snapshots = _snapshots(fieldspec, store_every, (d, d))
+        self.times = np.arange(n_stored) * store_every * fieldspec.dt
+        self.snapshots = np.empty((n_stored, d, d), dtype=complex)
         self.final = sweep(
             InteractionFrame(basis, fieldspec.dt), np.eye(d, dtype=complex),
             fieldspec.samples, store_every=store_every,
@@ -575,7 +472,8 @@ class ClosedPulseMap:
 
     def apply(self, state):
         """(amplitudes after the pulse, their snapshots) of an amplitude
-        vector; NumericalError on norm drift, as in `propagate_tdse`."""
+        vector; NumericalError if the pulse changed its norm beyond
+        tolerance."""
         final = self.final @ state
         _check_norm(final, state)
         return final, self.snapshots @ state
@@ -609,7 +507,7 @@ class LindbladPulseMap:
 
     def apply(self, rho) -> np.ndarray:
         """The density matrix rho after the pulse; NumericalError unless it
-        is one of the same trace, as in `propagate_lindblad`."""
+        is a density matrix of the same trace (`_check_density`)."""
         c = hermitian_coordinates(rho).ravel() @ self.matrix
         final = hermitian_matrices(c.reshape(rho.shape))
         _check_density(final, rho)

@@ -143,15 +143,17 @@ def save_eigenbasis(basis: EigenBasis, outdir: str, meta=None) -> dict:
 
 
 def load_eigenbasis(outdir: str) -> EigenBasis:
-    with open(os.path.join(outdir, "basis.json")) as handle:
-        payload = json.load(handle)
-    params = TrapParams(**payload["params"])
-    energies = np.array(payload["energies_au"])
+    path_json = os.path.join(outdir, "basis.json")
+    try:
+        with open(path_json) as handle:
+            payload = json.load(handle)
+        params = TrapParams(**payload["params"])
+        energies = np.array(payload["energies_au"])
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValidationError(f"{path_json} is not a basis sidecar: {err!r}") from None
     d = params.dynamical_size
     if energies.shape != (d,):
-        raise ValidationError(
-            f"{os.path.join(outdir, 'basis.json')} holds {energies.size} energies, not {d}"
-        )
+        raise ValidationError(f"{path_json} holds {energies.size} energies, not {d}")
 
     def read_matrix(name, rows):
         path = os.path.join(outdir, f"{name}.csv")
@@ -200,9 +202,14 @@ def save_gate(gate: GateMatrix, path_csv: str, path_json: str, meta=None):
 
 
 def load_gate(path_csv: str, path_json: str) -> GateMatrix:
-    with open(path_json) as handle:
-        header = json.load(handle)
-    n = int(header["n"])
+    try:
+        with open(path_json) as handle:
+            header = json.load(handle)
+        n = int(header["n"])
+        delta_t, k_substeps = float(header["delta_t_au"]), int(header["k_substeps"])
+        label = header.get("potential", "")
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ValidationError(f"{path_json} is not a gate sidecar: {err!r}") from None
     _, data, _ = _read_table(path_csv)
     index = data[:, :2].astype(int)
     if (
@@ -217,10 +224,7 @@ def load_gate(path_csv: str, path_json: str) -> GateMatrix:
         )
     entries = np.zeros((n, n), dtype=complex)
     entries[index[:, 0], index[:, 1]] = data[:, 2] + 1j * data[:, 3]
-    return GateMatrix(
-        entries, float(header["delta_t_au"]), int(header["k_substeps"]),
-        label=header.get("potential", ""),
-    )
+    return GateMatrix(entries, delta_t, k_substeps, label=label)
 
 
 # -------------------------------------------------------------------- field

@@ -22,7 +22,6 @@ import pytest
 
 from iontrapsim import (
     OctConfig,
-    QuantumState,
     SimSystem,
     TargetSet,
     TrapParams,
@@ -42,13 +41,11 @@ from iontrapsim import (
     optimize_gate_dissipative,
     periodicity_residual,
     phase_spread,
-    propagate_lindblad,
-    propagate_tdse,
     solve_trap,
     spectrum,
     transition_table,
 )
-from iontrapsim.propagator import ControlField
+from iontrapsim.propagator import ClosedPulseMap, ControlField, LindbladPulseMap
 from iontrapsim.units import TIME_AU_S
 
 from conftest import desk_oct_config
@@ -141,8 +138,7 @@ def test_encoding_mean_position_magnitude(paper_basis, paper_grid):
     calibration target corresponds to an unspecified gauge and no standard
     convention reproduces it."""
     c = encode(gaussian_packet(paper_grid, 1.0, -0.75)).c
-    state = QuantumState(np.pad(c, (0, 16)))
-    z = abs(mean_position_ion(state, paper_basis))
+    z = abs(mean_position_ion(np.pad(c, (0, 16)), paper_basis))
     passed = bool(abs(z - 114.8) / 114.8 < 0.05)
     report(
         "encoding (mean position)",
@@ -160,8 +156,8 @@ def test_propagators(desk_basis):
     c = rng.normal(size=8) + 1j * rng.normal(size=8)
     c /= np.linalg.norm(c)
     zero = ControlField(np.zeros(400 + 1), 1e8 / 400)
-    out, _, _ = propagate_tdse(QuantumState(c), zero, desk_basis)
-    zero_ok = np.abs(out.data - c).max() < 1e-12
+    out, _ = ClosedPulseMap(zero, desk_basis).apply(c)
+    zero_ok = np.abs(out - c).max() < 1e-12
 
     # Rabi oracle
     basis2 = two_level_basis()
@@ -171,9 +167,9 @@ def test_propagators(desk_basis):
     dt = t_total / steps
     t = np.arange(steps + 1) * dt
     fld = ControlField(rabi * np.cos(t), dt)
-    _, times, stored = propagate_tdse(
-        QuantumState(np.array([1.0, 0.0], dtype=complex)), fld, basis2, store_every=10
-    )
+    rabi_map = ClosedPulseMap(fld, basis2, store_every=10)
+    _, stored = rabi_map.apply(np.array([1.0, 0.0], dtype=complex))
+    times = rabi_map.times
     p1 = np.abs(stored[:, 1]) ** 2
     i = int(np.argmax(p1))
     y0, y1, y2 = p1[i - 1], p1[i], p1[i + 1]
@@ -185,30 +181,23 @@ def test_propagators(desk_basis):
     c0 = np.zeros(8, dtype=complex)
     c0[0] = 1.0
     diss = build_dissipation(desk_basis, kappa=1e-15)
-    rho, _, _ = propagate_lindblad(
-        QuantumState(np.outer(c0, c0.conj())), field, desk_basis, diss
-    )
-    trace_ok = abs(np.trace(rho.data).real - 1.0) < 1e-8
-    herm_ok = np.abs(rho.data - rho.data.conj().T).max() < 1e-10
-    pos_ok = np.linalg.eigvalsh(rho.data).min() > -1e-6
+    rho = LindbladPulseMap(field, desk_basis, diss).apply(np.outer(c0, c0.conj()))
+    trace_ok = abs(np.trace(rho).real - 1.0) < 1e-8
+    herm_ok = np.abs(rho - rho.conj().T).max() < 1e-10
+    pos_ok = np.linalg.eigvalsh(rho).min() > -1e-6
 
-    out_vec, _, _ = propagate_tdse(QuantumState(c0), field, desk_basis)
-    rho0, _, _ = propagate_lindblad(
-        QuantumState(np.outer(c0, c0.conj())), field, desk_basis,
-        build_dissipation(desk_basis, kappa=0.0),
-    )
-    limit_ok = np.abs(
-        rho0.data - np.outer(out_vec.data, out_vec.data.conj())
-    ).max() < 1e-8
+    out_vec, _ = ClosedPulseMap(field, desk_basis).apply(c0)
+    rho0 = LindbladPulseMap(
+        field, desk_basis, build_dissipation(desk_basis, kappa=0.0)
+    ).apply(np.outer(c0, c0.conj()))
+    limit_ok = np.abs(rho0 - np.outer(out_vec, out_vec.conj())).max() < 1e-8
 
     # RK4 step halving on the same held field
     halved = np.empty(2 * field.n_steps + 1)
     halved[::2] = field.samples
     halved[1::2] = field.samples[:-1]
-    fine, _, _ = propagate_tdse(
-        QuantumState(c0), ControlField(halved, field.dt / 2), desk_basis
-    )
-    halving_ok = np.abs(out_vec.data - fine.data).max() < 1e-6
+    fine, _ = ClosedPulseMap(ControlField(halved, field.dt / 2), desk_basis).apply(c0)
+    halving_ok = np.abs(out_vec - fine).max() < 1e-6
 
     passed = all((zero_ok, rabi_ok, trace_ok, herm_ok, pos_ok, limit_ok, halving_ok))
     report(
@@ -363,7 +352,7 @@ def test_paper_tier_documented():
     report(
         "paper tier",
         passed,
-        "full-scale run deferred to scripts/reproduce_paper.sh (overnight, "
+        "full-scale run deferred to scripts/reproduce_paper.sh (hours, "
         "checkpointed); see also `pytest -m paper`",
     )
     assert passed

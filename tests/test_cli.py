@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shutil
@@ -381,6 +382,20 @@ def _keep_meta_only(lines):
     lines[:] = [line for line in lines if line.startswith("#")]
 
 
+def _truncate(n_chars):
+    def edit(lines):
+        lines[:] = ["\n".join(lines)[:n_chars]]
+    return edit
+
+
+def _edit_json(change):
+    def edit(lines):
+        payload = json.loads("\n".join(lines))
+        change(payload)
+        lines[:] = json.dumps(payload, indent=2).splitlines()
+    return edit
+
+
 # (file, edit of its lines, error message pattern); the field file has two
 # meta lines and a header, so lines[4] is its second data row, line 5
 MALFORMED = {
@@ -394,6 +409,11 @@ MALFORMED = {
     "gate_index_out_of_range": ("gate.csv", _replace_cell(-1, 1, "4"), r"gate\.csv does not hold"),
     "gate_duplicate_pair": ("gate.csv", _replace_cell(-1, 1, "2"), r"gate\.csv does not hold"),
     "wrong_z_matrix": ("z_matrix.csv", _drop_last_column, r"z_matrix\.csv holds a 8x7 matrix"),
+    "truncated_gate_json": ("gate.json", _truncate(40), r"gate\.json is not a gate sidecar"),
+    "basis_without_energies": ("basis.json", _edit_json(lambda p: p.pop("energies_au")),
+                               r"basis\.json is not a basis sidecar: KeyError"),
+    "basis_unknown_param": ("basis.json", _edit_json(lambda p: p["params"].update(extra=1.0)),
+                            r"basis\.json is not a basis sidecar: TypeError"),
 }
 
 
@@ -409,10 +429,10 @@ def desk_artifacts(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifact_exits_2(tmp_path, capsys, desk_artifacts, case):
-    """A malformed artifact is a ValidationError naming the file (and the
-    line, for a bad cell or row).  No CLI command loads the gate or the
-    basis (they are rebuilt from the config), so those cases check the
-    loaders; every field-loading command exits 2 with one line."""
+    """A malformed artifact or JSON sidecar is a ValidationError naming
+    the file (and the line, for a bad cell or row).  No CLI command loads
+    the gate or the basis (they are rebuilt from the config), so those cases
+    check the loaders; every field-loading command exits 2 with one line."""
     name, edit, message = MALFORMED[case]
     out = str(tmp_path / "art")
     shutil.copytree(desk_artifacts, out)
@@ -423,10 +443,10 @@ def test_malformed_artifact_exits_2(tmp_path, capsys, desk_artifacts, case):
     with open(path, "w", newline="") as handle:
         handle.write("\r\n".join(lines) + "\r\n")
 
-    if name == "gate.csv":
+    if name in ("gate.csv", "gate.json"):
         with pytest.raises(ValidationError, match=message):
-            load_gate(path, os.path.join(out, "gate.json"))
-    elif name == "z_matrix.csv":
+            load_gate(os.path.join(out, "gate.csv"), os.path.join(out, "gate.json"))
+    elif name in ("z_matrix.csv", "basis.json"):
         with pytest.raises(ValidationError, match=message):
             load_eigenbasis(out)
     else:

@@ -6,17 +6,15 @@ from iontrapsim import (
     DissipationModel,
     EigenBasis,
     NumericalError,
-    QuantumState,
     TrapParams,
     ValidationError,
     build_dissipation,
     evolution_operator,
     make_guess_field,
-    propagate_lindblad,
-    propagate_tdse,
 )
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import ClosedPulseMap, InteractionFrame, Lindblad, sweep
+from iontrapsim.propagator import (ClosedPulseMap, InteractionFrame, Lindblad,
+                                   LindbladPulseMap, sweep)
 from iontrapsim.units import TIME_AU_S
 
 
@@ -106,28 +104,12 @@ class TestControlField:
         c0[0] = 1.0
         diss = build_dissipation(desk_basis, kappa=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
-                propagate_tdse(QuantumState(c0), field, desk_basis)
+            with pytest.raises(NumericalError, match="norm drift nan"):
+                ClosedPulseMap(field, desk_basis).apply(c0)
             with pytest.raises(NumericalError):
                 evolution_operator(field, desk_basis, 4)
-            with pytest.raises(NumericalError):
-                propagate_lindblad(QuantumState(c0), field, desk_basis, diss)
-
-
-class TestQuantumState:
-    def test_vector_validation(self):
-        QuantumState(np.array([1.0, 0.0])).validate()
-        with pytest.raises(ValidationError):
-            QuantumState(np.array([1.0, 1.0])).validate()
-
-    def test_matrix_validation(self):
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        QuantumState(rho).validate()
-        with pytest.raises(ValidationError):
-            QuantumState(np.diag([0.7, 0.5]).astype(complex)).validate()
-        bad = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
-        with pytest.raises(ValidationError):
-            QuantumState(bad).validate()
+            with pytest.raises(NumericalError, match="Hermiticity error nan"):
+                LindbladPulseMap(field, desk_basis, diss).apply(np.outer(c0, c0.conj()))
 
 
 class TestClosedPropagation:
@@ -135,10 +117,9 @@ class TestClosedPropagation:
         rng = np.random.default_rng(7)
         c = rng.normal(size=8) + 1j * rng.normal(size=8)
         c /= np.linalg.norm(c)
-        state = QuantumState(c)
         field = ControlField(np.zeros(500 + 1), 1e8 / 500)
-        out, _, _ = propagate_tdse(state, field, desk_basis)
-        assert np.abs(out.data - c).max() < 1e-12
+        out, _ = ClosedPulseMap(field, desk_basis).apply(c)
+        assert np.abs(out - c).max() < 1e-12
 
     def test_rabi_oracle_period(self):
         omega0, mu01, amp = 1.0, 1.0, 1e-2
@@ -149,8 +130,9 @@ class TestClosedPropagation:
         dt = t_total / steps
         t = np.arange(steps + 1) * dt
         field = ControlField(amp * np.cos(omega0 * t), dt)
-        state = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        _, times, stored = propagate_tdse(state, field, basis, store_every=10)
+        pulse_map = ClosedPulseMap(field, basis, store_every=10)
+        _, stored = pulse_map.apply(np.array([1.0, 0.0], dtype=complex))
+        times = pulse_map.times
         p1 = np.abs(stored[:, 1]) ** 2
         i = int(np.argmax(p1))
         # quadratic fit around the sampled maximum
@@ -168,19 +150,16 @@ class TestClosedPropagation:
         dt = t_total / steps
         t = np.arange(steps + 1) * dt
         field = ControlField(0.5 * np.cos(t), dt)
-        state = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(NumericalError):
-            propagate_tdse(state, field, basis)
+        with pytest.raises(NumericalError, match="norm drift"):
+            ClosedPulseMap(field, basis).apply(np.array([1.0, 0.0], dtype=complex))
 
     def test_pulse_map_norm_drift_detected(self):
-        """The same pulse through `ClosedPulseMap`, whose U reports the
-        drift."""
+        """The same pulse's U reports the drift, and its gate block fails
+        the column-norm check."""
         dt = 50.0 / 10
         field = ControlField(0.5 * np.cos(np.arange(11) * dt), dt)
         pulse_map = ClosedPulseMap(field, two_level_basis())
         assert pulse_map.unitarity_drift() > 1e-8
-        with pytest.raises(NumericalError, match="norm drift"):
-            pulse_map.apply(np.array([1.0, 0.0], dtype=complex))
         with pytest.raises(NumericalError, match="column norm drift"):
             pulse_map.gate(2)
 
@@ -286,29 +265,26 @@ class TestDissipationModel:
 class TestLindblad:
     def test_closed_limit_matches_tdse(self, desk_basis):
         field = short_guess(desk_basis)
+        frame = InteractionFrame(desk_basis, field.dt)
         c0 = np.zeros(8, dtype=complex)
         c0[0] = 1.0
-        out_vec, _, _ = propagate_tdse(QuantumState(c0), field, desk_basis)
+        out_vec = sweep(frame, c0[:, None], field.samples)[:, 0]
         diss = build_dissipation(desk_basis, kappa=0.0)
-        out_rho, _, _ = propagate_lindblad(
-            QuantumState(np.outer(c0, c0.conj())), field, desk_basis, diss
-        )
-        expected = np.outer(out_vec.data, out_vec.data.conj())
-        assert np.abs(out_rho.data - expected).max() < 1e-8
+        out_rho = sweep(Lindblad(frame, diss), np.outer(c0, c0.conj()), field.samples)
+        expected = np.outer(out_vec, out_vec.conj())
+        assert np.abs(out_rho - expected).max() < 1e-8
 
     def test_free_heating_conserves_trace(self, desk_basis):
         diss = build_dissipation(desk_basis, kappa=1e-15)
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[1, 1] = 1.0
-        out, _, _ = propagate_lindblad(
-            QuantumState(rho0), ControlField(np.zeros(2000 + 1), 8e8 / 2000),
-            desk_basis, diss,
-        )
-        pops = np.real(np.diag(out.data))
+        lindblad = Lindblad(InteractionFrame(desk_basis, 8e8 / 2000), diss)
+        out = sweep(lindblad, rho0, np.zeros(2000 + 1))
+        pops = np.real(np.diag(out))
         assert abs(pops.sum() - 1.0) < 1e-10
         assert pops[0] + pops[2] + pops[4] > 1e-8
-        assert np.abs(out.data - out.data.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(out.data).min() > -1e-6
+        assert np.abs(out - out.conj().T).max() < 1e-10
+        assert np.linalg.eigvalsh(out).min() > -1e-6
 
     def test_adjoint_pairing_invariance(self, desk_basis):
         field = short_guess(desk_basis, steps=1500)
@@ -392,6 +368,18 @@ class TestLindblad:
                 assert_relative(stored[-1], final)
             assert np.abs(stored[1] - stored[2]).max() > 1e-2
 
+    def test_trace_drift_detected(self, desk_basis):
+        """Tr Phi(E_11) raised by 1e-6, as in the trace-drift check of
+        `test_pulse_maps`, fails `apply` on a state with population 1/2 in
+        |1>; the healthy map passes it."""
+        pulse_map = LindbladPulseMap(short_guess(desk_basis), desk_basis,
+                                     build_dissipation(desk_basis, kappa=1e-15))
+        rho = np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        assert abs(np.trace(pulse_map.apply(rho)).real - 1.0) < 1e-10
+        pulse_map.matrix[1 * 8 + 1, 3 * 8 + 3] += 1e-6
+        with pytest.raises(NumericalError, match="trace error 5.00e-07"):
+            pulse_map.apply(rho)
+
     def test_negative_eigenvalue_detected(self, desk_basis):
         """Four zero-field steps with dt times the largest out-rate at 2
         keep the trace but leave a negative eigenvalue (about -0.09)."""
@@ -399,9 +387,9 @@ class TestLindblad:
         dt = 2.0 / diss.total_out_rates().max()
         rho0 = np.zeros((8, 8), dtype=complex)
         rho0[0, 0] = 1.0
+        pulse_map = LindbladPulseMap(ControlField(np.zeros(4 + 1), 4 * dt / 4), desk_basis, diss)
         with pytest.raises(NumericalError, match="eigenvalue"):
-            propagate_lindblad(QuantumState(rho0), ControlField(np.zeros(4 + 1), 4 * dt / 4),
-                               desk_basis, diss)
+            pulse_map.apply(rho0)
 
     def test_rk4_step_halving(self, desk_basis):
         field = short_guess(desk_basis, steps=1000)
@@ -409,8 +397,8 @@ class TestLindblad:
         halved_samples[::2] = field.samples
         halved_samples[1::2] = field.samples[:-1]   # the same held field
         halved = ControlField(halved_samples, field.dt / 2)
-        c0 = np.zeros(8, dtype=complex)
+        c0 = np.zeros((8, 1), dtype=complex)
         c0[0] = 1.0
-        coarse, _, _ = propagate_tdse(QuantumState(c0), field, desk_basis)
-        fine, _, _ = propagate_tdse(QuantumState(c0), halved, desk_basis)
-        assert np.abs(coarse.data - fine.data).max() < 1e-6
+        coarse = sweep(InteractionFrame(desk_basis, field.dt), c0, field.samples)
+        fine = sweep(InteractionFrame(desk_basis, halved.dt), c0, halved.samples)
+        assert np.abs(coarse - fine).max() < 1e-6

@@ -3,9 +3,8 @@
 `simulate` and `fidelity_trace` compute each pulse's map once and apply it
 by products: the closed `ClosedPulseMap` and the Lindblad
 `LindbladPulseMap`.  These tests pin them at 1e-12 relative against the
-pulse-by-pulse propagation they replace: `propagate_tdse` and
-`propagate_lindblad` run once per pulse, and a `sweep` of the N^2
-Hermitian units once per pulse.
+pulse-by-pulse propagation they replace: a `sweep` of the state, or of the
+N^2 Hermitian units, once per pulse.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 from iontrapsim import (
     NumericalError,
     OctConfig,
-    QuantumState,
     build_dissipation,
     encode,
     evolution_operator,
@@ -23,8 +21,6 @@ from iontrapsim import (
     make_guess_field,
     mean_position_ion,
     periodicity_residual,
-    propagate_lindblad,
-    propagate_tdse,
 )
 from iontrapsim.cli import _closed_simulation, _dissipative_simulation
 from iontrapsim.config import tier_config
@@ -73,25 +69,29 @@ class TestHermitianCoordinates:
         assert np.array_equal(units[2 * 3 + 0], b)
 
 
-def test_closed_simulation_matches_propagate_tdse(desk_basis, desk_grid, train_field, c0):
+def test_closed_simulation_matches_pulse_by_pulse_sweep(desk_basis, desk_grid, train_field,
+                                                        c0):
     """Trajectory, probabilities, norms and the periodicity residual of the
-    map path against `propagate_tdse` run once per pulse (the reference
+    map path against a `sweep` of the state once per pulse (the reference
     loop is the former `_closed_simulation`).  store_every = 7 does not
     divide the 300 steps, so the final state is no snapshot."""
     cfg = tier_config("desk")
     store_every = 7
+    frame = InteractionFrame(desk_basis, train_field.dt)
+    t_stored = np.arange(train_field.n_steps // store_every + 1) * store_every * train_field.dt
     state = np.zeros(desk_basis.n_states, dtype=complex)
     state[: len(c0)] = c0
     pulses = [np.abs(state[: desk_grid.n]) ** 2]
     times, populations, norms = [], [], []
     for pulse in range(cfg.n_pulses):
-        out, t_stored, stored = propagate_tdse(
-            QuantumState(state), train_field, desk_basis, store_every=store_every
-        )
+        stored = np.empty((len(t_stored), desk_basis.n_states, 1), dtype=complex)
+        out = sweep(frame, state[:, None], train_field.samples, store_every=store_every,
+                    out=stored)[:, 0]
+        stored = stored[:, :, 0]
         times.append(t_stored + pulse * train_field.t_pulse)
         populations.append(np.abs(stored) ** 2)
         norms.append(np.linalg.norm(stored, axis=1) ** 2)
-        state = out.data / np.linalg.norm(out.data)
+        state = out / np.linalg.norm(out)
         pulses.append(np.abs(state[: desk_grid.n]) ** 2)
 
     got_pulses, (got_t, got_pops, got_norms) = _closed_simulation(
@@ -112,23 +112,23 @@ def test_closed_map_gate_is_evolution_operator(desk_basis, train_field):
                           evolution_operator(train_field, desk_basis, 4))
 
 
-def test_dissipative_simulation_matches_propagate_lindblad(
+def test_dissipative_simulation_matches_pulse_by_pulse_sweep(
     desk_basis, desk_grid, desk_gate, train_field, c0
 ):
-    """Populations and <z> of the map path against `propagate_lindblad` run
-    once per pulse (the reference loop is the former
-    `_dissipative_simulation`)."""
+    """Populations and <z> of the map path against a `sweep` of rho once
+    per pulse (the reference loop is the former `_dissipative_simulation`)."""
     cfg = tier_config("desk")
     diss = build_dissipation(desk_basis, KAPPA, cfg.deltas)
+    lindblad = Lindblad(InteractionFrame(desk_basis, train_field.dt), diss)
     c = np.zeros(desk_basis.n_states, dtype=complex)
     c[: len(c0)] = c0
-    rho = QuantumState(np.outer(c, c.conj()))
-    pulses = [np.real(np.diag(rho.data))[: desk_grid.n].copy()]
+    rho = np.outer(c, c.conj())
+    pulses = [np.real(np.diag(rho))[: desk_grid.n].copy()]
     zs = [mean_position_ion(rho, desk_basis)]
     for _ in range(cfg.n_pulses):
-        rho, _, _ = propagate_lindblad(rho, train_field, desk_basis, diss)
-        rho = QuantumState(rho.data / np.trace(rho.data).real)
-        pulses.append(np.real(np.diag(rho.data))[: desk_grid.n].copy())
+        rho = sweep(lindblad, rho, train_field.samples)
+        rho = rho / np.trace(rho).real
+        pulses.append(np.real(np.diag(rho))[: desk_grid.n].copy())
         zs.append(mean_position_ion(rho, desk_basis))
 
     pulse_map = LindbladPulseMap(train_field, desk_basis, diss)
@@ -194,8 +194,8 @@ def test_paper_size_map_sweeps_units_in_blocks(paper_basis, paper_gate):
 
 def test_non_positive_pulse_raises(desk_basis, desk_grid, desk_gate, c0):
     """Four zero-field steps with dt times the largest out-rate at 2 keep
-    the trace but not positivity (as in `propagate_lindblad`'s test); the
-    map path checks every rho_l and stops at the first pulse."""
+    the trace but not positivity (as in `test_negative_eigenvalue_detected`);
+    the map path checks every rho_l and stops at the first pulse."""
     diss = build_dissipation(desk_basis, 1.0)
     dt = 2.0 / diss.total_out_rates().max()
     pulse_map = LindbladPulseMap(ControlField(np.zeros(4 + 1), dt), desk_basis, diss)
