@@ -13,12 +13,12 @@ import sys
 import numpy as np
 
 from . import analysis, serialization
-from .config import RunConfig, load_config, tier_config
+from .config import RunConfig, load_config
 from .encoder import encode
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
-from .oct import OctConfig, TargetSet, fidelity, optimize_gate, \
-    optimize_gate_dissipative, optimize_state_prep
+from .oct import TargetSet, fidelity, optimize_gate, optimize_gate_dissipative, \
+    optimize_state_prep
 from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation
 from .trap import solve_trap, transition_table
 from .units import TIME_AU_S
@@ -31,21 +31,14 @@ EXIT_NO_CONVERGENCE = 4
 
 def _load_run_config(args) -> RunConfig:
     """The tier preset, the INI file over it, then the command's options
-    over both: the configuration the run resolves and hashes."""
-    if args.config:
-        cfg = load_config(args.config, tier=args.tier, outdir=args.out)
-    else:
-        cfg = tier_config(args.tier or "desk")
-        if args.out:
-            cfg.outdir = args.out
-    if getattr(args, "functional", None):
-        cfg.functional = args.functional.upper()
-    if getattr(args, "max_iterations", None) is not None:
-        cfg.max_iterations = args.max_iterations
-    if getattr(args, "kappa", None) is not None:
-        cfg.kappas = tuple(args.kappa)
-    cfg.validate()
-    if cfg.tier == "paper" and not getattr(args, "acknowledge_long_run", False):
+    over both: the configuration the run resolves and hashes.  The options
+    that set a RunConfig field are parsed into the field's name."""
+    options = {name: getattr(args, name, None)
+               for name in ("tier", "outdir", "functional", "max_iterations", "kappas")}
+    if options["kappas"] is not None:
+        options["kappas"] = tuple(options["kappas"])
+    cfg = load_config(args.config, **{k: v for k, v in options.items() if v is not None})
+    if cfg.tier == "paper" and not args.acknowledge_long_run:
         raise ValidationError(
             "the paper tier runs for hours; pass --acknowledge-long-run"
         )
@@ -60,17 +53,6 @@ def _build_gate(cfg: RunConfig):
     grid = make_grid(cfg.x_min, cfg.x_max, cfg.grid_points)
     system = SimSystem()
     return grid, system, elementary_gate(system, grid, cfg.delta_t, cfg.k_substeps)
-
-
-def _oct_config(cfg: RunConfig) -> OctConfig:
-    return OctConfig(
-        t_pulse=cfg.t_pulse,
-        dt=cfg.oct_dt,
-        alpha0=cfg.alpha0,
-        functional=cfg.functional,
-        max_iterations=cfg.max_iterations,
-        fidelity_goal=cfg.fidelity_goal,
-    )
 
 
 def cmd_trap(args) -> int:
@@ -131,7 +113,7 @@ def _checkpoint_writer(cfg, outdir, stem, every):
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
     basis = solve_trap(cfg.trap)
-    oct_cfg = _oct_config(cfg)
+    oct_cfg = cfg.oct_config()
 
     initial_field = trace = None
     if args.resume:
@@ -161,9 +143,12 @@ def cmd_optimize(args) -> int:
         _, _, gate = _build_gate(cfg)
         targets = TargetSet(gate.entries)
         if args.dissipative:
-            if not args.kappa or len(args.kappa) > 1:
-                raise ValidationError("--dissipative requires exactly one --kappa value")
-            diss = build_dissipation(basis, args.kappa[0], cfg.deltas)
+            if len(cfg.kappas) != 1:
+                raise ValidationError(
+                    "--dissipative requires exactly one kappa (--kappa K or "
+                    "[dissipation] kappa = K)"
+                )
+            diss = build_dissipation(basis, cfg.kappas[0], cfg.deltas)
             fieldspec, trace = optimize_gate_dissipative(
                 basis, targets, oct_cfg, diss, initial_field, trace, callback
             )
@@ -328,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI run file")
         p.add_argument("--tier", choices=("desk", "paper"), help="problem scale")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="outdir", metavar="OUT", help="output directory")
         p.add_argument(
             "--acknowledge-long-run",
             action="store_true",
@@ -346,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="synthesize a control field")
     common(p)
     p.add_argument("--mode", choices=("gate", "prep"), default="gate")
-    p.add_argument("--functional", choices=("F", "P", "f", "p"))
+    p.add_argument("--functional", type=str.upper, choices=("F", "P"))
     p.add_argument("--dissipative", action="store_true")
-    p.add_argument("--kappa", type=float, nargs="*", help="rate scale(s), a.u.")
+    p.add_argument("--kappa", dest="kappas", type=float, nargs="*", metavar="KAPPA",
+                   help="rate scale(s), a.u.")
     p.add_argument("--resume", help="field CSV checkpoint to continue from")
     p.add_argument("--max-iterations", type=int)
     p.add_argument("--checkpoint-every", type=int, default=25)
@@ -357,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the pulse-train simulation")
     common(p)
     p.add_argument("--field", help="gate field CSV (default: outdir/gate_p_field.csv)")
-    p.add_argument("--kappa", type=float, nargs="*", help="override the kappa sweep")
+    p.add_argument("--kappa", dest="kappas", type=float, nargs="*", metavar="KAPPA",
+                   help="override the kappa sweep")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="field spectrum and band-pass filtering")

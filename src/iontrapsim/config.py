@@ -1,8 +1,8 @@
-"""Run configuration: INI files with unit-suffixed quantities, tier presets.
+"""Run configuration: tier presets, INI run files, unit-suffixed quantities.
 
-Every physical value in a config file carries an explicit unit suffix
-(`96 us`, `960 ps`, `1.945e-13 au`, `0.1 Vpm`); parsing converts to atomic
-units at this boundary and nothing else in the package ever sees SI.
+A time in a config file may carry a unit suffix (`96 us`, `960 ps`); a
+bare number is read as atomic units.  Parsing converts to atomic units at
+this boundary and nothing else in the package ever sees SI.
 """
 
 import configparser
@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
+from .oct import OctConfig
 from .trap import TrapParams
 from .units import FIELD_AU_V_PER_M, TIME_AU_S
 
@@ -52,8 +53,17 @@ def parse_quantity(text: str, kind: str = "plain") -> float:
     return value * table[unit]
 
 
-def _parse_list(text: str, kind: str = "plain"):
-    return [parse_quantity(tok, kind) for tok in str(text).split(",") if tok.strip()]
+def _parse_list(text: str, parse=parse_quantity) -> tuple:
+    return tuple(parse(tok) for tok in text.split(","))
+
+
+def _time(text: str) -> float:
+    return parse_quantity(text, "time")
+
+
+def _packet(text: str) -> tuple:
+    sigma, _, x0 = text.partition(":")
+    return parse_quantity(sigma), parse_quantity(x0)
 
 
 @dataclass
@@ -66,7 +76,6 @@ class RunConfig:
     # simulated system / grid
     x_min: float = -4.0
     x_max: float = 4.0
-    grid_points: int = 16
     delta_t: float = 2.0 * math.pi / 10.0
     k_substeps: int = 10
     n_pulses: int = 10
@@ -92,121 +101,127 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @property
-    def alpha0(self) -> float:
-        return self.alpha0_p if self.functional == "P" else self.alpha0_f
+    def grid_points(self) -> int:
+        """The state-per-point mapping puts one computational state on
+        each grid point."""
+        return self.trap.computational_size
+
+    def oct_config(self) -> OctConfig:
+        """The optimizer's parameters of this run; builds and so checks them."""
+        return OctConfig(
+            t_pulse=self.t_pulse,
+            dt=self.oct_dt,
+            alpha0=self.alpha0_p if self.functional == "P" else self.alpha0_f,
+            functional=self.functional,
+            max_iterations=self.max_iterations,
+            fidelity_goal=self.fidelity_goal,
+        )
 
     def validate(self) -> None:
         self.trap.validate()
-        if self.tier not in ("desk", "paper"):
-            raise ValidationError(f"unknown tier {self.tier!r}")
-        if self.grid_points != self.trap.computational_size:
-            raise ValidationError(
-                "the state-per-point mapping needs exactly one computational "
-                f"state per grid point; got {self.grid_points} points and "
-                f"{self.trap.computational_size} states"
-            )
-        if self.functional not in ("F", "P"):
-            raise ValidationError("functional must be 'F' or 'P'")
-        if not (self.t_pulse > 0 and self.oct_dt > 0):
-            raise ValidationError("t_pulse and the OCT time step must be positive")
+        self.oct_config()
         if self.n_pulses < 1:
             raise ValidationError("n_pulses must be at least 1")
-        if self.max_iterations < 0:
-            raise ValidationError("max_iterations must be non-negative (0 only evaluates)")
         if not self.kappas:
             raise ValidationError("kappa needs at least one value")
 
 
-def desk_config() -> RunConfig:
-    """Reduced problem: 4 qubit states in an 8-state dynamical space,
-    20 us pulses sampled in 10,000 steps."""
-    return RunConfig(
-        tier="desk",
-        outdir="runs/desk",
+# What each tier sets over RunConfig's defaults, which are the paper's problem.
+_PRESETS = {
+    # reduced problem: 4 qubit states in an 8-state dynamical space,
+    # 20 us pulses sampled in 10,000 steps
+    "desk": dict(
         trap=TrapParams(primitive_size=50, dynamical_size=8, computational_size=4),
-        grid_points=4,
         t_pulse=20e-6 / TIME_AU_S,
         oct_dt=2e-9 / TIME_AU_S,
         alpha0_p=5e14,
         alpha0_f=2e15,
         max_iterations=500,
         fidelity_goal=0.995,
-    )
+    ),
+    # full problem: 16 qubit states in a 32-state dynamical space,
+    # 96 us pulses sampled in 100,000 steps
+    "paper": {},
+}
 
-
-def paper_config() -> RunConfig:
-    """Full problem: 16 qubit states in a 32-state dynamical space,
-    96 us pulses sampled in 100,000 steps."""
-    return RunConfig(tier="paper", outdir="runs/paper")
+# section -> key -> (attribute, parser); the [trap] keys set TrapParams
+# fields, all others RunConfig fields.
+_KEYS = {
+    "run": {"tier": ("tier", str), "out": ("outdir", str)},
+    "trap": {
+        "mass": ("mass", parse_quantity),
+        "charge": ("charge", parse_quantity),
+        "k": ("k", parse_quantity),
+        "k_quart": ("k_quart", parse_quantity),
+        "primitive_size": ("primitive_size", int),
+        "dynamical_size": ("dynamical_size", int),
+        "computational_size": ("computational_size", int),
+    },
+    "sim": {
+        "x_min": ("x_min", parse_quantity),
+        "x_max": ("x_max", parse_quantity),
+        "delta_t": ("delta_t", _time),
+        "k_substeps": ("k_substeps", int),
+        "n_pulses": ("n_pulses", int),
+        "packets": ("packets", lambda text: _parse_list(text, _packet)),
+    },
+    "oct": {
+        "t_pulse": ("t_pulse", _time),
+        "dt": ("oct_dt", _time),
+        "alpha0_p": ("alpha0_p", parse_quantity),
+        "alpha0_f": ("alpha0_f", parse_quantity),
+        "functional": ("functional", str.upper),
+        "max_iterations": ("max_iterations", int),
+        "fidelity_goal": ("fidelity_goal", parse_quantity),
+    },
+    "dissipation": {
+        "kappa": ("kappas", _parse_list),
+        "deltas": ("deltas", lambda text: _parse_list(text, int)),
+    },
+}
 
 
 def tier_config(tier: str) -> RunConfig:
-    if tier == "desk":
-        return desk_config()
-    if tier == "paper":
-        return paper_config()
-    raise ValidationError(f"unknown tier {tier!r}")
+    """The preset of a tier, not yet validated."""
+    if tier not in _PRESETS:
+        raise ValidationError(f"unknown tier {tier!r}")
+    return RunConfig(tier=tier, outdir=f"runs/{tier}", **_PRESETS[tier])
 
 
-def load_config(path: str, tier: str | None = None, outdir: str | None = None) -> RunConfig:
-    """Read an INI run file on top of its tier preset."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as handle:
-        text = handle.read()
-    parser.read_string(text)
+def _read_ini(path: str) -> tuple:
+    """The RunConfig and the TrapParams values an INI run file sets.  An
+    unknown section or key, or a value that does not parse, is an error."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        with open(path) as handle:
+            parser.read_file(handle)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # configparser's messages span lines; the CLI reports one line
+        raise ValidationError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
+    values, trap = {}, {}
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ValidationError(f"{path}: unknown section [{section}]")
+        for key, text in parser[section].items():
+            if key not in _KEYS[section]:
+                raise ValidationError(f"{path}: unknown key {key!r} in [{section}]")
+            attr, parse = _KEYS[section][key]
+            try:
+                value = parse(text)
+            except ValueError as exc:   # int's, or parse_quantity's ValidationError
+                raise ValidationError(f"{path}: [{section}] {key}: {exc}") from None
+            (trap if section == "trap" else values)[attr] = value
+    return values, trap
 
-    run = parser["run"] if parser.has_section("run") else {}
-    cfg = tier_config(tier or run.get("tier", "desk"))
-    if "out" in run:
-        cfg.outdir = run["out"]
 
-    if parser.has_section("trap"):
-        t = parser["trap"]
-        cfg.trap = replace(
-            cfg.trap,
-            mass=parse_quantity(t.get("mass", str(cfg.trap.mass))),
-            charge=parse_quantity(t.get("charge", str(cfg.trap.charge))),
-            k=parse_quantity(t.get("k", str(cfg.trap.k))),
-            k_quart=parse_quantity(t.get("k_quart", str(cfg.trap.k_quart))),
-            primitive_size=t.getint("primitive_size", cfg.trap.primitive_size),
-            dynamical_size=t.getint("dynamical_size", cfg.trap.dynamical_size),
-            computational_size=t.getint(
-                "computational_size", cfg.trap.computational_size
-            ),
-        )
-    if parser.has_section("sim"):
-        s = parser["sim"]
-        cfg.x_min = parse_quantity(s.get("x_min", str(cfg.x_min)))
-        cfg.x_max = parse_quantity(s.get("x_max", str(cfg.x_max)))
-        cfg.grid_points = s.getint("grid_points", cfg.grid_points)
-        cfg.delta_t = parse_quantity(s.get("delta_t", str(cfg.delta_t)), "time")
-        cfg.k_substeps = s.getint("k_substeps", cfg.k_substeps)
-        cfg.n_pulses = s.getint("n_pulses", cfg.n_pulses)
-        if "packets" in s:
-            packets = []
-            for token in s["packets"].split(","):
-                sigma, _, x0 = token.partition(":")
-                packets.append((parse_quantity(sigma), parse_quantity(x0)))
-            cfg.packets = tuple(packets)
-    if parser.has_section("oct"):
-        o = parser["oct"]
-        cfg.t_pulse = parse_quantity(o.get("t_pulse", f"{cfg.t_pulse} au"), "time")
-        cfg.oct_dt = parse_quantity(o.get("dt", f"{cfg.oct_dt} au"), "time")
-        cfg.alpha0_p = parse_quantity(o.get("alpha0_p", str(cfg.alpha0_p)))
-        cfg.alpha0_f = parse_quantity(o.get("alpha0_f", str(cfg.alpha0_f)))
-        cfg.functional = o.get("functional", cfg.functional).upper()
-        cfg.max_iterations = o.getint("max_iterations", cfg.max_iterations)
-        cfg.fidelity_goal = o.getfloat("fidelity_goal", cfg.fidelity_goal)
-    if parser.has_section("dissipation"):
-        d = parser["dissipation"]
-        if "kappa" in d:
-            cfg.kappas = tuple(_parse_list(d["kappa"]))
-        if "deltas" in d:
-            cfg.deltas = tuple(int(v) for v in _parse_list(d["deltas"]))
-
-    if tier is not None:
-        cfg.tier = tier
-    if outdir is not None:
-        cfg.outdir = outdir
+def load_config(path: str | None = None, **options) -> RunConfig:
+    """Resolve a run's configuration: the tier preset, the INI run file at
+    `path` over it, then `options` (RunConfig fields, such as a command's
+    options) over both, validated once."""
+    values, trap = _read_ini(path) if path else ({}, {})
+    values.update(options)
+    cfg = tier_config(values.get("tier", "desk"))
+    cfg = replace(cfg, trap=replace(cfg.trap, **trap), **values)
     cfg.validate()
     return cfg

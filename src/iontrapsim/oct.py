@@ -55,6 +55,10 @@ from .units import hz_to_angular_freq_au
 
 MONOTONE_SLACK = 1e-10
 GUESS_AMPLITUDE_AU = 1.945e-13   # 0.1 V/m per spectral component
+GUESS_DELTAS = (1, 3)            # guess-field transitions: delta n = 1 and 3
+# stalled: STALL_ITERATIONS iterations in a row, each a relative gain < STALL_IMPROVEMENT
+STALL_IMPROVEMENT = 1e-12
+STALL_ITERATIONS = 20
 
 
 @dataclass
@@ -68,9 +72,6 @@ class OctConfig:
     max_iterations: int = 500
     fidelity_goal: float = 0.99999
     guess_amplitude: float = GUESS_AMPLITUDE_AU
-    guess_deltas: tuple = (1, 3)
-    stall_improvement: float = 1e-12
-    stall_iterations: int = 20
 
     def __post_init__(self):
         if not (self.t_pulse > 0 and self.dt > 0):
@@ -81,6 +82,8 @@ class OctConfig:
             raise ValidationError("fidelity_goal must be in (0, 1]")
         if self.functional not in ("F", "P"):
             raise ValidationError("functional must be 'F' or 'P'")
+        if self.max_iterations < 0:
+            raise ValidationError("max_iterations must be non-negative (0 only evaluates)")
         n = self.t_pulse / self.dt
         if abs(n - round(n)) > 1e-9 * n or round(n) < 2:
             raise ValidationError("t_pulse must be an integer multiple (>= 2) of dt")
@@ -199,7 +202,7 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
     steps = config.n_steps
     t = np.arange(steps + 1) * config.dt
     samples = np.zeros(steps + 1)
-    for _, _, freq_hz, _ in transition_table(basis, config.guess_deltas, n):
+    for _, _, freq_hz, _ in transition_table(basis, GUESS_DELTAS, n):
         samples += np.sin(hz_to_angular_freq_au(freq_hz) * t)
     samples *= config.guess_amplitude * switch_envelope(config)
     samples[-1] = 0.0   # +0.0, whatever the sign of the sum
@@ -278,7 +281,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
                 f"objective decreased from {prev!r} to {objective!r} at "
                 f"iteration {it}; monotonic scheme violated"
             )
-        if objective - prev < config.stall_improvement * max(1.0, abs(prev)):
+        if objective - prev < STALL_IMPROVEMENT * max(1.0, abs(prev)):
             stall += 1
         else:
             stall = 0
@@ -290,7 +293,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
         if fid >= config.fidelity_goal:
             trace.status = "converged"
             break
-        if stall >= config.stall_iterations:
+        if stall >= STALL_ITERATIONS:
             trace.status = "stalled"
             break
     else:

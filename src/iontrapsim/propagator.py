@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .trap import EigenBasis
+from .trap import EigenBasis, transition_table
 from .units import FIELD_AU_V_PER_M, TIME_AU_S
 
 NORM_DRIFT_TOL = 1e-8
@@ -142,39 +142,29 @@ class DissipationModel:
         return self.gamma.sum(axis=0)
 
 
-def build_dissipation(
-    basis: EigenBasis, kappa: float, deltas=(1, 3), avg_states: int | None = None
-) -> DissipationModel:
+def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> DissipationModel:
     """Rates for all |j-k| in deltas with j, k below the dynamical size.
 
     The mean heating rate is averaged over the pairs inside the
-    computational window (avg_states, default the qubit count), the set the
+    computational window (j, k below the qubit count), the set the
     guess-field transitions are drawn from.
     """
     if kappa < 0:
         raise ValidationError("kappa must be non-negative")
-    deltas = sorted({abs(int(d)) for d in deltas})
-    if not deltas or deltas[0] == 0:
-        raise ValidationError("deltas must be nonzero integers")
-    d_size = basis.n_states
-    if avg_states is None:
-        avg_states = basis.n_qubits
-
     pairs = []
     rates = []
-    gamma = np.zeros((d_size, d_size))
-    for d in deltas:
-        for j in range(d_size - d):
-            k = j + d
-            r = kappa * abs(basis.dipole[j, k])
-            for a, b in ((j, k), (k, j)):
-                pairs.append((a, b))
-                rates.append(r)
-                gamma[a, b] = r
+    gamma = np.zeros((basis.n_states, basis.n_states))
+    for j, k, _, dipole in transition_table(basis, deltas, basis.n_states):
+        r = kappa * abs(dipole)
+        for a, b in ((j, k), (k, j)):
+            pairs.append((a, b))
+            rates.append(r)
+            gamma[a, b] = r
     pairs = np.array(pairs, dtype=int)
     rates = np.array(rates)
 
-    in_window = (pairs[:, 0] < avg_states) & (pairs[:, 1] < avg_states)
+    n = basis.n_qubits
+    in_window = (pairs[:, 0] < n) & (pairs[:, 1] < n)
     mean_rate = float(rates[in_window].mean()) if in_window.any() else 0.0
     return DissipationModel(kappa, pairs, rates, gamma, mean_rate)
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 
 import numpy as np
@@ -14,6 +15,7 @@ from iontrapsim.errors import ValidationError
 from iontrapsim.serialization import load_eigenbasis, load_field, load_gate, save_field
 from iontrapsim.units import TIME_AU_S
 
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DESK_INI = """
 [run]
 tier = desk
@@ -24,7 +26,6 @@ dynamical_size = 8
 computational_size = 4
 
 [sim]
-grid_points = 4
 n_pulses = 2
 
 [oct]
@@ -98,10 +99,41 @@ class TestConfigParsing:
         assert resolved_hash("--out", "elsewhere") == hashes[0]
 
     def test_inconsistent_mapping_rejected(self, tmp_path):
+        """The grid has one point per computational state, so its size is
+        no key of its own."""
         path = tmp_path / "bad.ini"
         path.write_text("[sim]\ngrid_points = 8\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown key 'grid_points'"):
             load_config(str(path), tier="desk")
+        assert load_config(tier="desk").grid_points == 4
+
+    def test_readme_example_loads(self, tmp_path):
+        """The INI example in the README resolves through the key table."""
+        with open(os.path.join(REPO, "README.md")) as handle:
+            blocks = re.findall(r"```ini\n(.*?)```", handle.read(), re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0])
+        cfg = load_config(str(path))
+        assert cfg.trap.dynamical_size == 8
+        assert cfg.fidelity_goal == 0.995
+        assert cfg.kappas == (1e-18, 5e-18, 1e-17)
+
+    def test_paper_script_commands_resolve(self):
+        """Every `iontrapsim` command of the paper script parses and
+        resolves its paper-tier configuration (no trap is solved)."""
+        with open(os.path.join(REPO, "scripts", "reproduce_paper.sh")) as handle:
+            script = handle.read()
+        ack = re.search(r"^ACK=(\S+)$", script, re.M).group(1)
+        script = script.replace("\\\n", " ").replace("$ACK", ack).replace("$OUT", "runs/p")
+        commands = [shlex.split(line) for line in script.splitlines()
+                    if line.startswith("iontrapsim ")]
+        assert len(commands) == 9
+        parser = build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            cfg = _load_run_config(args)
+            assert (cfg.tier, cfg.outdir) == ("paper", "runs/p"), argv
 
 
 class TestCliCommands:
@@ -140,18 +172,26 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "ini",
         ["[oct]\ndt = 0 ns\n", "[oct]\nt_pulse = -1 us\n", "[sim]\npackets = nan:0\n",
-         "[dissipation]\nkappa =\n"],
-        ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa"],
+         "[dissipation]\nkappa =\n", "[oct]\nmax_iteration = 5\n", "[optimise]\nalpha0_p = 1\n",
+         "[trap]\nprimitive_size = fifty\n", "[oct]\nfidelity_goal = high\n",
+         "[dissipation]\ndeltas = 1.5, 3\n", None, "max_iterations = 5\n",
+         "[oct]\nmax_iterations = 5\nmax_iterations = 6\n"],
+        ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
+             "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
+             "missing-file", "no-section-header", "duplicate-key"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
-        """Rejected on load, whichever command reads the file."""
+        """Rejected on load, whichever command reads the file, with one
+        line on stderr."""
         bad = tmp_path / "bad.ini"
-        bad.write_text(ini)
+        if ini is not None:
+            bad.write_text(ini)
         code = main([
             "trap", "--config", str(bad), "--tier", "desk", "--out", str(tmp_path),
         ])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
 
     def test_paper_tier_needs_acknowledgment(self, tmp_path, capsys):
         assert main(["trap", "--tier", "paper", "--out", str(tmp_path)]) == 2
@@ -296,6 +336,24 @@ class TestCliCommands:
 
         trace = load_trace(os.path.join(out, "gate_p_diss_trace.csv"))
         assert trace.iterations == [0, 1, 2]
+
+    def test_dissipative_takes_kappa_from_config(self, tmp_path):
+        """A one-kappa `[dissipation]` section works like `--kappa`: the
+        same resolved configuration, byte-identical artifacts."""
+        short = "[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n"
+        (tmp_path / "ini.ini").write_text(short + "[dissipation]\nkappa = 1e-17\n")
+        (tmp_path / "opt.ini").write_text(short)
+        outs = [str(tmp_path / "ini"), str(tmp_path / "opt")]
+        common = ["optimize", "--tier", "desk", "--dissipative", "--max-iterations", "1"]
+        assert main(common + ["--config", str(tmp_path / "ini.ini"), "--out", outs[0]]) == 4
+        assert main(common + ["--config", str(tmp_path / "opt.ini"), "--out", outs[1],
+                              "--kappa", "1e-17"]) == 4
+        names = sorted(os.listdir(outs[0]))
+        assert "gate_p_diss_field.csv" in names and names == sorted(os.listdir(outs[1]))
+        for name in names:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_resume_continues_monotonically(self, tmp_path):
         out = str(tmp_path / "r")
