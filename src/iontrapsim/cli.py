@@ -92,7 +92,7 @@ def _trace_candidates(field_path: str):
 
 def _checkpoint_writer(cfg, outdir, stem, every):
     def callback(iteration, fieldspec, trace):
-        if every and (iteration + 1) % every == 0:
+        if every and iteration % every == 0:
             serialization.save_field(
                 fieldspec, os.path.join(outdir, f"{stem}_checkpoint.csv"), _meta(cfg)
             )
@@ -112,6 +112,8 @@ def _checkpoint_writer(cfg, outdir, stem, every):
 
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
+    if args.checkpoint_every < 0:
+        raise ValidationError("--checkpoint-every must be non-negative (0 writes none)")
     basis = solve_trap(cfg.trap)
     oct_cfg = cfg.oct_config()
 
@@ -160,7 +162,7 @@ def cmd_optimize(args) -> int:
     serialization.save_field(fieldspec, os.path.join(cfg.outdir, f"{stem}_field.csv"), _meta(cfg))
     serialization.save_trace(trace, os.path.join(cfg.outdir, f"{stem}_trace.csv"), _meta(cfg))
     print(
-        f"optimize {args.mode}/{cfg.functional}: {trace.status} after {len(trace)} "
+        f"optimize {args.mode}/{cfg.functional}: {trace.status} after {trace.iterations[-1]} "
         f"iterations, F = {trace.final_fidelity:.6f}, "
         f"peak = {fieldspec.peak_v_per_m():.3f} V/m"
     )

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
 from .oct import OctConfig
-from .trap import TrapParams
-from .units import FIELD_AU_V_PER_M, TIME_AU_S
+from .trap import TrapParams, check_deltas
+from .units import TIME_AU_S
 
 _TIME_UNITS = {
     "au": 1.0,
@@ -24,15 +24,7 @@ _TIME_UNITS = {
     "ns": 1e-9 / TIME_AU_S,
     "ps": 1e-12 / TIME_AU_S,
 }
-_FIELD_UNITS = {"au": 1.0, "vpm": 1.0 / FIELD_AU_V_PER_M}
-_FREQ_UNITS = {
-    "au": 1.0,
-    "hz": 2.0 * math.pi * TIME_AU_S,
-    "khz": 2.0 * math.pi * TIME_AU_S * 1e3,
-    "mhz": 2.0 * math.pi * TIME_AU_S * 1e6,
-}
-_UNIT_TABLES = {"time": _TIME_UNITS, "field": _FIELD_UNITS, "frequency": _FREQ_UNITS,
-                "plain": {"au": 1.0}}
+_UNIT_TABLES = {"time": _TIME_UNITS, "plain": {"au": 1.0}}
 
 
 def parse_quantity(text: str, kind: str = "plain") -> float:
@@ -124,6 +116,7 @@ class RunConfig:
             raise ValidationError("n_pulses must be at least 1")
         if not self.kappas:
             raise ValidationError("kappa needs at least one value")
+        check_deltas(self.deltas)
 
 
 # What each tier sets over RunConfig's defaults, which are the paper's problem.

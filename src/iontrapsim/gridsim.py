@@ -153,10 +153,6 @@ class GateMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def dt_sub(self) -> float:
-        return self.delta_t / self.k_substeps if self.k_substeps else 0.0
-
     def unitarity_defect(self) -> float:
         u = self.entries
         return float(np.abs(u.conj().T @ u - np.eye(self.n)).max())

@@ -71,7 +71,6 @@ class OctConfig:
     functional: str = "P"
     max_iterations: int = 500
     fidelity_goal: float = 0.99999
-    guess_amplitude: float = GUESS_AMPLITUDE_AU
 
     def __post_init__(self):
         if not (self.t_pulse > 0 and self.dt > 0):
@@ -204,7 +203,7 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
     samples = np.zeros(steps + 1)
     for _, _, freq_hz, _ in transition_table(basis, GUESS_DELTAS, n):
         samples += np.sin(hz_to_angular_freq_au(freq_hz) * t)
-    samples *= config.guess_amplitude * switch_envelope(config)
+    samples *= GUESS_AMPLITUDE_AU * switch_envelope(config)
     samples[-1] = 0.0   # +0.0, whatever the sign of the sum
     return ControlField(samples, config.dt)
 

@@ -1,10 +1,13 @@
 """File formats for every artifact the pipeline produces.
 
-All numeric CSV output uses 17 significant digits so reruns are
-byte-identical.  Files are written atomically (temp file, then rename).
-Each writer accepts a `meta` mapping that is embedded verbatim (JSON) or
-as `# key=value` comment lines (CSV), used by the CLI for provenance
-hashes.
+Every CSV artifact is written by one writer, `_write_csv`, from its
+columns: `# key=value` meta lines (the CLI's provenance hashes), one
+header line, then one row per line, integer columns as integers and every
+other column with 17 significant digits, so reruns are byte-identical.
+Lines end in LF.  `basis.json` and `gate.json` are written by
+`_write_json`, with the meta mapping embedded in the payload.  Every file
+is written atomically (a temporary file in the same directory, then a
+rename) and gets the mode a plain `open` gives under the umask.
 
 Every loader reads its CSV files through one reader, `_read_table`, in
 one pass: meta lines, a header, then rows parsed by Python's `float` into
@@ -12,13 +15,12 @@ one float64 array, so loaded values are bit-identical to what was
 written.  Every cell must be a number and every row must have the
 header's column count; a loader also checks the shape its artifact
 needs.  A file that breaks either raises ValidationError, which the CLI
-reports on one line with exit code 2.
+reports on one line with exit code 2.  The reader accepts CRLF endings
+too.
 """
 
-import csv
 import json
 import os
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -31,15 +33,19 @@ from .trap import EigenBasis, TrapParams
 from .units import FIELD_AU_V_PER_M, TIME_AU_S
 
 FLOAT_FMT = "%.17g"
+BLOCK_ROWS = 1024   # rows formatted per write: bounds the text held at once
 
 
-def _atomic_write(path, write_cb, mode="w"):
+def _atomic_write(path, chunks):
+    """Write the strings `chunks` to a new file beside `path`, created as a
+    plain `open` creates it (its mode follows the umask), then rename it
+    to `path`."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
-        with os.fdopen(fd, mode, newline="") as handle:
-            write_cb(handle)
+        with open(tmp, "x", newline="") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -47,20 +53,25 @@ def _atomic_write(path, write_cb, mode="w"):
         raise
 
 
-def _meta_lines(meta):
-    return [f"# {key}={value}" for key, value in sorted((meta or {}).items())]
+def _write_json(path, payload):
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _write_csv(path, header, rows, meta=None):
-    def cb(handle):
-        for line in _meta_lines(meta):
-            handle.write(line + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+def _write_csv(path, header, columns, meta=None):
+    """Row i holds element i of every column; a column of integer dtype is
+    written with %d, any other with FLOAT_FMT."""
+    columns = [np.asarray(column) for column in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
 
-    _atomic_write(path, cb)
+    def chunks():
+        for key, value in sorted((meta or {}).items()):
+            yield f"# {key}={value}\n"
+        yield ",".join(header) + "\n"
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            rows = zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
+            yield "".join(line % row for row in rows)
+
+    _atomic_write(path, chunks())
 
 
 def _read_table(path):
@@ -106,20 +117,15 @@ def _read_table(path):
     return header, data.reshape(len(numbers), len(header)), meta
 
 
-def _matrix_rows(matrix):
-    for i, row in enumerate(np.asarray(matrix)):
-        yield [i] + [float(v) for v in row]
-
-
 # --------------------------------------------------------------------- trap
 
 def save_eigenbasis(basis: EigenBasis, outdir: str, meta=None) -> dict:
-    """basis.json plus CSV matrices; returns the written paths."""
+    """basis.json plus the CSV matrices `vectors` and `z_matrix`; returns
+    the written paths.  The dipole is not written: it is charge x z_matrix."""
     paths = {
         "json": os.path.join(outdir, "basis.json"),
         "vectors": os.path.join(outdir, "vectors.csv"),
         "z_matrix": os.path.join(outdir, "z_matrix.csv"),
-        "dipole": os.path.join(outdir, "dipole.csv"),
     }
     payload = {
         "params": asdict(basis.params),
@@ -127,18 +133,12 @@ def save_eigenbasis(basis: EigenBasis, outdir: str, meta=None) -> dict:
         "energies_au": [float(e) for e in basis.energies],
     }
     payload.update(meta or {})
-
-    def cb(handle):
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    _atomic_write(paths["json"], cb)
+    _write_json(paths["json"], payload)
     d = basis.n_states
-    _write_csv(paths["vectors"], ["row"] + [f"state_{j}" for j in range(d)],
-               _matrix_rows(basis.vectors), meta)
-    for key in ("z_matrix", "dipole"):
-        _write_csv(paths[key], ["row"] + [f"col_{j}" for j in range(d)],
-                   _matrix_rows(getattr(basis, key)), meta)
+    for key, column in (("vectors", "state"), ("z_matrix", "col")):
+        matrix = getattr(basis, key)
+        _write_csv(paths[key], ["row"] + [f"{column}_{j}" for j in range(d)],
+                   [np.arange(len(matrix))] + list(matrix.T), meta)
     return paths
 
 
@@ -187,18 +187,10 @@ def save_gate(gate: GateMatrix, path_csv: str, path_json: str, meta=None):
         "unitarity_defect": gate.unitarity_defect(),
     }
     header.update(meta or {})
-
-    def cb(handle):
-        json.dump(header, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    _atomic_write(path_json, cb)
-    rows = (
-        [i, j, float(gate.entries[i, j].real), float(gate.entries[i, j].imag)]
-        for i in range(gate.n)
-        for j in range(gate.n)
-    )
-    _write_csv(path_csv, ["row", "col", "re", "im"], rows, meta)
+    _write_json(path_json, header)
+    entries = gate.entries.ravel()
+    _write_csv(path_csv, ["row", "col", "re", "im"],
+               [*np.divmod(np.arange(entries.size), gate.n), entries.real, entries.imag], meta)
 
 
 def load_gate(path_csv: str, path_json: str) -> GateMatrix:
@@ -230,12 +222,9 @@ def load_gate(path_csv: str, path_json: str) -> GateMatrix:
 # -------------------------------------------------------------------- field
 
 def save_field(field: ControlField, path: str, meta=None):
-    t = field.times()
-    rows = (
-        [float(ti), float(ei), float(ti * TIME_AU_S), float(ei * FIELD_AU_V_PER_M)]
-        for ti, ei in zip(t, field.samples)
-    )
-    _write_csv(path, ["t_au", "e_au", "t_s", "e_v_per_m"], rows, meta)
+    t, e = field.times(), field.samples
+    _write_csv(path, ["t_au", "e_au", "t_s", "e_v_per_m"],
+               [t, e, t * TIME_AU_S, e * FIELD_AU_V_PER_M], meta)
 
 
 def load_field(path: str) -> ControlField:
@@ -254,13 +243,9 @@ def load_field(path: str) -> ControlField:
 def save_trace(trace: OctTrace, path: str, meta=None):
     all_meta = dict(meta or {})
     all_meta["status"] = trace.status
-    rows = (
-        [it, float(j), float(f), float(fl)]
-        for it, j, f, fl in zip(
-            trace.iterations, trace.objectives, trace.fidelities, trace.fluences
-        )
-    )
-    _write_csv(path, ["iteration", "objective", "fidelity", "fluence_au"], rows, all_meta)
+    _write_csv(path, ["iteration", "objective", "fidelity", "fluence_au"],
+               [trace.iterations, trace.objectives, trace.fidelities, trace.fluences],
+               all_meta)
 
 
 def load_trace(path: str) -> OctTrace:
@@ -281,46 +266,35 @@ def load_trace(path: str) -> OctTrace:
 
 def save_amplitudes(q, path: str, meta=None):
     """Qubit amplitudes as (j, re, im, population)."""
-    rows = (
-        [j, float(c.real), float(c.imag), float(abs(c) ** 2)]
-        for j, c in enumerate(q.c)
-    )
-    _write_csv(path, ["j", "re", "im", "population"], rows, meta)
+    c = q.c
+    _write_csv(path, ["j", "re", "im", "population"],
+               [np.arange(len(c)), c.real, c.imag, np.abs(c) ** 2], meta)
 
 
 # --------------------------------------------------------------- analysis IO
 
 def save_spectrum(spec, path: str, meta=None):
-    rows = ([float(f), float(p)] for f, p in zip(spec.frequencies_hz, spec.power))
-    _write_csv(path, ["frequency_hz", "power"], rows, meta)
+    _write_csv(path, ["frequency_hz", "power"], [spec.frequencies_hz, spec.power], meta)
 
 
 def save_positions(values, path: str, meta=None):
-    rows = ([i, float(v)] for i, v in enumerate(values))
-    _write_csv(path, ["pulse", "value_au"], rows, meta)
+    _write_csv(path, ["pulse", "value_au"], [np.arange(len(values)), values], meta)
 
 
 def save_fidelity_trace(values, path: str, meta=None):
-    rows = ([i + 1, float(v)] for i, v in enumerate(values))
-    _write_csv(path, ["pulse", "fidelity"], rows, meta)
+    _write_csv(path, ["pulse", "fidelity"], [np.arange(1, len(values) + 1), values], meta)
 
 
 def save_probability_snapshots(populations, grid: Grid, path: str, meta=None):
     """Rows (pulse l, grid index j, x_j, probability density)."""
-    rows = (
-        [l, j, float(grid.points[j]), float(p[j] / grid.delta_x)]
-        for l, p in enumerate(populations)
-        for j in range(grid.n)
-    )
-    _write_csv(path, ["pulse", "j", "x_au", "probability_density"], rows, meta)
+    pulse, j = np.divmod(np.arange(len(populations) * grid.n), grid.n)
+    density = np.ravel(populations) / grid.delta_x
+    _write_csv(path, ["pulse", "j", "x_au", "probability_density"],
+               [pulse, j, grid.points[j], density], meta)
 
 
 def save_state_trajectory(times, populations, norms, path: str, meta=None):
     """Rows (t, population_0.., norm_or_trace)."""
     n = populations.shape[1]
     header = ["t_au"] + [f"pop_{j}" for j in range(n)] + ["norm_or_trace"]
-    rows = (
-        [float(t)] + [float(p) for p in pops] + [float(nv)]
-        for t, pops, nv in zip(times, populations, norms)
-    )
-    _write_csv(path, header, rows, meta)
+    _write_csv(path, header, [times, *populations.T, norms], meta)

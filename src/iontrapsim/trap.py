@@ -141,6 +141,15 @@ def solve_trap(params: TrapParams) -> EigenBasis:
     )
 
 
+def check_deltas(deltas) -> list:
+    """The distinct |delta n| of a transition set, ascending; an empty set
+    or a zero is refused."""
+    deltas = sorted({abs(int(d)) for d in deltas})
+    if not deltas or deltas[0] == 0:
+        raise ValidationError("deltas must be a nonempty set of nonzero integers")
+    return deltas
+
+
 def transition_table(basis: EigenBasis, deltas, n_states: int | None = None):
     """List transitions (j, k=j+delta) with frequency in Hz and dipole in a.u.
 
@@ -156,9 +165,7 @@ def transition_table(basis: EigenBasis, deltas, n_states: int | None = None):
     -------
     list of (j, k, frequency_hz, dipole_au)
     """
-    deltas = sorted({abs(int(d)) for d in deltas})
-    if not deltas or deltas[0] == 0:
-        raise ValidationError("deltas must be a nonempty set of nonzero integers")
+    deltas = check_deltas(deltas)
     if n_states is None:
         n_states = basis.n_qubits
     if n_states > basis.n_states:

@@ -24,6 +24,7 @@ from iontrapsim import (
 )
 from iontrapsim.cli import _closed_simulation, _dissipative_simulation
 from iontrapsim.config import tier_config
+from iontrapsim.oct import GUESS_AMPLITUDE_AU
 from iontrapsim.propagator import (ClosedPulseMap, ControlField, InteractionFrame, Lindblad,
                                    LindbladPulseMap, hermitian_coordinates,
                                    hermitian_matrices, sweep)
@@ -42,9 +43,9 @@ def assert_relative(got, want, rtol=1e-12):
 def train_field(desk_basis):
     """300 steps of 2 ns carrying the desk guess lines at five times the
     guess amplitude: a population moves by tens of percent per pulse."""
-    cfg = OctConfig(t_pulse=600e-9 / TIME_AU_S, dt=2e-9 / TIME_AU_S, alpha0=1e15,
-                    guess_amplitude=1e-12)
-    return make_guess_field(desk_basis, cfg)
+    cfg = OctConfig(t_pulse=600e-9 / TIME_AU_S, dt=2e-9 / TIME_AU_S, alpha0=1e15)
+    guess = make_guess_field(desk_basis, cfg)
+    return ControlField(guess.samples * (1e-12 / GUESS_AMPLITUDE_AU), guess.dt)
 
 
 @pytest.fixture(scope="module")

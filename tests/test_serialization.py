@@ -99,7 +99,7 @@ def test_deterministic_bytes(tmp_path, small_basis):
     p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
     save_eigenbasis(small_basis, p1, {"config_hash": "x"})
     save_eigenbasis(small_basis, p2, {"config_hash": "x"})
-    for name in ("basis.json", "vectors.csv", "z_matrix.csv", "dipole.csv"):
+    for name in ("basis.json", "vectors.csv", "z_matrix.csv"):
         assert open(f"{p1}/{name}", "rb").read() == open(f"{p2}/{name}", "rb").read()
 
 
@@ -175,6 +175,6 @@ def test_write_read_write_is_byte_identical(tmp_path, small_basis, desk_gate):
 
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
-    assert len(names) == 8
+    assert len(names) == 7
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
