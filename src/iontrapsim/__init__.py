@@ -16,19 +16,17 @@ from .analysis import (
     periodicity_residual,
     spectrum,
 )
-from .encoder import QubitAmplitudes, decode, encode, to_wavepacket
+from .encoder import decode, encode
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import (
     GateMatrix,
     Grid,
-    GridWavepacket,
     SimSystem,
     analytic_coherent_evolution,
     classic_propagate,
     elementary_gate,
     gaussian_packet,
     make_grid,
-    split_step,
 )
 from .oct import (
     OctConfig,
@@ -56,11 +54,9 @@ __all__ = [
     "EigenBasis",
     "GateMatrix",
     "Grid",
-    "GridWavepacket",
     "NumericalError",
     "OctConfig",
     "OctTrace",
-    "QubitAmplitudes",
     "SimSystem",
     "Spectrum",
     "TargetSet",
@@ -88,8 +84,6 @@ __all__ = [
     "phase_spread",
     "solve_trap",
     "spectrum",
-    "split_step",
-    "to_wavepacket",
     "transition_table",
 ]
 

@@ -97,12 +97,12 @@ def mean_position_ion(state, basis: EigenBasis, t: float = 0.0) -> float:
     return float((c.conj() @ z @ c).real)
 
 
-def mean_position_sim(probabilities: np.ndarray, grid: Grid) -> float:
-    """<x> = sum x_j |psi(x_j)|^2 dx from decoded localization probabilities."""
-    p = np.asarray(probabilities, dtype=float)
+def mean_position_sim(populations: np.ndarray, grid: Grid) -> float:
+    """<x> = sum x_j p_j from the populations p_j = |psi(x_j)|^2 dx = |c_j|^2."""
+    p = np.asarray(populations, dtype=float)
     if len(p) != grid.n:
-        raise ValidationError("probability vector does not match the grid")
-    return float(np.sum(grid.points * p) * grid.delta_x)
+        raise ValidationError("population vector does not match the grid")
+    return float(np.sum(grid.points * p))
 
 
 def periodicity_residual(population_trajectory) -> float:

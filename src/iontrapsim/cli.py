@@ -51,8 +51,7 @@ def _meta(cfg: RunConfig) -> dict:
 
 def _build_gate(cfg: RunConfig):
     grid = make_grid(cfg.x_min, cfg.x_max, cfg.grid_points)
-    system = SimSystem()
-    return grid, system, elementary_gate(system, grid, cfg.delta_t, cfg.k_substeps)
+    return grid, elementary_gate(SimSystem(), grid, cfg.delta_t, cfg.k_substeps)
 
 
 def cmd_trap(args) -> int:
@@ -69,7 +68,7 @@ def cmd_trap(args) -> int:
 
 def cmd_gate(args) -> int:
     cfg = _load_run_config(args)
-    _, _, gate = _build_gate(cfg)
+    _, gate = _build_gate(cfg)
     path_csv = os.path.join(cfg.outdir, "gate.csv")
     path_json = os.path.join(cfg.outdir, "gate.json")
     serialization.save_gate(gate, path_csv, path_json, _meta(cfg))
@@ -136,13 +135,13 @@ def cmd_optimize(args) -> int:
         if args.dissipative:
             raise ValidationError("dissipative optimization is defined for the gate")
         sigma, x0 = cfg.packets[0]
-        grid, _, _ = _build_gate(cfg)
-        target = encode(gaussian_packet(grid, sigma, x0))
+        grid = make_grid(cfg.x_min, cfg.x_max, cfg.grid_points)
+        target = encode(gaussian_packet(grid, sigma, x0), grid)
         fieldspec, trace = optimize_state_prep(
             basis, target, oct_cfg, initial_field, trace, callback
         )
     else:
-        _, _, gate = _build_gate(cfg)
+        _, gate = _build_gate(cfg)
         targets = TargetSet(gate.entries)
         if args.dissipative:
             if len(cfg.kappas) != 1:
@@ -214,7 +213,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"gate field file {field_path} does not exist")
     gate_field = serialization.load_field(field_path)
     basis = solve_trap(cfg.trap)
-    grid, _, gate = _build_gate(cfg)
+    grid, gate = _build_gate(cfg)
     meta = _meta(cfg)
 
     closed_map = ClosedPulseMap(gate_field, basis, max(1, gate_field.n_steps // 1000))
@@ -227,18 +226,15 @@ def cmd_simulate(args) -> int:
     # unsuffixed file names and feeds the dissipative sweep
     c0 = None
     for index, (sigma, x0) in enumerate(cfg.packets):
-        packet = gaussian_packet(grid, sigma, x0)
-        amplitudes = encode(packet)
+        c = encode(gaussian_packet(grid, sigma, x0), grid)
         suffix = "" if index == 0 else f"_sigma_{sigma:g}_x0_{x0:g}"
         if index == 0:
-            c0 = amplitudes.c
+            c0 = c
         serialization.save_amplitudes(
-            amplitudes,
-            os.path.join(cfg.outdir, f"initial_amplitudes{suffix}.csv"),
-            meta,
+            c, os.path.join(cfg.outdir, f"initial_amplitudes{suffix}.csv"), meta
         )
         pulses, (traj_t, traj_pops, traj_norms) = _closed_simulation(
-            cfg, closed_map, grid, amplitudes.c
+            cfg, closed_map, grid, c
         )
         serialization.save_state_trajectory(
             traj_t, traj_pops, traj_norms,
@@ -248,7 +244,7 @@ def cmd_simulate(args) -> int:
             pulses, grid,
             os.path.join(cfg.outdir, f"closed_probabilities{suffix}.csv"), meta,
         )
-        xs = [analysis.mean_position_sim(p / grid.delta_x, grid) for p in pulses]
+        xs = [analysis.mean_position_sim(p, grid) for p in pulses]
         serialization.save_positions(
             xs, os.path.join(cfg.outdir, f"closed_x_mean{suffix}.csv"), meta
         )

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
+from .gridsim import Grid, check_sigma, check_substeps
 from .oct import OctConfig
 from .trap import TrapParams, check_deltas
 from .units import TIME_AU_S
@@ -112,6 +113,11 @@ class RunConfig:
     def validate(self) -> None:
         self.trap.validate()
         self.oct_config()
+        # the checks the grid, the gate and the packets make when built
+        Grid(self.x_min, self.x_max, self.grid_points)
+        check_substeps(self.k_substeps)
+        for sigma, _ in self.packets:
+            check_sigma(sigma)
         if self.n_pulses < 1:
             raise ValidationError("n_pulses must be at least 1")
         if not self.kappas:

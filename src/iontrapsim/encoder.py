@@ -2,53 +2,33 @@
 
 Grid point j and motional eigenstate j share the index: c_j = psi(x_j) sqrt(dx),
 so the qubit population |c_j|^2 equals the localization probability
-|psi(x_j)|^2 dx.
+|psi(x_j)|^2 dx.  Both sides are plain complex arrays of the grid's length.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .gridsim import Grid, GridWavepacket
+from .gridsim import Grid
 
 NORM_TOL = 1e-10
 
 
-@dataclass
-class QubitAmplitudes:
-    """Amplitudes over the motional eigenstates chi_0 .. chi_{N-1}."""
-
-    c: np.ndarray
-    delta_x: float
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.c) ** 2
-
-
-def encode(psi: GridWavepacket) -> QubitAmplitudes:
-    """Map a grid-normalized wavepacket onto qubit amplitudes."""
-    n2 = psi.norm2()
-    if abs(n2 - 1.0) > NORM_TOL:
-        raise ValidationError(f"wavepacket norm^2 = {n2!r}, expected 1 within {NORM_TOL}")
-    c = psi.amplitudes * np.sqrt(psi.grid.delta_x)
-    return QubitAmplitudes(c.astype(complex), psi.grid.delta_x)
-
-
-def decode(q: QubitAmplitudes) -> np.ndarray:
-    """Localization probabilities |psi(x_j)|^2 = |c_j|^2 / dx."""
-    total = float(np.sum(np.abs(q.c) ** 2))
+def _check(values: np.ndarray, grid: Grid, total: float, what: str) -> None:
+    if len(values) != grid.n:
+        raise ValidationError(f"{what} has {len(values)} entries, the grid {grid.n}")
     if abs(total - 1.0) > NORM_TOL:
-        raise ValidationError(f"amplitudes norm^2 = {total!r}, expected 1 within {NORM_TOL}")
-    return np.abs(q.c) ** 2 / q.delta_x
+        raise ValidationError(f"{what} norm^2 = {total!r}, expected 1 within {NORM_TOL}")
 
 
-def to_wavepacket(q: QubitAmplitudes, grid: Grid) -> GridWavepacket:
-    """Rebuild the grid wavepacket psi(x_j) = c_j / sqrt(dx)."""
-    if grid.n != q.n or abs(grid.delta_x - q.delta_x) > 1e-15:
-        raise ValidationError("grid does not match the encoded amplitudes")
-    return GridWavepacket(q.c / np.sqrt(q.delta_x), grid)
+def encode(psi: np.ndarray, grid: Grid) -> np.ndarray:
+    """Qubit amplitudes c_j = psi(x_j) sqrt(dx) of a grid-normalized wavepacket."""
+    psi = np.asarray(psi)
+    _check(psi, grid, float(np.sum(np.abs(psi) ** 2) * grid.delta_x), "wavepacket")
+    return (psi * np.sqrt(grid.delta_x)).astype(complex)
+
+
+def decode(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Localization probabilities |psi(x_j)|^2 = |c_j|^2 / dx."""
+    c = np.asarray(c)
+    _check(c, grid, float(np.sum(np.abs(c) ** 2)), "amplitudes")
+    return np.abs(c) ** 2 / grid.delta_x

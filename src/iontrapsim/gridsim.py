@@ -1,9 +1,10 @@
 """Simulated one-particle system on a spatial grid.
 
 Provides the grid convention x_j = x_min + (j+1)*dx, Gaussian initial
-packets, Strang split-operator stepping through the momentum grid, the
-elementary evolution operator built as a matrix, and exact harmonic
-reference evolutions used as oracles.
+packets, the elementary evolution operator built as a matrix from Strang
+split-operator steps through the momentum grid, and exact harmonic
+reference evolutions used as oracles.  A state on the grid is a plain
+complex array psi(x_j), normalized so that sum |psi|^2 dx = 1.
 """
 
 import warnings
@@ -72,35 +73,29 @@ class SimSystem:
         return v
 
 
-@dataclass
-class GridWavepacket:
-    """Complex amplitudes psi(x_j) on a grid, density-normalized where noted."""
-
-    amplitudes: np.ndarray
-    grid: Grid
-
-    def norm2(self) -> float:
-        """Sum |psi|^2 dx."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.delta_x)
-
-    def densities(self) -> np.ndarray:
-        """|psi(x_j)|^2."""
-        return np.abs(self.amplitudes) ** 2
-
-    def populations(self) -> np.ndarray:
-        """|psi(x_j)|^2 dx, the qubit-state populations after encoding."""
-        return self.densities() * self.grid.delta_x
+def check_sigma(sigma: float) -> None:
+    """The one check of a packet width, run by `gaussian_packet` and by
+    `RunConfig.validate`."""
+    if sigma <= 0:
+        raise ValidationError("sigma must be positive")
 
 
-def gaussian_packet(grid: Grid, sigma: float, x0: float) -> GridWavepacket:
-    """Sample (sigma/pi)^(1/4) exp(-(x-x0)^2 / 2 sigma) and renormalize.
+def check_substeps(k_substeps: int) -> None:
+    """The one check of a substep count, run by `elementary_gate` and by
+    `RunConfig.validate`."""
+    if k_substeps < 1:
+        raise ValidationError("k_substeps must be >= 1")
+
+
+def gaussian_packet(grid: Grid, sigma: float, x0: float) -> np.ndarray:
+    """Sample (sigma/pi)^(1/4) exp(-(x-x0)^2 / 2 sigma) on the grid points
+    and renormalize; returns psi(x_j) as a complex array.
 
     Renormalization makes the discrete populations sum to one exactly,
     which the ion-state encoding requires.  Warns when the packet carries
     weight at the grid edge.
     """
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
+    check_sigma(sigma)
     x = grid.points
     psi = (sigma / np.pi) ** 0.25 * np.exp(-((x - x0) ** 2) / (2.0 * sigma))
     psi = psi.astype(complex)
@@ -113,7 +108,7 @@ def gaussian_packet(grid: Grid, sigma: float, x0: float) -> GridWavepacket:
         warnings.warn(
             f"packet leaks off-grid: boundary population {edge:.2e}", stacklevel=2
         )
-    return GridWavepacket(psi, grid)
+    return psi
 
 
 def _split_factors(system: SimSystem, grid: Grid, dt_sub: float):
@@ -129,15 +124,6 @@ def _apply_split(columns: np.ndarray, half_v, kin, k_steps: int) -> np.ndarray:
         columns = np.fft.ifft(kin[:, None] * np.fft.fft(columns, axis=0), axis=0)
         columns = half_v[:, None] * columns
     return columns
-
-
-def split_step(psi: GridWavepacket, system: SimSystem, dt_sub: float) -> GridWavepacket:
-    """One Strang step exp(-iV dt/2) F^-1 exp(-iT dt) F exp(-iV dt/2)."""
-    if dt_sub < 0:
-        raise ValidationError("dt_sub must be non-negative")
-    half_v, kin = _split_factors(system, psi.grid, dt_sub)
-    out = _apply_split(psi.amplitudes[:, None].astype(complex), half_v, kin, 1)
-    return GridWavepacket(out[:, 0], psi.grid)
 
 
 @dataclass
@@ -164,8 +150,7 @@ def elementary_gate(system: SimSystem, grid: Grid, delta_t: float, k_substeps: i
     Columns are the images of delta packets, so the matrix acts directly on
     the c_j amplitude convention.
     """
-    if k_substeps < 1:
-        raise ValidationError("k_substeps must be >= 1")
+    check_substeps(k_substeps)
     dt_sub = delta_t / k_substeps
     half_v, kin = _split_factors(system, grid, dt_sub)
     u = _apply_split(np.eye(grid.n, dtype=complex), half_v, kin, k_substeps)
@@ -176,27 +161,24 @@ def elementary_gate(system: SimSystem, grid: Grid, delta_t: float, k_substeps: i
     return gate
 
 
-def classic_propagate(psi0: GridWavepacket, gate: GateMatrix, n_pulses: int) -> list[GridWavepacket]:
+def classic_propagate(psi0: np.ndarray, gate: GateMatrix, n_pulses: int) -> list[np.ndarray]:
     """Apply the gate n_pulses times; returns [psi0, psi1, ..., psi_Np]."""
-    if gate.n != psi0.grid.n:
-        raise ValidationError("gate size does not match the grid")
+    if gate.n != len(psi0):
+        raise ValidationError("gate size does not match the state")
     out = [psi0]
-    amp = psi0.amplitudes
     for _ in range(n_pulses):
-        amp = gate.entries @ amp
-        out.append(GridWavepacket(amp, psi0.grid))
+        out.append(gate.entries @ out[-1])
     return out
 
 
 def analytic_coherent_evolution(
     system: SimSystem, grid: Grid, sigma: float, x0: float, t: float
-) -> GridWavepacket:
-    """Exact |psi(x,t)|^2 of a Gaussian in the harmonic default potential.
+) -> np.ndarray:
+    """Exact populations |psi(x_j,t)|^2 dx of a Gaussian in the harmonic
+    default potential, normalized to sum to one on the grid.
 
     Center moves as x0 cos(t), squared-width parameter as
     s(t) = sigma cos^2 t + (1/sigma) sin^2 t (m = omega = hbar = 1).
-    The returned amplitudes are the real square roots of the density;
-    phases are not modeled.
     """
     v = system.sample_potential(grid)
     if not np.allclose(v, harmonic_potential(grid.points), atol=1e-12) or system.mass != 1.0:
@@ -204,5 +186,4 @@ def analytic_coherent_evolution(
     center = x0 * np.cos(t)
     s = sigma * np.cos(t) ** 2 + (1.0 / sigma) * np.sin(t) ** 2
     dens = np.exp(-((grid.points - center) ** 2) / s) / np.sqrt(np.pi * s)
-    dens /= np.sum(dens) * grid.delta_x
-    return GridWavepacket(np.sqrt(dens).astype(complex), grid)
+    return dens / np.sum(dens)

@@ -99,7 +99,7 @@ class TargetSet:
     gate: np.ndarray
 
     def __post_init__(self):
-        self.gate = np.asarray(getattr(self.gate, "entries", self.gate), dtype=complex)
+        self.gate = np.asarray(self.gate, dtype=complex)
         n = self.gate.shape[0]
         if np.abs(self.gate.conj().T @ self.gate - np.eye(n)).max() > 1e-8:
             raise ValidationError("target gate is not unitary")
@@ -351,7 +351,7 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
                            measure, initial_field, trace, callback)
 
 
-def optimize_state_prep(basis: EigenBasis, target_amplitudes, config: OctConfig,
+def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig,
                         initial_field: ControlField | None = None,
                         trace: OctTrace | None = None, callback=None):
     """Field preparing the encoded wavepacket from the motional ground state.
@@ -359,7 +359,7 @@ def optimize_state_prep(basis: EigenBasis, target_amplitudes, config: OctConfig,
     Single-target variant; the reported fidelity is the population overlap
     |<target|psi(T)>|^2, insensitive to the global phase.
     """
-    c = np.asarray(getattr(target_amplitudes, "c", target_amplitudes), dtype=complex)
+    c = np.asarray(target, dtype=complex)
     if abs(np.linalg.norm(c) - 1.0) > 1e-8:
         raise ValidationError("target amplitudes must be normalized")
     dim = basis.n_states

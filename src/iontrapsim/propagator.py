@@ -122,9 +122,7 @@ class DissipationModel:
     """Phenomenological heating model: rates gamma_jk = kappa |mu_jk|."""
 
     kappa: float
-    pairs: np.ndarray            # (n_pairs, 2) ordered (j, k): jump |j><k|
-    rates: np.ndarray            # (n_pairs,)
-    gamma: np.ndarray            # (D, D) rate matrix, gamma[j, k] for |j><k|
+    gamma: np.ndarray            # (D, D) rate matrix, gamma[j, k] for the jump |j><k|
     mean_rate: float             # arithmetic mean over the averaging pair set
 
     @property
@@ -166,7 +164,7 @@ def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> Dissipa
     n = basis.n_qubits
     in_window = (pairs[:, 0] < n) & (pairs[:, 1] < n)
     mean_rate = float(rates[in_window].mean()) if in_window.any() else 0.0
-    return DissipationModel(kappa, pairs, rates, gamma, mean_rate)
+    return DissipationModel(kappa, gamma, mean_rate)
 
 
 class InteractionFrame:

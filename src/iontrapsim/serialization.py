@@ -264,9 +264,8 @@ def load_trace(path: str) -> OctTrace:
 
 # ---------------------------------------------------------------- amplitudes
 
-def save_amplitudes(q, path: str, meta=None):
+def save_amplitudes(c: np.ndarray, path: str, meta=None):
     """Qubit amplitudes as (j, re, im, population)."""
-    c = q.c
     _write_csv(path, ["j", "re", "im", "population"],
                [np.arange(len(c)), c.real, c.imag, np.abs(c) ** 2], meta)
 

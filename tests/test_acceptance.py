@@ -97,7 +97,7 @@ def test_gate_construction(paper_gate, paper_grid):
     unitarity = paper_gate.unitarity_defect()
     pk = gaussian_packet(paper_grid, 1.0, -0.75)
     traj = classic_propagate(pk, paper_gate, 10)
-    residual = periodicity_residual([p.populations() for p in traj])
+    residual = periodicity_residual([np.abs(p) ** 2 * paper_grid.delta_x for p in traj])
 
     g64 = make_grid(-4.0, 4.0, 64)
     gate64 = elementary_gate(
@@ -107,7 +107,7 @@ def test_gate_construction(paper_gate, paper_grid):
     out = pk64
     for _ in range(10):
         out = classic_propagate(out, gate64, 1)[-1]
-    ret = np.abs(out.populations() - pk64.populations()).max()
+    ret = np.abs(np.abs(out) ** 2 - np.abs(pk64) ** 2).max() * g64.delta_x
 
     passed = unitarity < 1e-10 and residual <= 2e-3 and ret <= 1e-3
     report(
@@ -123,8 +123,8 @@ def test_gate_construction(paper_gate, paper_grid):
 
 def test_encoding_roundtrip(paper_grid):
     pk = gaussian_packet(paper_grid, 1.0, -0.75)
-    q = encode(pk)
-    err = np.abs(decode(q) - pk.densities()).max()
+    c = encode(pk, paper_grid)
+    err = np.abs(decode(c, paper_grid) - np.abs(pk) ** 2).max()
     passed = err < 1e-12
     report("encoding (round trip)", passed, f"max error {err:.2e} (<=1e-12)")
     assert passed
@@ -137,7 +137,7 @@ def test_encoding_mean_position_magnitude(paper_basis, paper_grid):
     leading-coefficient convention the value is 149.8 a.u.; the 114.8 a.u.
     calibration target corresponds to an unspecified gauge and no standard
     convention reproduces it."""
-    c = encode(gaussian_packet(paper_grid, 1.0, -0.75)).c
+    c = encode(gaussian_packet(paper_grid, 1.0, -0.75), paper_grid)
     z = abs(mean_position_ion(np.pad(c, (0, 16)), paper_basis))
     passed = bool(abs(z - 114.8) / 114.8 < 0.05)
     report(

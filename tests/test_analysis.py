@@ -10,7 +10,6 @@ from iontrapsim import (
     bandpass_filter,
     build_dissipation,
     classic_propagate,
-    decode,
     encode,
     evolution_operator,
     fidelity,
@@ -131,22 +130,22 @@ class TestMeanPositionIon:
     def test_encoded_packet_regression(self, paper_basis, paper_grid):
         # gauge-dependent value under the leading-coefficient sign convention;
         # pinned to catch accidental convention changes
-        c = encode(gaussian_packet(paper_grid, 1.0, -0.75)).c
+        c = encode(gaussian_packet(paper_grid, 1.0, -0.75), paper_grid)
         z = mean_position_ion(np.pad(c, (0, 16)), paper_basis)
         assert z == pytest.approx(149.85, abs=0.05)
 
 
 class TestMeanPositionSim:
     def test_symmetric_packet(self, paper_grid):
-        probs = decode(encode(gaussian_packet(paper_grid, 1.0, 0.0)))
-        x = mean_position_sim(probs, paper_grid)
+        c = encode(gaussian_packet(paper_grid, 1.0, 0.0), paper_grid)
+        x = mean_position_sim(np.abs(c) ** 2, paper_grid)
         assert abs(x) < 0.06  # grid asymmetry (point at +4, none at -4)
 
     def test_oscillating_center(self, paper_grid, paper_gate):
         pk = gaussian_packet(paper_grid, 1.0, -0.75)
         traj = classic_propagate(pk, paper_gate, 10)
         for l, p in enumerate(traj):
-            x = mean_position_sim(p.densities(), paper_grid)
+            x = mean_position_sim(np.abs(p) ** 2 * paper_grid.delta_x, paper_grid)
             assert x == pytest.approx(-0.75 * np.cos(2 * np.pi * l / 10), abs=0.02)
 
 
@@ -155,7 +154,7 @@ class TestPeriodicityResidual:
         pops = [
             analytic_coherent_evolution(
                 harmonic_system, paper_grid, 1.0, -0.75, l * 2 * np.pi / 10
-            ).populations()
+            )
             for l in range(11)
         ]
         assert periodicity_residual(pops) < 1e-10
@@ -163,7 +162,7 @@ class TestPeriodicityResidual:
     def test_gate_trajectory(self, paper_grid, paper_gate):
         pk = gaussian_packet(paper_grid, 1.0, -0.75)
         traj = classic_propagate(pk, paper_gate, 10)
-        residual = periodicity_residual([p.populations() for p in traj])
+        residual = periodicity_residual([np.abs(p) ** 2 * paper_grid.delta_x for p in traj])
         assert 0 < residual < 2e-3
 
     def test_requires_ten_pulses(self):

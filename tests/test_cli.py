@@ -12,7 +12,8 @@ from iontrapsim import ControlField, SimSystem, elementary_gate, evolution_opera
 from iontrapsim.cli import _load_run_config, build_parser, main
 from iontrapsim.config import load_config, parse_quantity, tier_config
 from iontrapsim.errors import ValidationError
-from iontrapsim.serialization import load_eigenbasis, load_field, load_gate, save_field
+from iontrapsim.serialization import _read_table, load_eigenbasis, load_field, load_gate, \
+    save_field
 from iontrapsim.units import TIME_AU_S
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -171,10 +172,12 @@ class TestCliCommands:
          "[dissipation]\nkappa =\n", "[oct]\nmax_iteration = 5\n", "[optimise]\nalpha0_p = 1\n",
          "[trap]\nprimitive_size = fifty\n", "[oct]\nfidelity_goal = high\n",
          "[dissipation]\ndeltas = 1.5, 3\n", None, "max_iterations = 5\n",
-         "[oct]\nmax_iterations = 5\nmax_iterations = 6\n", "[dissipation]\ndeltas = 0\n"],
+         "[oct]\nmax_iterations = 5\nmax_iterations = 6\n", "[dissipation]\ndeltas = 0\n",
+         "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n"],
         ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
              "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
-             "missing-file", "no-section-header", "duplicate-key", "zero-delta"],
+             "missing-file", "no-section-header", "duplicate-key", "zero-delta",
+             "negative-sigma", "inverted-grid", "zero-substeps"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file, with one
@@ -329,6 +332,33 @@ class TestCliCommands:
                                cfg.delta_t, cfg.k_substeps)
         want = fidelity(gate, evolution_operator(load_field(field_path), basis, gate.n))
         assert f"simulate: gate field realizes F = {want:.6f}\n" in capsys.readouterr().out
+
+    def test_closed_x_mean_reads_the_probabilities(self, tmp_path, capsys):
+        """Each row of a `closed_x_mean*.csv` is sum x_j p_j dx over the
+        same pulse's rows of the matching `closed_probabilities*.csv`."""
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        out = str(tmp_path / "s")
+        main([
+            "optimize", "--config", str(ini), "--tier", "desk", "--out", out,
+            "--max-iterations", "0",
+        ])
+        assert main([
+            "simulate", "--config", str(ini), "--tier", "desk", "--out", out,
+            "--field", os.path.join(out, "gate_p_field.csv"), "--kappa", "1e-16",
+        ]) == 0
+        capsys.readouterr()
+        cfg = tier_config("desk")
+        dx = make_grid(cfg.x_min, cfg.x_max, cfg.grid_points).delta_x
+        for suffix in ("", "_sigma_0.5_x0_-0.75"):
+            _, means, _ = _read_table(os.path.join(out, f"closed_x_mean{suffix}.csv"))
+            _, probs, _ = _read_table(os.path.join(out, f"closed_probabilities{suffix}.csv"))
+            assert len(means) == cfg.n_pulses + 1
+            for pulse, x_mean in means:
+                rows = probs[probs[:, 0] == pulse]
+                assert len(rows) == cfg.grid_points
+                assert x_mean == pytest.approx(np.sum(rows[:, 2] * rows[:, 3]) * dx,
+                                               abs=1e-12)
 
     def test_dissipative_checkpoint_resumes(self, tmp_path):
         ini = tmp_path / "short.ini"

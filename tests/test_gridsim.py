@@ -12,7 +12,6 @@ from iontrapsim import (
     elementary_gate,
     gaussian_packet,
     make_grid,
-    split_step,
 )
 
 
@@ -42,13 +41,12 @@ class TestGrid:
 class TestGaussianPacket:
     def test_normalized_on_grid(self, paper_grid):
         pk = gaussian_packet(paper_grid, 1.0, -0.75)
-        assert pk.norm2() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(pk) ** 2) * paper_grid.delta_x == pytest.approx(1.0, abs=1e-12)
 
     def test_even_symmetry_at_origin(self):
         # mirror-symmetric interior points of a centered packet
         g = make_grid(-4.0, 4.0, 16)
-        pk = gaussian_packet(g, 1.0, 0.0)
-        amps = pk.amplitudes
+        amps = gaussian_packet(g, 1.0, 0.0)
         for j in range(7):
             assert abs(amps[j]) == pytest.approx(abs(amps[14 - j]), rel=1e-12)
 
@@ -63,32 +61,36 @@ class TestGaussianPacket:
 
 
 class TestSplitStep:
+    """One Strang step exp(-iV dt/2) F^-1 exp(-iT dt) F exp(-iV dt/2): the
+    single-substep gate."""
+
     def test_plane_wave_kinetic_phase(self):
         g = make_grid(-4.0, 4.0, 16)
         free = SimSystem(potential=lambda x: np.zeros_like(x), label="free")
         k3 = g.momenta[3]
-        from iontrapsim.gridsim import GridWavepacket
-
-        psi = GridWavepacket(np.exp(1j * k3 * g.points), g)
+        psi = np.exp(1j * k3 * g.points)
         dt = 0.1
-        out = split_step(psi, free, dt)
-        expected = psi.amplitudes * np.exp(-0.5j * k3**2 * dt)
-        assert np.abs(out.amplitudes - expected).max() < 1e-13
+        out = elementary_gate(free, g, dt, 1).entries @ psi
+        expected = psi * np.exp(-0.5j * k3**2 * dt)
+        assert np.abs(out - expected).max() < 1e-13
 
     def test_norm_conservation(self, paper_grid, harmonic_system):
         pk = gaussian_packet(paper_grid, 0.5, -0.75)
+        step = elementary_gate(harmonic_system, paper_grid, 2 * np.pi / 100, 1).entries
         out = pk
         for _ in range(10):
-            out = split_step(out, harmonic_system, 2 * np.pi / 100)
-        assert abs(out.norm2() - pk.norm2()) < 1e-12
+            out = step @ out
+        norm2 = [np.sum(np.abs(psi) ** 2) * paper_grid.delta_x for psi in (out, pk)]
+        assert abs(norm2[0] - norm2[1]) < 1e-12
 
     def test_composition_matches_gate(self, paper_grid, harmonic_system, paper_gate):
         pk = gaussian_packet(paper_grid, 1.0, -0.75)
+        step = elementary_gate(harmonic_system, paper_grid, 2 * np.pi / 100, 1).entries
         stepped = pk
         for _ in range(10):
-            stepped = split_step(stepped, harmonic_system, 2 * np.pi / 100)
-        gated = paper_gate.entries @ pk.amplitudes
-        assert np.abs(stepped.amplitudes - gated).max() < 1e-12
+            stepped = step @ stepped
+        gated = paper_gate.entries @ pk
+        assert np.abs(stepped - gated).max() < 1e-12
 
 
 class TestElementaryGate:
@@ -120,7 +122,7 @@ class TestClassicPropagate:
     def test_periodicity_populations(self, paper_grid, paper_gate):
         pk = gaussian_packet(paper_grid, 1.0, -0.75)
         traj = classic_propagate(pk, paper_gate, 10)
-        pops = [p.populations() for p in traj]
+        pops = [np.abs(p) ** 2 * paper_grid.delta_x for p in traj]
         residual = max(np.abs(pops[l] - pops[10 - l]).max() for l in range(5))
         assert residual < 2e-3
 
@@ -129,7 +131,7 @@ class TestClassicPropagate:
         traj = classic_propagate(pk, paper_gate, 10)
         x = paper_grid.points
         for l, p in enumerate(traj):
-            prob = p.populations()
+            prob = np.abs(p) ** 2 * paper_grid.delta_x
             mean = np.sum(x * prob)
             var = np.sum((x - mean) ** 2 * prob)
             t = l * 2 * np.pi / 10
@@ -147,21 +149,19 @@ class TestAnalyticOracle:
     def test_half_period_mirror(self, paper_grid, harmonic_system):
         out = analytic_coherent_evolution(harmonic_system, paper_grid, 1.0, -0.75, np.pi)
         x = paper_grid.points
-        center = np.sum(x * out.populations())
+        center = np.sum(x * out)
         assert center == pytest.approx(0.75, abs=0.02)
 
     def test_coherent_width_constant(self, paper_grid, harmonic_system):
         for t in (0.0, 0.7, 1.9):
-            out = analytic_coherent_evolution(harmonic_system, paper_grid, 1.0, 0.0, t)
-            prob = out.populations()
+            prob = analytic_coherent_evolution(harmonic_system, paper_grid, 1.0, 0.0, t)
             var = np.sum(paper_grid.points**2 * prob)
             assert var == pytest.approx(0.5, abs=5e-3)
 
     def test_squeezed_width_maximum(self, paper_grid, harmonic_system):
-        out = analytic_coherent_evolution(
+        prob = analytic_coherent_evolution(
             harmonic_system, paper_grid, 0.5, 0.0, np.pi / 2
         )
-        prob = out.populations()
         var = np.sum(paper_grid.points**2 * prob)
         assert var == pytest.approx(1.0, abs=5e-3)  # s(pi/2)/2 = (1/sigma)/2
 
@@ -181,4 +181,4 @@ class TestAnalyticOracle:
             exact = analytic_coherent_evolution(
                 harmonic_system, g, 1.0, -0.75, l * 2 * np.pi / 10
             )
-            assert np.abs(traj[l].populations() - exact.populations()).max() < 1e-3
+            assert np.abs(np.abs(traj[l]) ** 2 * g.delta_x - exact).max() < 1e-3

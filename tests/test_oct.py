@@ -192,7 +192,7 @@ class TestOptimizeStatePrep:
         assert trace.iterations == [0]
 
     def test_packet_preparation_progresses(self, desk_basis, desk_grid):
-        target = encode(gaussian_packet(desk_grid, 1.0, -0.75))
+        target = encode(gaussian_packet(desk_grid, 1.0, -0.75), desk_grid)
         field, trace = optimize_state_prep(desk_basis, target, small_config())
         assert trace.is_monotonic()
         assert trace.fidelities[-1] > 0.5  # fast single-target convergence
@@ -204,7 +204,7 @@ class TestOptimizeStatePrep:
     def test_distinct_packets_need_distinct_fields(self, desk_basis, desk_grid):
         fields = []
         for x0 in (-0.75, 0.75):
-            target = encode(gaussian_packet(desk_grid, 1.0, x0))
+            target = encode(gaussian_packet(desk_grid, 1.0, x0), desk_grid)
             f, _ = optimize_state_prep(
                 desk_basis, target, small_config(max_iterations=3)
             )

@@ -1,3 +1,6 @@
+import os
+import re
+
 import iontrapsim
 
 
@@ -10,3 +13,12 @@ def test_every_export_resolves():
     namespace = {}
     exec("from iontrapsim import *", namespace)
     assert set(exports) <= set(namespace)
+
+
+def test_readme_library_sketch_runs():
+    """The README's `python` block runs as written (a 200-step pulse and
+    two iterations on the paper trap)."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as handle:
+        blocks = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})

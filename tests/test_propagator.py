@@ -239,13 +239,13 @@ class TestEvolutionOperator:
 class TestDissipationModel:
     def test_pair_structure(self, paper_basis):
         diss = build_dissipation(paper_basis, kappa=1e-18)
-        assert len(diss.pairs) == 2 * (31 + 29)
-        assert np.all(diss.rates >= 0)
+        assert np.count_nonzero(diss.gamma) == 2 * (31 + 29)
+        assert np.all(diss.gamma >= 0)
         assert np.abs(diss.gamma - diss.gamma.T).max() == 0.0
 
     def test_zero_kappa(self, paper_basis):
         diss = build_dissipation(paper_basis, kappa=0.0)
-        assert np.all(diss.rates == 0.0)
+        assert np.all(diss.gamma == 0.0)
         assert diss.mean_heating_time == np.inf
 
     def test_mean_heating_time_calibration(self, paper_basis):
@@ -255,7 +255,7 @@ class TestDissipationModel:
     def test_rates_proportional_to_kappa(self, paper_basis):
         d1 = build_dissipation(paper_basis, kappa=1e-18)
         d5 = build_dissipation(paper_basis, kappa=5e-18)
-        assert np.allclose(5 * d1.rates, d5.rates)
+        assert np.allclose(5 * d1.gamma, d5.gamma)
 
     def test_rejects_negative_kappa(self, paper_basis):
         with pytest.raises(ValidationError):
@@ -312,7 +312,7 @@ class TestLindblad:
         rng = np.random.default_rng(5)
         gamma = rng.uniform(0.0, 100.0, size=(8, 8))
         np.fill_diagonal(gamma, 0.0)
-        diss = DissipationModel(1.0, np.empty((0, 2), dtype=int), np.empty(0), gamma, 0.0)
+        diss = DissipationModel(1.0, gamma, 0.0)
         frame = InteractionFrame(desk_basis, 1e3)
         lindblad = Lindblad(frame, diss)
         adjoint = Lindblad(frame, diss, adjoint=True)

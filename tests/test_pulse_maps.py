@@ -50,7 +50,7 @@ def train_field(desk_basis):
 
 @pytest.fixture(scope="module")
 def c0(desk_grid):
-    return encode(gaussian_packet(desk_grid, 1.0, -0.75)).c
+    return encode(gaussian_packet(desk_grid, 1.0, -0.75), desk_grid)
 
 
 class TestHermitianCoordinates:
