@@ -4,8 +4,10 @@
 # takes 5.5-5.8 s on a shared 2-vCPU host with one OpenBLAS thread, so the
 # 1,500-iteration budget is about 2.4 h (one recorded P run reached
 # F >= 0.999 in 383 iterations, 29 min).  The dissipative re-optimization
-# (density matrices, 17 trajectories) runs for days and is checkpointed
-# every 5 iterations, so it survives interruption and resumes with --resume.
+# (density matrices, 17 trajectories) runs for days.  Every optimization
+# saves its own <stem>_field.csv and <stem>_trace.csv every few iterations
+# (--checkpoint-every), so an interrupted run resumes by appending
+# --resume "$OUT/<stem>_field.csv", which also continues its trace.
 #
 # Usage: scripts/reproduce_paper.sh [OUTDIR]
 
@@ -37,6 +39,6 @@ iontrapsim analyze --tier paper $ACK --out "$OUT" --field "$OUT/gate_p_field.csv
 iontrapsim analyze --tier paper $ACK --out "$OUT" --field "$OUT/gate_f_field.csv"
 
 # dissipative re-optimization at kappa = 1e-18 a.u. (very long; resumable by
-# appending: --resume "$OUT/gate_p_diss_checkpoint.csv")
+# appending: --resume "$OUT/gate_p_diss_field.csv")
 iontrapsim optimize --tier paper $ACK --out "$OUT" \
     --mode gate --functional P --dissipative --kappa 1e-18 --checkpoint-every 5

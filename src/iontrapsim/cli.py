@@ -80,26 +80,17 @@ def cmd_gate(args) -> int:
     return EXIT_OK
 
 
-def _trace_candidates(field_path: str):
-    """Trace files paired with a field file: X.csv -> X_trace.csv, and
-    X_field.csv -> X_trace.csv."""
-    stem = field_path[:-4] if field_path.endswith(".csv") else field_path
-    yield stem + "_trace.csv"
-    if stem.endswith("_field"):
-        yield stem[: -len("_field")] + "_trace.csv"
+def _save_run(cfg, stem, fieldspec, trace):
+    """The run's record: `<stem>_field.csv` and `<stem>_trace.csv`."""
+    serialization.save_field(fieldspec, os.path.join(cfg.outdir, f"{stem}_field.csv"), _meta(cfg))
+    serialization.save_trace(trace, os.path.join(cfg.outdir, f"{stem}_trace.csv"), _meta(cfg))
 
 
-def _checkpoint_writer(cfg, outdir, stem, every):
+def _checkpoint_writer(cfg, stem, every):
+    """Prints each iteration; saves the run's record after every, 2 every, ..."""
     def callback(iteration, fieldspec, trace):
         if every and iteration % every == 0:
-            serialization.save_field(
-                fieldspec, os.path.join(outdir, f"{stem}_checkpoint.csv"), _meta(cfg)
-            )
-            serialization.save_trace(
-                trace,
-                os.path.join(outdir, f"{stem}_checkpoint_trace.csv"),
-                _meta(cfg),
-            )
+            _save_run(cfg, stem, fieldspec, trace)
         print(
             f"  iter {iteration:5d}  J = {trace.objectives[-1]:.8f}  "
             f"F = {trace.fidelities[-1]:.6f}",
@@ -112,24 +103,25 @@ def _checkpoint_writer(cfg, outdir, stem, every):
 def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
     if args.checkpoint_every < 0:
-        raise ValidationError("--checkpoint-every must be non-negative (0 writes none)")
+        raise ValidationError("--checkpoint-every must be non-negative (0 saves at the end only)")
     basis = solve_trap(cfg.trap)
     oct_cfg = cfg.oct_config()
 
+    stem = f"{args.mode}_{cfg.functional.lower()}"
+    if args.dissipative:
+        stem = f"{stem}_diss"
+
+    # only this run's own field continues the trace beside it; any other
+    # field starts a new trace, whose iteration 0 evaluates that field
     initial_field = trace = None
     if args.resume:
         if not os.path.exists(args.resume):
             raise ValidationError(f"resume file {args.resume} does not exist")
         initial_field = serialization.load_field(args.resume)
-        for trace_path in _trace_candidates(args.resume):
-            if os.path.exists(trace_path):
-                trace = serialization.load_trace(trace_path)
-                break
-
-    stem = f"{args.mode}_{cfg.functional.lower()}"
-    if args.dissipative:
-        stem = f"{stem}_diss"
-    callback = _checkpoint_writer(cfg, cfg.outdir, stem, args.checkpoint_every)
+        trace_path = os.path.join(os.path.dirname(args.resume), f"{stem}_trace.csv")
+        if os.path.basename(args.resume) == f"{stem}_field.csv" and os.path.exists(trace_path):
+            trace = serialization.load_trace(trace_path)
+    callback = _checkpoint_writer(cfg, stem, args.checkpoint_every)
 
     if args.mode == "prep":
         if args.dissipative:
@@ -158,8 +150,7 @@ def cmd_optimize(args) -> int:
                 basis, targets, oct_cfg, initial_field, trace, callback
             )
 
-    serialization.save_field(fieldspec, os.path.join(cfg.outdir, f"{stem}_field.csv"), _meta(cfg))
-    serialization.save_trace(trace, os.path.join(cfg.outdir, f"{stem}_trace.csv"), _meta(cfg))
+    _save_run(cfg, stem, fieldspec, trace)
     print(
         f"optimize {args.mode}/{cfg.functional}: {trace.status} after {trace.iterations[-1]} "
         f"iterations, F = {trace.final_fidelity:.6f}, "
@@ -333,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dissipative", action="store_true")
     p.add_argument("--kappa", dest="kappas", type=float, nargs="*", metavar="KAPPA",
                    help="rate scale(s), a.u.")
-    p.add_argument("--resume", help="field CSV checkpoint to continue from")
+    p.add_argument("--resume", metavar="FIELD", help="field CSV to start from "
+                   "(this run's own <stem>_field.csv also continues its trace)")
     p.add_argument("--max-iterations", type=int)
-    p.add_argument("--checkpoint-every", type=int, default=25)
+    p.add_argument("--checkpoint-every", type=int, default=25, metavar="N", help="save "
+                   "field and trace after iterations N, 2N, ... (0: at the end only)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run the pulse-train simulation")

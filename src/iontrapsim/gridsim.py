@@ -140,8 +140,12 @@ class GateMatrix:
         return self.entries.shape[0]
 
     def unitarity_defect(self) -> float:
-        u = self.entries
-        return float(np.abs(u.conj().T @ u - np.eye(self.n)).max())
+        return unitarity_defect(self.entries)
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |U^dag U - I| of a square matrix."""
+    return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
 
 
 def elementary_gate(system: SimSystem, grid: Grid, delta_t: float, k_substeps: int) -> GateMatrix:
@@ -154,11 +158,10 @@ def elementary_gate(system: SimSystem, grid: Grid, delta_t: float, k_substeps: i
     dt_sub = delta_t / k_substeps
     half_v, kin = _split_factors(system, grid, dt_sub)
     u = _apply_split(np.eye(grid.n, dtype=complex), half_v, kin, k_substeps)
-    gate = GateMatrix(u, delta_t, k_substeps, label=system.label)
-    defect = gate.unitarity_defect()
+    defect = unitarity_defect(u)
     if defect > UNITARITY_FATAL:
         raise NumericalError(f"gate unitarity defect {defect:.2e} exceeds {UNITARITY_FATAL}")
-    return gate
+    return GateMatrix(u, delta_t, k_substeps, label=system.label)
 
 
 def classic_propagate(psi0: np.ndarray, gate: GateMatrix, n_pulses: int) -> list[np.ndarray]:

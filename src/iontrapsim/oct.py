@@ -48,6 +48,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
+from .gridsim import unitarity_defect
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
                          step_blocks, sweep)
 from .trap import EigenBasis, transition_table
@@ -100,8 +101,7 @@ class TargetSet:
 
     def __post_init__(self):
         self.gate = np.asarray(self.gate, dtype=complex)
-        n = self.gate.shape[0]
-        if np.abs(self.gate.conj().T @ self.gate - np.eye(n)).max() > 1e-8:
+        if unitarity_defect(self.gate) > 1e-8:
             raise ValidationError("target gate is not unitary")
 
     @property
@@ -248,11 +248,14 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     if initial_field is not None:
         if len(initial_field.samples) != config.n_steps + 1:
             raise ValidationError("initial field sample count does not match config")
+        if abs(initial_field.dt - config.dt) > 1e-9 * config.dt:
+            raise ValidationError("initial field sample spacing does not match config")
         field = initial_field.samples.copy()
     else:
         field = make_guess_field(basis, config).samples
     weight = switch_envelope(config) / config.alpha0
     trace = trace if trace is not None else OctTrace()
+    trace.status = "running"
     stall = 0
     if not len(trace):
         objective, fid = measure(sweep(kernel, initials, field))

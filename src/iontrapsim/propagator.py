@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .gridsim import unitarity_defect
 from .trap import EigenBasis, transition_table
 from .units import FIELD_AU_V_PER_M, TIME_AU_S
 
@@ -455,8 +456,7 @@ class ClosedPulseMap:
 
     def unitarity_drift(self) -> float:
         """max |U^dag U - I| of U(t_pulse)."""
-        u = self.final
-        return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+        return unitarity_defect(self.final)
 
     def apply(self, state):
         """(amplitudes after the pulse, their snapshots) of an amplitude

@@ -231,23 +231,32 @@ class TestCliCommands:
         assert code == 4
         assert os.path.exists(os.path.join(out, "gate_p_field.csv"))
         assert os.path.exists(os.path.join(out, "gate_p_trace.csv"))
-        assert os.path.exists(os.path.join(out, "gate_p_checkpoint.csv"))
-        assert os.path.exists(os.path.join(out, "gate_p_checkpoint_trace.csv"))
+        assert not [name for name in os.listdir(out) if "checkpoint" in name]
 
-    def test_checkpoint_every_counts_iterations(self, tmp_path, capsys):
-        """`--checkpoint-every 2` writes after iterations 2, 4, ...; the
-        report counts the sweeps, not the trace rows."""
+    def test_checkpoint_every_counts_iterations(self, tmp_path, capsys, monkeypatch):
+        """`--checkpoint-every 2` saves the run's own record after
+        iterations 2, 4, ..., its trace marked running, and once more at
+        the end; the report counts the sweeps, not the trace rows."""
+        from iontrapsim import cli
+        from iontrapsim.serialization import load_trace
+
+        saved, save_run = [], cli._save_run
+
+        def recording_save_run(cfg, stem, fieldspec, trace):
+            save_run(cfg, stem, fieldspec, trace)
+            on_disk = load_trace(os.path.join(cfg.outdir, f"{stem}_trace.csv"))
+            saved.append((on_disk.iterations[-1], on_disk.status))
+
+        monkeypatch.setattr(cli, "_save_run", recording_save_run)
         ini = tmp_path / "short.ini"
         ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
         out = str(tmp_path / "c")
         args = ["optimize", "--config", str(ini), "--tier", "desk", "--out", out,
-                "--max-iterations", "2"]
+                "--max-iterations", "5"]
         assert main(args + ["--checkpoint-every", "2"]) == 4
-        from iontrapsim.serialization import load_trace
-
-        trace = load_trace(os.path.join(out, "gate_p_checkpoint_trace.csv"))
-        assert trace.iterations == [0, 1, 2]
-        assert "iteration budget exhausted after 2 iterations" in capsys.readouterr().out
+        assert saved == [(2, "running"), (4, "running"), (5, "iteration budget exhausted")]
+        assert load_trace(os.path.join(out, "gate_p_trace.csv")).iterations == list(range(6))
+        assert "iteration budget exhausted after 5 iterations" in capsys.readouterr().out
         assert main(args + ["--checkpoint-every", "-1"]) == 2
         assert "checkpoint-every" in capsys.readouterr().err
 
@@ -370,11 +379,9 @@ class TestCliCommands:
             "--max-iterations", "1", "--checkpoint-every", "1",
         ]
         assert main(args) == 4
-        checkpoint = os.path.join(out, "gate_p_diss_checkpoint.csv")
-        assert os.path.exists(checkpoint)
-        assert os.path.exists(os.path.join(out, "gate_p_diss_checkpoint_trace.csv"))
-        assert not os.path.exists(os.path.join(out, "gate_p_checkpoint.csv"))
-        assert main(args + ["--resume", checkpoint]) == 4
+        field = os.path.join(out, "gate_p_diss_field.csv")
+        assert sorted(os.listdir(out)) == ["gate_p_diss_field.csv", "gate_p_diss_trace.csv"]
+        assert main(args + ["--resume", field]) == 4
         from iontrapsim.serialization import load_trace
 
         trace = load_trace(os.path.join(out, "gate_p_diss_trace.csv"))
@@ -417,6 +424,45 @@ class TestCliCommands:
         assert all(
             b >= a - 1e-10 for a, b in zip(trace.objectives, trace.objectives[1:])
         )
+
+    @pytest.mark.parametrize(
+        "first, first_stem, resumed, resumed_stem",
+        [(["--functional", "F"], "gate_f", ["--functional", "P"], "gate_p"),
+         (["--functional", "P"], "gate_p", ["--dissipative", "--kappa", "1e-17"],
+          "gate_p_diss")],
+        ids=["other-functional", "closed-field-dissipative"],
+    )
+    def test_resume_from_another_run_starts_a_new_trace(self, tmp_path, capsys, first,
+                                                        first_stem, resumed, resumed_stem):
+        """A field written by another kind of run is a starting point only:
+        the resumed run's trace begins with that field's evaluation under
+        its own measure, and the other run's trace is left as it was."""
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        out = str(tmp_path / "x")
+        common = ["optimize", "--config", str(ini), "--tier", "desk", "--out", out]
+        assert main(common + first + ["--max-iterations", "2"]) == 4
+        field = os.path.join(out, f"{first_stem}_field.csv")
+        assert main(common + resumed + ["--max-iterations", "1", "--resume", field]) == 4
+        assert "optimization fault" not in capsys.readouterr().err
+        from iontrapsim.serialization import load_trace
+
+        assert load_trace(os.path.join(out, f"{resumed_stem}_trace.csv")).iterations == [0, 1]
+        assert load_trace(os.path.join(out, f"{first_stem}_trace.csv")).iterations == [0, 1, 2]
+
+    def test_resume_with_other_sample_spacing_exits_2(self, tmp_path, capsys):
+        """A field of the configured sample count but another spacing is
+        refused, not resampled onto the configured grid."""
+        (tmp_path / "a.ini").write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        (tmp_path / "b.ini").write_text("[oct]\nt_pulse = 0.4 us\ndt = 4 ns\n")
+        out = str(tmp_path / "s")
+        common = ["optimize", "--tier", "desk", "--out", out, "--max-iterations", "1"]
+        assert main(common + ["--config", str(tmp_path / "a.ini")]) == 4
+        capsys.readouterr()
+        assert main(common + ["--config", str(tmp_path / "b.ini"),
+                              "--resume", os.path.join(out, "gate_p_field.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "sample spacing" in err, err
 
     def test_full_pipeline_with_simulation(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -485,7 +531,7 @@ class TestCliCommands:
             os.umask(old_umask)
         capsys.readouterr()
         names = sorted(os.listdir(outs[0]))
-        assert len(names) == 31 and names == sorted(os.listdir(outs[1]))
+        assert len(names) == 29 and names == sorted(os.listdir(outs[1]))
         for name in names:
             paths = [os.path.join(out, name) for out in outs]
             with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
