@@ -20,17 +20,20 @@ rule, and the fidelity recorded for a field is the one
 
 The dissipative variant replaces amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
-trajectories through Tr(eta (mu rho - rho mu)).  With all rates zero
-it reproduces the closed-system iteration to rounding (same fields, same
-objective column).
+trajectories through Tr(eta (mu rho - rho mu)).  Up to
+`propagator.SUPEROPERATOR_MAX_DIM` states the kernels step Hermitian
+coordinates by real step matrices, and the pairing is a bilinear form on
+them (`_coordinate_bracket`); above it they step matrices.  With all rates
+zero it reproduces the closed-system iteration to rounding (same fields,
+same objective column).
 
 All three optimizers run one iteration driver, `_run_iterations`: the
 backward `propagator.sweep` of the multipliers, one `_forward_update` and
 the evaluation sweep.  Each optimizer supplies only its kernels (the
-closed `InteractionFrame` twice, or a `Lindblad` generator and its
-adjoint), its trajectories, its update bracket and its measure.  The
-driver records the wall time of each backward sweep and forward update on
-the `OctTrace`.
+closed `InteractionFrame` twice, or the `propagator.lindblad_kernel` of a
+Lindblad generator and of its adjoint), its trajectories, its update
+bracket and its measure.  The driver records the wall time of each
+backward sweep and forward update on the `OctTrace`.
 
 The forward update is sequential in time, since the corrected sample of
 step n depends on the states at t_n, but the multipliers ride along under
@@ -50,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import unitarity_defect
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         step_blocks, sweep)
+                         commutator_coordinates, lindblad_kernel, step_blocks, sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -210,13 +213,14 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
 
 def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     """Forward sweep with immediate update; the multipliers lam ride along
-    under the old field.  Both start at t = 0, where y = x, and stay in the
-    rotating variable.  Per block of steps, the multipliers are stepped
+    under the old field.  Both start at t = 0 and move to the kernels'
+    rotating variable there.  Per block of steps, the multipliers are stepped
     through the block first, and `bracket` of their stacked trajectory
     returns `pairing(i, psi)`: the bracket at step i of the block and its
     dipole product, which `kernel.fresh_step` reuses.
     Returns (new field samples, final states)."""
     new_field = field.copy()
+    psi, lam = kernel.rotate_in(psi, 0), adjoint.rotate_in(lam, 0)
     for steps, lam_ops in step_blocks(adjoint, field):
         lams = np.empty((len(lam_ops),) + lam.shape, dtype=lam.dtype)
         for i, op in enumerate(lam_ops):
@@ -407,28 +411,73 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     rho0 = np.einsum("dt,et->tde", init_vecs, init_vecs.conj())
     eta_final = np.einsum("dt,et->tde", targ_vecs, targ_vecs.conj())
     n_gate = targets.n
-    d = basis.n_states
+    kernel = lindblad_kernel(frame, diss)
+    if isinstance(kernel, Lindblad):
+        bracket = _matrix_bracket(frame.mu, config.functional, n_gate)
+    else:
+        bracket = _coordinate_bracket(frame.mu, config.functional)
+
+    def measure(rho):
+        pops = np.einsum("tde,tde->t", eta_final.conj(), rho).real
+        return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
+
+    return _run_iterations(basis, config, kernel, lindblad_kernel(frame, diss, adjoint=True),
+                           rho0, eta_final, bracket, measure, initial_field, trace, callback)
+
+
+def _matrix_bracket(mu, functional, n_gate):
+    """Update bracket of the dissipative functionals for the per-matrix
+    `Lindblad` kernels.  In y = P^* x P, Tr(eta [mu_I, rho]) =
+    Tr(y_eta [mu, y_rho]) with the static dipole; for Hermitian y_rho,
+    [mu, y_rho] = a^dag - a with a = y_rho mu, so the pairing is
+    -2i Im Tr(y_eta a)."""
+    d = len(mu)
 
     def bracket(etas):
-        """In y = P^* x P, Tr(eta [mu_I, rho]) = Tr(y_eta [mu, y_rho]) with
-        the static dipole; for Hermitian y_rho, [mu, y_rho] = a^dag - a with
-        a = y_rho mu, so the pairing is -2i Im Tr(y_eta a)."""
         etas_c = etas.conj()
 
         def pairing(i, rho):
-            rho_mu = (rho.reshape(-1, d) @ frame.mu).reshape(rho.shape)
+            rho_mu = (rho.reshape(-1, d) @ mu).reshape(rho.shape)
             pair = np.einsum("tde,tde->t", etas_c[i], rho_mu).imag
-            if config.functional == "P":
+            if functional == "P":
                 return -float(np.sum(pair)), rho_mu
             pops = np.einsum("tde,tde->t", etas_c[i], rho).real
             return -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate])), rho_mu
 
         return pairing
 
-    def measure(rho):
-        pops = np.einsum("tde,tde->t", eta_final.conj(), rho).real
-        return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
+    return bracket
 
-    return _run_iterations(basis, config, Lindblad(frame, diss),
-                           Lindblad(frame, diss, adjoint=True), rho0, eta_final,
-                           bracket, measure, initial_field, trace, callback)
+
+def _coordinate_bracket(mu, functional):
+    """Update bracket of the dissipative functionals for the
+    `LindbladSuperoperator` kernels, whose states are rows of Hermitian
+    coordinates (`propagator.hermitian_coordinates`).
+
+    Tr(X Y) of Hermitian X and Y is sum_u w_u c_u(X) c_u(Y), the population
+    form w weighing the diagonal coordinates by 1 and the others by 2.  With
+    c(i [mu, y]) = c(y) @ B (`propagator.commutator_coordinates`), the
+    pairing Im Tr(y_eta y_rho mu) = Tr(y_eta i [mu, y_rho]) / 2 is the
+    bilinear form c(eta) @ W @ c(rho), W = w[:, None] * B^T / 2 (Palao &
+    Kosloff, PRA 68, 062308 (2003)).  Per block, one product gives the bras
+    c(eta) @ W of every step, and a step pairs them with rho by one
+    multiply-and-sum.  The F functional also weighs the target populations
+    Tr(y_eta y_rho) of its trajectories, the gate's N."""
+    weights = 2.0 - np.eye(len(mu)).ravel()
+    form = weights[:, None] * commutator_coordinates(mu).T / 2
+
+    def bracket(etas):
+        if functional == "F":
+            pairs = np.stack([etas * weights, etas @ form], axis=1)
+
+            def pairing(i, rho):
+                pops, pair = np.add.reduce(pairs[i] * rho, axis=(1, 2))
+                return -float(pops * pair), None
+        else:
+            bras = etas @ form
+
+            def pairing(i, rho):
+                return -float(np.vdot(bras[i], rho)), None
+        return pairing
+
+    return bracket

@@ -19,19 +19,28 @@ of e_n are real, so S = sum_k e_n^k C_k is one real product with the real
 view of the C_k, for a block of samples or for the one sample the
 optimizer has just corrected.
 
-Lindblad kernel.  The dissipator commutes with conjugation by P_n, so
+Lindblad kernels.  The dissipator commutes with conjugation by P_n, so
 density matrices step in y = P_n^* rho P_n by RK4 with the three constant
 stage dipoles mu_I(0), mu_I(h/2), mu_I(h), then one elementwise rotation
-exp(-i (E_j - E_k) h).  Every stack propagated is Hermitian, so each stage
-is one product c = y K^dag and the rate -(c + c^dag) plus the population
-transfer (`Lindblad.rhs`); the step operators of a `Lindblad` generator or
-its adjoint are the K^dag of the three stages.
+exp(-i (E_j - E_k) h).  One `Lindblad` generator (or its adjoint) defines
+that step, and two kernels take it.  Per matrix: every stack propagated is
+Hermitian, so each stage is one product c = y K^dag and the rate
+-(c + c^dag) plus the population transfer (`Lindblad.rhs`); its step
+operators are the K^dag of the three stages.  As a superoperator
+(`LindbladSuperoperator`): on `hermitian_coordinates` each stage is the
+real D^2 x D^2 matrix h (A + e B_s), so one step, rotation included, is
+c <- c + c @ sum_k e^k C_k^L with five constant C_k^L per direction, built
+from the generator by expanding the RK4 polynomial in e.  `lindblad_kernel`
+picks the superoperator up to SUPEROPERATOR_MAX_DIM states, the measured
+crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
+57 us per matrix), and the per-matrix kernel above it, at paper size too.
 
-Both kernels offer the same methods: `operators` for a block of held
+All three kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them, `fresh_step` under a sample the
 optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
-y.  One `sweep` integrates either through a pulse, and `step_blocks` is
-the one block loop it shares with the optimizer's forward update.
+y (for the superoperator, between matrices and coordinate rows).  One
+`sweep` integrates any of them through a pulse, and `step_blocks` is the
+one block loop it shares with the optimizer's forward update.
 
 Pulse maps.  Every pulse of a train replays the same waveform in the
 rotating frame, so `simulate` and the fidelity trace build each pulse's
@@ -41,8 +50,9 @@ size with 1,000 snapshots).  `LindbladPulseMap` holds the Lindblad pulse
 Phi, real-linear on Hermitian matrices, as one real (D^2, D^2) matrix on
 `hermitian_coordinates` (Re on and above the diagonal, Im of the upper
 triangle mirrored below it), built by sweeping the D^2 Hermitian units
-E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at a time.  At paper
-size that is a 1024^2 matrix (8 MB) from 16 sweeps of 64 units, 1 MB per
+E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at a time, with the
+kernel `lindblad_kernel` picks: at desk size one sweep of step matrices,
+at paper size a 1024^2 matrix (8 MB) from 16 sweeps of 64 units, 1 MB per
 stack.  Their `apply` checks every pulse's result: the norm of an
 amplitude vector, and the Hermiticity, trace and positivity of a density
 matrix.  Drift beyond tolerance raises NumericalError.
@@ -56,6 +66,7 @@ column-norm check.  Only `step_blocks` and the optimizer's forward update
 apply it; every caller passes plain samples.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +88,15 @@ BLOCK_STEPS = 16   # steps per block of precomputed step operators, and of
                    # the optimizer's prepared multipliers; at D = 32, 256 KB
                    # of closed step matrices (64 steps, 1 MB, adds 1.4 MB
                    # to the peak RSS of a paper-size optimize), 420 KB of
-                   # closed multipliers and bras, and 9 MB of Lindblad ones
+                   # closed multipliers and bras, and 9 MB of Lindblad ones;
+                   # at D = 8, 512 KB of 64 x 64 Lindblad step matrices
+SUPEROPERATOR_MAX_DIM = 16   # largest D that `lindblad_kernel` steps as a
+                   # `LindbladSuperoperator`.  Per step on a 2-vCPU host with
+                   # one OpenBLAS thread (per-matrix / superoperator), stacks
+                   # of D/2 + 1: D = 12 88 / 60 us, 16 148 / 135 us, 20 234 /
+                   # 324-414 us; 64-unit map stacks: D = 16 750 / 275 us, 20
+                   # 1,200 / 690 us.  The C_k take 5 ms per direction at
+                   # D = 12, 17 ms at 16 and 44-56 ms at 20.
 
 
 @dataclass
@@ -326,6 +345,127 @@ class Lindblad:
         return y * self.frame.conjugation(half_idx)
 
 
+class LindbladSuperoperator:
+    """The RK4 step of a `Lindblad` generator or its adjoint, frame rotation
+    included, as one real (D^2, D^2) step matrix S on
+    `hermitian_coordinates`, the kernel of `lindblad_kernel` up to
+    SUPEROPERATOR_MAX_DIM.  It holds the rotating variable y of the
+    generator as coordinate rows c (..., D^2), which step as
+    c <- c + c @ (S - I), S - I = sum_k e^k C_k: the identity is added, not
+    multiplied, so its rounding does not build up over a sweep (the trace
+    of a pulse map drifts by 1e-14 over 300 steps otherwise).
+
+    Each stage is affine in the held field, h (A + e B_s): A is diagonal on
+    coordinates, -(Gamma_j + Gamma_k) / 2 (sign flipped for the adjoint),
+    plus the population transfer between the diagonal coordinates, and B_s
+    is i [mu_I(s), .] at the stage dipoles s = 0, h/2, h.  The RK4
+    polynomial in them is expanded in e slope by slope, as
+    `InteractionFrame` expands the closed C_k, and every output coordinate
+    pair (j, k) is then turned by the frame rotation exp(-i (E_j - E_k) h).
+    The C_k are built once per direction, 160 KB at D = 8."""
+
+    def __init__(self, lindblad: Lindblad):
+        self.lindblad = lindblad
+        self.dim = len(lindblad.frame.energies)
+        self._coefficients = {}
+
+    def operators(self, e, backward: bool = False) -> np.ndarray:
+        """Step increments S - I = sum_k e^k C_k, (n, D^2, D^2), one per held
+        field value in e; c <- c + c @ (S - I) is one step, toward earlier
+        times if backward."""
+        e = np.asarray(e, dtype=float)
+        return self._step_matrices(e[:, None] ** InteractionFrame._POWERS, backward)
+
+    def _step_matrices(self, powers, backward: bool) -> np.ndarray:
+        c = self._coefficients.get(backward)
+        if c is None:
+            c = self._coefficients[backward] = self._rk4_coefficients(backward)
+        d2 = self.dim * self.dim
+        return (powers @ c).reshape(powers.shape[:-1] + (d2, d2))
+
+    def _rk4_coefficients(self, backward: bool) -> np.ndarray:
+        """C_0..C_4 of `operators`, flattened to (5, D^4)."""
+        lindblad = self.lindblad
+        d, n = self.dim, self.dim ** 2
+        h = -lindblad.frame.dt if backward else lindblad.frame.dt
+        rates = lindblad._half_rates
+        decay = -h * (rates[:, None] + rates).ravel()   # h A off the transfer block
+        pops = slice(None, None, d + 1)                  # the diagonal coordinates j D + j
+        transfer = h * lindblad._transfer
+        b0, bh, b1 = h * commutator_coordinates(lindblad.frame.stage_dipoles(backward))
+        # coefficients of e^0, e^1, ... of the slopes k1, k2, k3, then room for
+        # temporaries; k4 and the sum go to `out`.  Every array is written in
+        # place: fresh pages for temporaries would cost more than the products.
+        work = np.empty((13, n, n))
+        k1, k2, k3, scratch = work[:2], work[2:5], work[5:9], work[9:]
+        out = np.empty((5, n, n))
+        alpha = k1[0]
+        alpha.fill(0.0)
+        alpha.flat[::n + 1] = decay
+        alpha[pops, pops] += transfer
+        k1[1] = b0
+
+        def slope(k, c, beta, out):
+            """out = (I + c k) @ (alpha + e beta) for the polynomial
+            k(e) = sum_j e^j k[j], one degree higher in e; alpha acts as its
+            diagonal and its transfer block."""
+            np.matmul(k, c * beta, out=out[1:])
+            out[0] = alpha
+            out[1] += beta
+            out[:-1] += np.multiply(k, c * decay, out=scratch[:len(k)])
+            out[:-1, :, pops] += k[:, :, pops] @ (c * transfer)
+
+        slope(k1, 0.5, bh, k2)
+        slope(k2, 0.5, bh, k3)
+        slope(k3, 1.0, b1, out)
+        for k in (k3, k3, k2, k2, k1):   # 6 (M - I) = k1 + 2 k2 + 2 k3 + k4
+            out[:len(k)] += k
+        # y * w elementwise, w Hermitian, turns the coordinate pair (p, q) of
+        # y_jk by arg w_jk: c(y * w) = c @ R with c @ R = c * Re w - c^T * Im w,
+        # and Im w is antisymmetric, so c^T * Im w = -(c * Im w)^T.  Then
+        # S - I = (M - I) @ R + (R - I).
+        w = lindblad._rotations[backward]
+        turn = scratch[0].reshape(n, d, d)
+        for m in out.reshape(5, n, d, d):
+            np.multiply(m, w.imag / 6, out=turn)
+            m *= w.real / 6
+            m += turn.swapaxes(-1, -2)
+        v = np.arange(n)
+        out[0, v, v] += w.real.ravel() - 1
+        out[0, v.reshape(d, d).T.ravel(), v] -= w.imag.ravel()
+        return out.reshape(5, -1)
+
+    def step(self, y, s, backward=False):
+        """One step of the coordinate rows y with the step increment s."""
+        return y + y @ s
+
+    def fresh_step(self, y, e, coupled):
+        """One forward step of y under the held field e, a Python float
+        (coupled unused): S(e) - I built from its powers, then y + y @ it."""
+        return y + y @ self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False)
+
+    def rotate_in(self, x, half_idx):
+        """The coordinate rows of y = P^* x P at t = half_idx dt / 2;
+        ValidationError unless x is Hermitian."""
+        y = hermitian_coordinates(self.lindblad.rotate_in(x, half_idx))
+        return y.reshape(y.shape[:-2] + (-1,))
+
+    def rotate_out(self, y, half_idx):
+        """x = P y P^* at t = half_idx dt / 2 from the coordinate rows y."""
+        y = hermitian_matrices(y.reshape(y.shape[:-1] + (self.dim, self.dim)))
+        return self.lindblad.rotate_out(y, half_idx)
+
+
+def lindblad_kernel(frame: InteractionFrame, diss: DissipationModel, adjoint: bool = False):
+    """The `Lindblad` generator (or its adjoint) of frame and diss as the
+    kernel that steps it fastest: its `LindbladSuperoperator` up to
+    SUPEROPERATOR_MAX_DIM states, the per-matrix `Lindblad` above."""
+    lindblad = Lindblad(frame, diss, adjoint)
+    if len(frame.energies) <= SUPEROPERATOR_MAX_DIM:
+        return LindbladSuperoperator(lindblad)
+    return lindblad
+
+
 def step_blocks(kernel, field, backward=False):
     """(steps, ops) for every block of up to BLOCK_STEPS steps of the sample
     array `field`, in sweep order: ops[i] is the step operator of sample
@@ -426,7 +566,33 @@ def hermitian_matrices(c) -> np.ndarray:
     are c (..., D, D)."""
     below = np.tri(c.shape[-1], k=-1, dtype=bool)
     im = c * below
-    return np.where(below, np.swapaxes(c, -1, -2), c) + 1j * (np.swapaxes(im, -1, -2) - im)
+    x = np.empty(c.shape, dtype=complex)
+    x.real = np.where(below, np.swapaxes(c, -1, -2), c)
+    x.imag = np.swapaxes(im, -1, -2) - im
+    return x
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_rows(d: int) -> np.ndarray:
+    """The D^2 Hermitian units E_jj, H and B (`hermitian_coordinates`) as
+    D^3 rows of D, read-only: 64 KB at D = 8, kept per D because building
+    them took 40 us of a 0.4 ms C_k build."""
+    rows = hermitian_matrices(np.eye(d * d).reshape(d * d, d, d)).reshape(-1, d)
+    rows.flags.writeable = False
+    return rows
+
+
+def commutator_coordinates(mu) -> np.ndarray:
+    """The map y -> i [mu, y] of Hermitian y on coordinates, for Hermitian
+    mu (..., D, D): row u of the (..., D^2, D^2) result holds the
+    coordinates of i [mu, unit u].  As in `Lindblad`, i [mu, y] is
+    -(c + c^dag) with c = y (i mu)."""
+    d = mu.shape[-1]
+    c = (_unit_rows(d) @ (1j * mu)).reshape(mu.shape[:-2] + (d * d, d, d))
+    re, im = c.real, c.imag
+    below = np.tri(d, k=-1, dtype=bool)
+    rate = np.where(below, im - im.swapaxes(-1, -2), -(re + re.swapaxes(-1, -2)))
+    return rate.reshape(mu.shape[:-2] + (d * d, d * d))
 
 
 class ClosedPulseMap:
@@ -474,16 +640,19 @@ class LindbladPulseMap:
     Phi keeps matrices Hermitian, so it is real-linear on them: with c the
     flattened `hermitian_coordinates`, c(Phi(x)) = c(x) @ matrix.  Row u of
     the matrix is c(Phi(unit u)), from a `sweep` of the D^2 Hermitian units
-    (E_jj, H and B), MAP_UNITS at a time; every pulse of a train replays
-    the waveform in the rotating frame, so a train costs one small real
-    product per pulse.  At paper size (D = 32) the matrix is 1024^2 reals,
-    8 MB, built by 16 sweeps of 64 units."""
+    (E_jj, H and B), MAP_UNITS at a time, with the kernel of
+    `lindblad_kernel`; every pulse of a train replays the waveform in the
+    rotating frame, so a train costs one small real product per pulse.  At
+    desk size (D = 8) the 64 units are one sweep of 64 x 64 step matrices,
+    their C_k^L built first: a 3-step map takes 0.6 ms against 0.75 ms per
+    matrix on a 2-vCPU host.  At paper size (D = 32) the matrix is 1024^2
+    reals, 8 MB, built by 16 per-matrix sweeps of 64 units."""
 
     def __init__(self, fieldspec: ControlField, basis: EigenBasis, diss: DissipationModel):
         d = self.dim = basis.n_states
         units = hermitian_matrices(np.eye(d * d).reshape(d * d, d, d))
-        lindblad = Lindblad(InteractionFrame(basis, fieldspec.dt), diss)
-        final = np.concatenate([sweep(lindblad, units[a:a + MAP_UNITS], fieldspec.samples)
+        kernel = lindblad_kernel(InteractionFrame(basis, fieldspec.dt), diss)
+        final = np.concatenate([sweep(kernel, units[a:a + MAP_UNITS], fieldspec.samples)
                                 for a in range(0, d * d, MAP_UNITS)])
         self.matrix = hermitian_coordinates(final).reshape(d * d, d * d)
 

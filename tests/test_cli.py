@@ -293,8 +293,9 @@ class TestCliCommands:
         assert "n_pulses" in capsys.readouterr().err
 
     def test_simulate_reports_map_drift_and_reruns_identically(self, tmp_path, capsys):
-        """The drift of each pulse map goes to the console only; the
-        artifacts of a rerun are byte-identical."""
+        """The drift of each pulse map, and what renormalizing every pulse
+        removed from each packet's closed run and each kappa's run, go to the
+        console only; the artifacts of a rerun are byte-identical."""
         ini = tmp_path / "short.ini"
         ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
         field = os.path.join(str(tmp_path / "f"), "gate_p_field.csv")
@@ -312,6 +313,8 @@ class TestCliCommands:
         console = capsys.readouterr().out
         assert console.count("closed pulse map: max |U^dag U - I| = ") == 2
         assert console.count("pulse map trace drift") == 4
+        assert console.count("renormalization removed up to") == 8
+        assert console.count("of the norm per pulse") == 4    # two packets
         names = sorted(os.listdir(outs[0]))
         assert names == sorted(os.listdir(outs[1]))
         for name in names:

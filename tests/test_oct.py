@@ -16,6 +16,7 @@ from iontrapsim import (
     evolution_operator,
     gaussian_packet,
 )
+from iontrapsim import propagator
 from iontrapsim.oct import switch_envelope
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
@@ -222,3 +223,26 @@ class TestDissipativeOptimizer:
         assert trace.is_monotonic()
         assert len(trace) == 3
         assert np.all(np.isfinite(field.samples))
+
+    @pytest.mark.parametrize("functional", ["P", "F"])
+    def test_superoperator_kernel_matches_per_matrix_kernel(self, desk_basis, desk_gate,
+                                                            monkeypatch, functional):
+        """Three iterations on 300 desk steps (a partial block at the end):
+        the field and the trace of the `LindbladSuperoperator` kernels and
+        their coordinate bracket agree at 1e-12 relative with the per-matrix
+        kernels, which SUPEROPERATOR_MAX_DIM = 0 selects."""
+        cfg = small_config(t_pulse=600e-9 / TIME_AU_S, functional=functional,
+                           alpha0={"P": 5e14, "F": 2e15}[functional], max_iterations=3)
+        diss = build_dissipation(desk_basis, kappa=1e-17)
+        runs = []
+        for max_dim in (propagator.SUPEROPERATOR_MAX_DIM, 0):
+            monkeypatch.setattr(propagator, "SUPEROPERATOR_MAX_DIM", max_dim)
+            runs.append(optimize_gate_dissipative(desk_basis, TargetSet(desk_gate.entries),
+                                                  cfg, diss))
+        (field, trace), (want_field, want_trace) = runs
+        assert np.abs(field.samples - want_field.samples).max() <= (
+            1e-12 * np.abs(want_field.samples).max())
+        for got, want in ((trace.objectives, want_trace.objectives),
+                          (trace.fidelities, want_trace.fidelities)):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
+        assert want_trace.objectives[-1] > want_trace.objectives[0] + 1e-3

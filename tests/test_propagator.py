@@ -14,7 +14,9 @@ from iontrapsim import (
 )
 from iontrapsim.oct import OctConfig
 from iontrapsim.propagator import (ClosedPulseMap, InteractionFrame, Lindblad,
-                                   LindbladPulseMap, sweep)
+                                   LindbladPulseMap, LindbladSuperoperator,
+                                   commutator_coordinates, hermitian_coordinates,
+                                   lindblad_kernel, sweep)
 from iontrapsim.units import TIME_AU_S
 
 
@@ -402,3 +404,81 @@ class TestLindblad:
         coarse = sweep(InteractionFrame(desk_basis, field.dt), c0, field.samples)
         fine = sweep(InteractionFrame(desk_basis, halved.dt), c0, halved.samples)
         assert np.abs(coarse - fine).max() < 1e-6
+
+
+class TestLindbladSuperoperator:
+    """The step matrices of `LindbladSuperoperator` against the per-matrix
+    `Lindblad` kernel they stand in for up to SUPEROPERATOR_MAX_DIM, at
+    1e-12 relative.  The rates are random and asymmetric, and with
+    gamma dt up to 0.17 and e mu dt up to 0.2 every term of the step
+    polynomial counts."""
+
+    DT = 2e-9 / TIME_AU_S
+    FIELDS = (0.0, 8e-12, -1.5e-11)
+
+    @pytest.fixture(scope="class")
+    def diss(self):
+        rng = np.random.default_rng(7)
+        gamma = rng.uniform(0.0, 2e-9, size=(8, 8))
+        np.fill_diagonal(gamma, 0.0)
+        return DissipationModel(1.0, gamma, 0.0)
+
+    @staticmethod
+    def hermitian_stack(seed, n=5):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+        return x + x.conj().swapaxes(-1, -2)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_one_step(self, desk_basis, diss, adjoint, backward):
+        lindblad = Lindblad(InteractionFrame(desk_basis, self.DT), diss, adjoint)
+        superop = LindbladSuperoperator(lindblad)
+        x = self.hermitian_stack(1)
+        for e in self.FIELDS:
+            want = lindblad.rotate_out(lindblad.step(
+                lindblad.rotate_in(x, 6), lindblad.operators([e], backward)[0], backward), 6)
+            got = superop.rotate_out(superop.step(
+                superop.rotate_in(x, 6), superop.operators([e], backward)[0], backward), 6)
+            assert_relative(got, want)
+            if not backward:
+                y = lindblad.rotate_in(x, 0)
+                want = lindblad.fresh_step(y, e, (y.reshape(-1, 8) @ desk_basis.dipole)
+                                           .reshape(y.shape))
+                got = superop.fresh_step(superop.rotate_in(x, 0), e, None)
+                assert_relative(superop.rotate_out(got, 0), want)
+
+    @pytest.mark.parametrize("adjoint, backward", [(False, False), (True, True)])
+    def test_sweep_with_partial_block(self, desk_basis, diss, adjoint, backward):
+        """37 steps, two blocks of step matrices and a partial one, with
+        snapshots every 5 steps, as the optimizer sweeps them."""
+        frame = InteractionFrame(desk_basis, self.DT)
+        lindblad = Lindblad(frame, diss, adjoint)
+        samples = np.r_[np.random.default_rng(3).uniform(-1.5e-11, 1.5e-11, 37), 0.0]
+        x = self.hermitian_stack(2) / 8
+        stored = {}
+        finals = {}
+        for name, kernel in (("matrix", lindblad), ("superop", LindbladSuperoperator(lindblad))):
+            stored[name] = np.empty((37 // 5 + 1, 5, 8, 8), dtype=complex)
+            finals[name] = sweep(kernel, x, samples, backward, 5, stored[name])
+        assert_relative(finals["superop"], finals["matrix"])
+        assert_relative(stored["superop"], stored["matrix"])
+        assert np.abs(finals["matrix"] - x).max() > 0.1 * np.abs(x).max()
+
+    def test_commutator_coordinates(self, desk_basis):
+        """c(i [mu, y]) = c(y) @ commutator_coordinates(mu)."""
+        x = self.hermitian_stack(4)
+        mu = desk_basis.dipole
+        want = hermitian_coordinates(1j * (mu @ x - x @ mu)).reshape(5, -1)
+        got = hermitian_coordinates(x).reshape(5, -1) @ commutator_coordinates(mu)
+        assert_relative(got, want)
+
+    def test_dispatch_by_dimension(self, desk_basis, paper_basis):
+        """D = 8 steps as a superoperator, paper size per matrix."""
+        diss = build_dissipation(desk_basis, 1e-17)
+        kernel = lindblad_kernel(InteractionFrame(desk_basis, self.DT), diss, adjoint=True)
+        assert isinstance(kernel, LindbladSuperoperator)
+        assert kernel.lindblad._half_rates[1] < 0    # the adjoint's sign
+        frame = InteractionFrame(paper_basis, self.DT)
+        assert isinstance(lindblad_kernel(frame, build_dissipation(paper_basis, 1e-17)),
+                          Lindblad)

@@ -22,6 +22,7 @@ from iontrapsim import (
     mean_position_ion,
     periodicity_residual,
 )
+from iontrapsim import propagator
 from iontrapsim.cli import _closed_simulation, _dissipative_simulation
 from iontrapsim.config import tier_config
 from iontrapsim.oct import GUESS_AMPLITUDE_AU
@@ -72,10 +73,11 @@ class TestHermitianCoordinates:
 
 def test_closed_simulation_matches_pulse_by_pulse_sweep(desk_basis, desk_grid, train_field,
                                                         c0):
-    """Trajectory, probabilities, norms and the periodicity residual of the
-    map path against a `sweep` of the state once per pulse (the reference
-    loop is the former `_closed_simulation`).  store_every = 7 does not
-    divide the 300 steps, so the final state is no snapshot."""
+    """Trajectory, probabilities, norms, the periodicity residual and the
+    largest renormalization of the map path against a `sweep` of the state
+    once per pulse (the reference loop is the former `_closed_simulation`).
+    store_every = 7 does not divide the 300 steps, so the final state is no
+    snapshot."""
     cfg = tier_config("desk")
     store_every = 7
     frame = InteractionFrame(desk_basis, train_field.dt)
@@ -83,7 +85,7 @@ def test_closed_simulation_matches_pulse_by_pulse_sweep(desk_basis, desk_grid, t
     state = np.zeros(desk_basis.n_states, dtype=complex)
     state[: len(c0)] = c0
     pulses = [np.abs(state[: desk_grid.n]) ** 2]
-    times, populations, norms = [], [], []
+    times, populations, norms, corrections = [], [], [], []
     for pulse in range(cfg.n_pulses):
         stored = np.empty((len(t_stored), desk_basis.n_states, 1), dtype=complex)
         out = sweep(frame, state[:, None], train_field.samples, store_every=store_every,
@@ -92,16 +94,20 @@ def test_closed_simulation_matches_pulse_by_pulse_sweep(desk_basis, desk_grid, t
         times.append(t_stored + pulse * train_field.t_pulse)
         populations.append(np.abs(stored) ** 2)
         norms.append(np.linalg.norm(stored, axis=1) ** 2)
+        corrections.append(abs(np.linalg.norm(out) - 1.0))
         state = out / np.linalg.norm(out)
         pulses.append(np.abs(state[: desk_grid.n]) ** 2)
 
-    got_pulses, (got_t, got_pops, got_norms) = _closed_simulation(
+    got_pulses, (got_t, got_pops, got_norms), got_correction = _closed_simulation(
         cfg, ClosedPulseMap(train_field, desk_basis, store_every), desk_grid, c0
     )
     assert_relative(got_pulses, pulses)
     assert np.array_equal(got_t, np.concatenate(times))
     assert_relative(got_pops, np.concatenate(populations))
     assert_relative(got_norms, np.concatenate(norms))
+    # both renormalize away RK4's norm drift, rounding apart
+    assert 0.0 < got_correction < 1e-8
+    assert abs(got_correction - max(corrections)) < 1e-14
     assert_relative(periodicity_residual(got_pulses), periodicity_residual(pulses))
     assert np.abs(pulses[1] - pulses[0]).max() > 0.1
 
@@ -116,8 +122,9 @@ def test_closed_map_gate_is_evolution_operator(desk_basis, train_field):
 def test_dissipative_simulation_matches_pulse_by_pulse_sweep(
     desk_basis, desk_grid, desk_gate, train_field, c0
 ):
-    """Populations and <z> of the map path against a `sweep` of rho once
-    per pulse (the reference loop is the former `_dissipative_simulation`)."""
+    """Populations, <z> and the largest renormalization of the map path
+    against a `sweep` of rho once per pulse (the reference loop is the
+    former `_dissipative_simulation`)."""
     cfg = tier_config("desk")
     diss = build_dissipation(desk_basis, KAPPA, cfg.deltas)
     lindblad = Lindblad(InteractionFrame(desk_basis, train_field.dt), diss)
@@ -126,18 +133,22 @@ def test_dissipative_simulation_matches_pulse_by_pulse_sweep(
     rho = np.outer(c, c.conj())
     pulses = [np.real(np.diag(rho))[: desk_grid.n].copy()]
     zs = [mean_position_ion(rho, desk_basis)]
+    corrections = []
     for _ in range(cfg.n_pulses):
         rho = sweep(lindblad, rho, train_field.samples)
+        corrections.append(abs(np.trace(rho).real - 1.0))
         rho = rho / np.trace(rho).real
         pulses.append(np.real(np.diag(rho))[: desk_grid.n].copy())
         zs.append(mean_position_ion(rho, desk_basis))
 
     pulse_map = LindbladPulseMap(train_field, desk_basis, diss)
-    got_pulses, got_zs, got_fids = _dissipative_simulation(
+    got_pulses, got_zs, got_fids, got_correction = _dissipative_simulation(
         cfg, desk_basis, desk_gate, pulse_map, desk_grid, c0
     )
     assert_relative(got_pulses, pulses)
     assert_relative(got_zs, zs)
+    # the trace drifts by rounding only, on either path
+    assert max(got_correction, max(corrections)) < 1e-13
     assert_relative(got_fids, fidelity_trace(train_field, desk_basis, diss, cfg.n_pulses,
                                              desk_gate))
     # RK4 of a trace-preserving generator keeps the trace up to rounding;
@@ -145,6 +156,16 @@ def test_dissipative_simulation_matches_pulse_by_pulse_sweep(
     assert pulse_map.trace_drift() < 1e-14
     pulse_map.matrix[1 * 8 + 1, 3 * 8 + 3] += 1e-6
     assert pulse_map.trace_drift() == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_desk_map_matches_per_matrix_kernel(desk_basis, train_field, monkeypatch):
+    """At D = 8 the map is swept by `LindbladSuperoperator` step matrices;
+    SUPEROPERATOR_MAX_DIM = 0 sweeps the same 64 units per matrix."""
+    diss = build_dissipation(desk_basis, KAPPA)
+    got = LindbladPulseMap(train_field, desk_basis, diss).matrix
+    monkeypatch.setattr(propagator, "SUPEROPERATOR_MAX_DIM", 0)
+    want = LindbladPulseMap(train_field, desk_basis, diss).matrix
+    assert_relative(got, want)
 
 
 def pulse_by_pulse_fidelity_trace(gate_field, basis, diss, n_pulses, gate):
