@@ -16,7 +16,7 @@ from .analysis import (
     periodicity_residual,
     spectrum,
 )
-from .encoder import decode, encode
+from .encoder import encode
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import (
     GateMatrix,
@@ -66,7 +66,6 @@ __all__ = [
     "bandpass_filter",
     "build_dissipation",
     "classic_propagate",
-    "decode",
     "elementary_gate",
     "encode",
     "evolution_operator",

@@ -19,7 +19,7 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
 from .oct import TargetSet, fidelity, optimize_gate, optimize_gate_dissipative, \
     optimize_state_prep
-from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation
+from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation, pulse_train
 from .trap import solve_trap, transition_table
 from .units import TIME_AU_S
 
@@ -161,54 +161,6 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _closed_simulation(cfg, pulse_map, grid, c0):
-    """(pulses, trajectory, correction): the populations after every pulse,
-    the snapshots, and the largest |norm - 1| that renormalizing the state
-    after a pulse removed."""
-    state = np.zeros(len(pulse_map.final), dtype=complex)
-    state[: len(c0)] = c0
-    pulses = [np.abs(state[: grid.n]) ** 2]
-    times, populations, norms = [], [], []
-    correction = 0.0
-    for pulse in range(cfg.n_pulses):
-        out, stored = pulse_map.apply(state)
-        times.append(pulse_map.times + pulse * pulse_map.t_pulse)
-        populations.append(np.abs(stored) ** 2)
-        norms.append(np.linalg.norm(stored, axis=1) ** 2)
-        # absorb the per-pulse integrator drift before concatenating
-        norm = np.linalg.norm(out)
-        correction = max(correction, abs(norm - 1.0))
-        state = out / norm
-        pulses.append(np.abs(state[: grid.n]) ** 2)
-    trajectory = (
-        np.concatenate(times),
-        np.concatenate(populations),
-        np.concatenate(norms),
-    )
-    return pulses, trajectory, correction
-
-
-def _dissipative_simulation(cfg, basis, gate, pulse_map, grid, c0):
-    """(pulses, zs, fidelity trace, correction): the populations and <z>
-    after every pulse, the process-fidelity trace, and the largest
-    |Tr rho - 1| that renormalizing rho after a pulse removed."""
-    c = np.zeros(basis.n_states, dtype=complex)
-    c[: len(c0)] = c0
-    rho = np.outer(c, c.conj())
-    pulses = [np.real(np.diag(rho))[: grid.n].copy()]
-    zs = [analysis.mean_position_ion(rho, basis)]
-    correction = 0.0
-    for _ in range(cfg.n_pulses):
-        rho = pulse_map.apply(rho)
-        trace = np.trace(rho).real
-        correction = max(correction, abs(trace - 1.0))
-        rho = rho / trace
-        pulses.append(np.real(np.diag(rho))[: grid.n].copy())
-        zs.append(analysis.mean_position_ion(rho, basis))
-    fid_trace = analysis.map_fidelity_trace(pulse_map, cfg.n_pulses, gate)
-    return pulses, zs, fid_trace, correction
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     field_path = args.field or os.path.join(cfg.outdir, "gate_p_field.csv")
@@ -228,22 +180,26 @@ def cmd_simulate(args) -> int:
 
     # closed run for every configured packet; the first one keeps the
     # unsuffixed file names and feeds the dissipative sweep
-    c0 = None
     for index, (sigma, x0) in enumerate(cfg.packets):
         c = encode(gaussian_packet(grid, sigma, x0), grid)
         suffix = "" if index == 0 else f"_sigma_{sigma:g}_x0_{x0:g}"
-        if index == 0:
-            c0 = c
         serialization.save_amplitudes(
             c, os.path.join(cfg.outdir, f"initial_amplitudes{suffix}.csv"), meta
         )
-        pulses, (traj_t, traj_pops, traj_norms), correction = _closed_simulation(
-            cfg, closed_map, grid, c
-        )
+        state = np.zeros(basis.n_states, dtype=complex)
+        state[: len(c)] = c
+        if index == 0:
+            rho0 = np.outer(state, state.conj())
+        states, correction = pulse_train(closed_map, state, cfg.n_pulses)
         print(f"closed run (sigma={sigma:g}, x0={x0:g}): renormalization removed "
               f"up to {correction:.3e} of the norm per pulse")
+        pulses = np.abs(states[:, : grid.n]) ** 2
+        # the snapshots of pulse l are those of the state entering it
+        stored = np.array([closed_map.snapshots @ s for s in states[:-1]])
         serialization.save_state_trajectory(
-            traj_t, traj_pops, traj_norms,
+            (closed_map.times + closed_map.t_pulse * np.arange(cfg.n_pulses)[:, None]).ravel(),
+            np.abs(stored.reshape(-1, basis.n_states)) ** 2,
+            np.linalg.norm(stored, axis=2).ravel() ** 2,
             os.path.join(cfg.outdir, f"closed_trajectory{suffix}.csv"), meta,
         )
         serialization.save_probability_snapshots(
@@ -264,15 +220,16 @@ def cmd_simulate(args) -> int:
     for kappa in cfg.kappas:
         lindblad_map = LindbladPulseMap(gate_field, basis,
                                         build_dissipation(basis, kappa, cfg.deltas))
-        pulses_k, zs, fid_k, correction = _dissipative_simulation(
-            cfg, basis, gate, lindblad_map, grid, c0
-        )
+        rhos, correction = pulse_train(lindblad_map, rho0, cfg.n_pulses)
+        fid_k = analysis.map_fidelity_trace(lindblad_map, cfg.n_pulses, gate)
         tag = f"kappa_{kappa:.3e}"
         serialization.save_probability_snapshots(
-            pulses_k, grid, os.path.join(cfg.outdir, f"probabilities_{tag}.csv"), meta
+            rhos.diagonal(axis1=1, axis2=2).real[:, : grid.n], grid,
+            os.path.join(cfg.outdir, f"probabilities_{tag}.csv"), meta
         )
         serialization.save_positions(
-            zs, os.path.join(cfg.outdir, f"z_mean_{tag}.csv"), meta
+            [analysis.mean_position_ion(rho, basis) for rho in rhos],
+            os.path.join(cfg.outdir, f"z_mean_{tag}.csv"), meta
         )
         serialization.save_fidelity_trace(
             fid_k, os.path.join(cfg.outdir, f"fidelity_{tag}.csv"), meta

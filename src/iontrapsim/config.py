@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ValidationError
 from .gridsim import Grid, check_sigma, check_substeps
 from .oct import OctConfig
+from .propagator import check_kappa
 from .trap import TrapParams, check_deltas
 from .units import TIME_AU_S
 
@@ -122,6 +123,8 @@ class RunConfig:
             raise ValidationError("n_pulses must be at least 1")
         if not self.kappas:
             raise ValidationError("kappa needs at least one value")
+        for kappa in self.kappas:
+            check_kappa(kappa)
         check_deltas(self.deltas)
 
 

@@ -20,10 +20,11 @@ rule, and the fidelity recorded for a field is the one
 
 The dissipative variant replaces amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
-trajectories through Tr(eta (mu rho - rho mu)).  Up to
-`propagator.SUPEROPERATOR_MAX_DIM` states the kernels step Hermitian
-coordinates by real step matrices, and the pairing is a bilinear form on
-them (`_coordinate_bracket`); above it they step matrices.  With all rates
+trajectories through Tr(eta (mu rho - rho mu)).  They enter and leave
+the kernels as rows of Hermitian coordinates.  Up to
+`propagator.SUPEROPERATOR_MAX_DIM` states the kernels step those by real
+step matrices, and the pairing is a bilinear form on them
+(`_coordinate_bracket`); above it they step matrices.  With all rates
 zero it reproduces the closed-system iteration to rounding (same fields,
 same objective column).
 
@@ -53,7 +54,8 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import unitarity_defect
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         commutator_coordinates, lindblad_kernel, step_blocks, sweep)
+                         commutator_coordinates, hermitian_coordinates, lindblad_kernel,
+                         step_blocks, sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -400,25 +402,29 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     Trajectories are density matrices rho_j from the basis projectors (plus
     the superposition projector for the P functional); multipliers eta_j
     run backward from the target projectors under the adjoint generator.
-    The objective is sum_j Tr(W_j rho_j(T)).  The trace's fidelities, and
-    so the `fidelity` column of `*_diss_trace.csv`, are the mean target
-    population of the gate trajectories, the phase-insensitive surrogate
-    available in the density formalism.  They are not the gate fidelity
-    that `fidelity` and the process-fidelity trace of `analysis` report.
+    The objective is sum_j Tr(W_j rho_j(T)), measured on Hermitian
+    coordinates by `_population_form`.  The trace's fidelities, and so the
+    `fidelity` column of `*_diss_trace.csv`, are the mean target population
+    of the gate trajectories, the phase-insensitive surrogate available in
+    the density formalism.  They are not the gate fidelity that `fidelity`
+    and the process-fidelity trace of `analysis` report.
     """
     frame = InteractionFrame(basis, config.dt)
-    init_vecs, targ_vecs = targets.trajectories(basis.n_states, config.functional == "P")
-    rho0 = np.einsum("dt,et->tde", init_vecs, init_vecs.conj())
-    eta_final = np.einsum("dt,et->tde", targ_vecs, targ_vecs.conj())
+    d = basis.n_states
+    init_vecs, targ_vecs = targets.trajectories(d, config.functional == "P")
+    rho0, eta_final = (
+        hermitian_coordinates(np.einsum("dt,et->tde", v, v.conj())).reshape(-1, d * d)
+        for v in (init_vecs, targ_vecs))
     n_gate = targets.n
     kernel = lindblad_kernel(frame, diss)
     if isinstance(kernel, Lindblad):
         bracket = _matrix_bracket(frame.mu, config.functional, n_gate)
     else:
         bracket = _coordinate_bracket(frame.mu, config.functional)
+    target_bras = eta_final * _population_form(d)
 
     def measure(rho):
-        pops = np.einsum("tde,tde->t", eta_final.conj(), rho).real
+        pops = np.einsum("tu,tu->t", target_bras, rho)
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
     return _run_iterations(basis, config, kernel, lindblad_kernel(frame, diss, adjoint=True),
@@ -449,21 +455,27 @@ def _matrix_bracket(mu, functional, n_gate):
     return bracket
 
 
+def _population_form(d):
+    """w, 1 on the diagonal coordinates and 2 off them, so that
+    Tr(X Y) = sum_u w_u c_u(X) c_u(Y) for Hermitian X and Y."""
+    return 2.0 - np.eye(d).ravel()
+
+
 def _coordinate_bracket(mu, functional):
     """Update bracket of the dissipative functionals for the
     `LindbladSuperoperator` kernels, whose states are rows of Hermitian
     coordinates (`propagator.hermitian_coordinates`).
 
-    Tr(X Y) of Hermitian X and Y is sum_u w_u c_u(X) c_u(Y), the population
-    form w weighing the diagonal coordinates by 1 and the others by 2.  With
-    c(i [mu, y]) = c(y) @ B (`propagator.commutator_coordinates`), the
-    pairing Im Tr(y_eta y_rho mu) = Tr(y_eta i [mu, y_rho]) / 2 is the
-    bilinear form c(eta) @ W @ c(rho), W = w[:, None] * B^T / 2 (Palao &
-    Kosloff, PRA 68, 062308 (2003)).  Per block, one product gives the bras
+    Tr(X Y) of Hermitian X and Y is sum_u w_u c_u(X) c_u(Y), w the
+    population form.  With c(i [mu, y]) = c(y) @ B
+    (`propagator.commutator_coordinates`), the pairing
+    Im Tr(y_eta y_rho mu) = Tr(y_eta i [mu, y_rho]) / 2 is the bilinear form
+    c(eta) @ W @ c(rho), W = w[:, None] * B^T / 2 (Palao & Kosloff, PRA 68,
+    062308 (2003)).  Per block, one product gives the bras
     c(eta) @ W of every step, and a step pairs them with rho by one
     multiply-and-sum.  The F functional also weighs the target populations
     Tr(y_eta y_rho) of its trajectories, the gate's N."""
-    weights = 2.0 - np.eye(len(mu)).ravel()
+    weights = _population_form(len(mu))
     form = weights[:, None] * commutator_coordinates(mu).T / 2
 
     def bracket(etas):

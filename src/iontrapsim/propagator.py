@@ -38,9 +38,11 @@ crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
 All three kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them, `fresh_step` under a sample the
 optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
-y (for the superoperator, between matrices and coordinate rows).  One
-`sweep` integrates any of them through a pulse, and `step_blocks` is the
-one block loop it shares with the optimizer's forward update.
+y.  Density matrices enter and leave both Lindblad kernels as the rows
+(..., D^2) of their `hermitian_coordinates`, which the superoperator turns
+by the frame phases (`turn_coordinates`) and the per-matrix kernel
+converts.  One `sweep` integrates any kernel through a pulse, and
+`step_blocks` is the one block loop it shares with the forward update.
 
 Pulse maps.  Every pulse of a train replays the same waveform in the
 rotating frame, so `simulate` and the fidelity trace build each pulse's
@@ -49,11 +51,12 @@ identity columns with snapshots, U(t_k) over the pulse (16 MB at paper
 size with 1,000 snapshots).  `LindbladPulseMap` holds the Lindblad pulse
 Phi, real-linear on Hermitian matrices, as one real (D^2, D^2) matrix on
 `hermitian_coordinates` (Re on and above the diagonal, Im of the upper
-triangle mirrored below it), built by sweeping the D^2 Hermitian units
-E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at a time, with the
-kernel `lindblad_kernel` picks: at desk size one sweep of step matrices,
-at paper size a 1024^2 matrix (8 MB) from 16 sweeps of 64 units, 1 MB per
-stack.  Their `apply` checks every pulse's result: the norm of an
+triangle mirrored below it), built by sweeping the D^2 identity rows,
+the Hermitian units E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at
+a time, with the kernel `lindblad_kernel` picks: at desk size one sweep
+of step matrices, at paper size a 1024^2 matrix (8 MB) from 16 sweeps of
+64 units, 1 MB per stack.  `pulse_train` applies either map pulse after
+pulse; their `apply` checks every pulse's result: the norm of an
 amplitude vector, and the Hermiticity, trace and positivity of a density
 matrix.  Drift beyond tolerance raises NumericalError.
 
@@ -74,7 +77,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gridsim import unitarity_defect
 from .trap import EigenBasis, transition_table
-from .units import FIELD_AU_V_PER_M, TIME_AU_S
+from .units import FIELD_AU_V_PER_M
 
 NORM_DRIFT_TOL = 1e-8
 TRACE_TOL = 1e-8
@@ -145,19 +148,16 @@ class DissipationModel:
     gamma: np.ndarray            # (D, D) rate matrix, gamma[j, k] for the jump |j><k|
     mean_rate: float             # arithmetic mean over the averaging pair set
 
-    @property
-    def mean_heating_time(self) -> float:
-        """1/gamma_bar in a.u.; inf when all rates vanish."""
-        return 1.0 / self.mean_rate if self.mean_rate > 0 else np.inf
-
-    @property
-    def mean_heating_time_s(self) -> float:
-        t = self.mean_heating_time
-        return t * TIME_AU_S if np.isfinite(t) else np.inf
-
     def total_out_rates(self) -> np.ndarray:
         """Gamma_k = sum_j gamma_jk, total departure rate from state k."""
         return self.gamma.sum(axis=0)
+
+
+def check_kappa(kappa: float) -> None:
+    """The one check of a rate scale, run by `build_dissipation` and by
+    `RunConfig.validate`: finite and non-negative."""
+    if not 0.0 <= kappa < np.inf:
+        raise ValidationError(f"kappa must be finite and non-negative, not {kappa!r}")
 
 
 def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> DissipationModel:
@@ -167,8 +167,7 @@ def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> Dissipa
     computational window (j, k below the qubit count), the set the
     guess-field transitions are drawn from.
     """
-    if kappa < 0:
-        raise ValidationError("kappa must be non-negative")
+    check_kappa(kappa)
     pairs = []
     rates = []
     gamma = np.zeros((basis.n_states, basis.n_states))
@@ -333,16 +332,17 @@ class Lindblad:
         y *= self._rotations[backward]
         return y
 
-    def rotate_in(self, x, half_idx):
-        """y = P^* x P at t = half_idx dt / 2; ValidationError unless x is
-        Hermitian, as the one-product rate needs."""
-        if not np.abs(x - np.swapaxes(x, -1, -2).conj()).max() <= HERMITICITY_TOL:
-            raise ValidationError("the Lindblad sweep needs Hermitian matrices")
+    def rotate_in(self, c, half_idx):
+        """y = P^* x P at t = half_idx dt / 2 from the coordinate rows c
+        (..., D^2) of x, so y is Hermitian, as the one-product rate needs."""
+        d = len(self.frame.energies)
+        x = hermitian_matrices(c.reshape(c.shape[:-1] + (d, d)))
         return x * self.frame.conjugation(-half_idx)
 
     def rotate_out(self, y, half_idx):
-        """x = P y P^* at t = half_idx dt / 2."""
-        return y * self.frame.conjugation(half_idx)
+        """The coordinate rows of x = P y P^* at t = half_idx dt / 2."""
+        x = hermitian_coordinates(y * self.frame.conjugation(half_idx))
+        return x.reshape(x.shape[:-2] + (-1,))
 
 
 class LindbladSuperoperator:
@@ -394,7 +394,7 @@ class LindbladSuperoperator:
         transfer = h * lindblad._transfer
         b0, bh, b1 = h * commutator_coordinates(lindblad.frame.stage_dipoles(backward))
         # coefficients of e^0, e^1, ... of the slopes k1, k2, k3, then room for
-        # temporaries; k4 and the sum go to `out`.  Every array is written in
+        # temporaries; k4 and the sum go to `out`.  The slopes are written in
         # place: fresh pages for temporaries would cost more than the products.
         work = np.empty((13, n, n))
         k1, k2, k3, scratch = work[:2], work[2:5], work[5:9], work[9:]
@@ -420,19 +420,13 @@ class LindbladSuperoperator:
         slope(k3, 1.0, b1, out)
         for k in (k3, k3, k2, k2, k1):   # 6 (M - I) = k1 + 2 k2 + 2 k3 + k4
             out[:len(k)] += k
-        # y * w elementwise, w Hermitian, turns the coordinate pair (p, q) of
-        # y_jk by arg w_jk: c(y * w) = c @ R with c @ R = c * Re w - c^T * Im w,
-        # and Im w is antisymmetric, so c^T * Im w = -(c * Im w)^T.  Then
-        # S - I = (M - I) @ R + (R - I).
+        # out holds 6 (M - I); with R the frame rotation c -> c @ R, whose
+        # rows are the turned identity rows, S - I = (M - I) @ R + (R - I)
         w = lindblad._rotations[backward]
-        turn = scratch[0].reshape(n, d, d)
+        w6 = (w.view(float) / 6).view(complex)   # Re w / 6 + i Im w / 6
         for m in out.reshape(5, n, d, d):
-            np.multiply(m, w.imag / 6, out=turn)
-            m *= w.real / 6
-            m += turn.swapaxes(-1, -2)
-        v = np.arange(n)
-        out[0, v, v] += w.real.ravel() - 1
-        out[0, v.reshape(d, d).T.ravel(), v] -= w.imag.ravel()
+            turn_coordinates(m, w6, out=m)
+        out[0] += turn_coordinates(np.eye(n).reshape(n, d, d), w).reshape(n, n) - np.eye(n)
         return out.reshape(5, -1)
 
     def step(self, y, s, backward=False):
@@ -444,16 +438,16 @@ class LindbladSuperoperator:
         (coupled unused): S(e) - I built from its powers, then y + y @ it."""
         return y + y @ self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False)
 
-    def rotate_in(self, x, half_idx):
-        """The coordinate rows of y = P^* x P at t = half_idx dt / 2;
-        ValidationError unless x is Hermitian."""
-        y = hermitian_coordinates(self.lindblad.rotate_in(x, half_idx))
-        return y.reshape(y.shape[:-2] + (-1,))
+    def rotate_in(self, c, half_idx):
+        """The coordinate rows of y = P^* x P at t = half_idx dt / 2 from
+        those of x."""
+        return self.rotate_out(c, -half_idx)
 
-    def rotate_out(self, y, half_idx):
-        """x = P y P^* at t = half_idx dt / 2 from the coordinate rows y."""
-        y = hermitian_matrices(y.reshape(y.shape[:-1] + (self.dim, self.dim)))
-        return self.lindblad.rotate_out(y, half_idx)
+    def rotate_out(self, c, half_idx):
+        """The coordinate rows of x = P y P^* at t = half_idx dt / 2 from
+        those of y."""
+        x = c.reshape(c.shape[:-1] + (self.dim, self.dim))
+        return turn_coordinates(x, self.lindblad.frame.conjugation(half_idx)).reshape(c.shape)
 
 
 def lindblad_kernel(frame: InteractionFrame, diss: DissipationModel, adjoint: bool = False):
@@ -481,11 +475,12 @@ def step_blocks(kernel, field, backward=False):
 
 def sweep(kernel, x, field, backward=False, store_every=0, out=None):
     """Integrate x through the pulse of the sample array `field` with
-    `kernel`, an `InteractionFrame` for amplitude columns (D, n) or a
-    `Lindblad` generator for a Hermitian matrix or stack, from the pulse's
-    end to its start if backward.  The sweep runs in the kernel's rotating
-    variable y.  With `out`, slot 0 holds x and slot k the state after
-    k store_every steps, rotated back to x like the result."""
+    `kernel`, from the pulse's end to its start if backward: an
+    `InteractionFrame` for amplitude columns (D, n), or a Lindblad kernel
+    for the rows (..., D^2) of the `hermitian_coordinates` of Hermitian
+    matrices.  The sweep runs in the kernel's rotating variable y.  With
+    `out`, slot 0 holds x and slot k the state after k store_every steps,
+    rotated back to x like the result."""
     n_steps = len(field) - 1
     y = kernel.rotate_in(x, 2 * n_steps if backward else 0)
     if out is not None:
@@ -572,6 +567,17 @@ def hermitian_matrices(c) -> np.ndarray:
     return x
 
 
+def turn_coordinates(c, w, out=None) -> np.ndarray:
+    """The coordinates of y * w, w Hermitian (D, D) such as a frame
+    rotation, from the coordinates c (..., D, D) of Hermitian y, into out
+    (which may be c): w_jk turns the pair (Re y_jk, Im y_jk) by its
+    argument, so they are c * Re w + (c * Im w)^T, Im w antisymmetric."""
+    turned = c * w.imag
+    out = np.multiply(c, w.real, out=out)
+    out += turned.swapaxes(-1, -2)
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _unit_rows(d: int) -> np.ndarray:
     """The D^2 Hermitian units E_jj, H and B (`hermitian_coordinates`) as
@@ -624,13 +630,18 @@ class ClosedPulseMap:
         """max |U^dag U - I| of U(t_pulse)."""
         return unitarity_defect(self.final)
 
+    @staticmethod
+    def norm(state) -> float:
+        """The norm of an amplitude vector, which the pulse conserves."""
+        return np.linalg.norm(state)
+
     def apply(self, state):
-        """(amplitudes after the pulse, their snapshots) of an amplitude
-        vector; NumericalError if the pulse changed its norm beyond
-        tolerance."""
+        """The amplitude vector state after the pulse; NumericalError if the
+        pulse changed its norm beyond tolerance.  Its snapshots over the
+        pulse are snapshots @ state."""
         final = self.final @ state
         _check_norm(final, state)
-        return final, self.snapshots @ state
+        return final
 
 
 class LindbladPulseMap:
@@ -639,28 +650,32 @@ class LindbladPulseMap:
 
     Phi keeps matrices Hermitian, so it is real-linear on them: with c the
     flattened `hermitian_coordinates`, c(Phi(x)) = c(x) @ matrix.  Row u of
-    the matrix is c(Phi(unit u)), from a `sweep` of the D^2 Hermitian units
-    (E_jj, H and B), MAP_UNITS at a time, with the kernel of
-    `lindblad_kernel`; every pulse of a train replays the waveform in the
-    rotating frame, so a train costs one small real product per pulse.  At
-    desk size (D = 8) the 64 units are one sweep of 64 x 64 step matrices,
-    their C_k^L built first: a 3-step map takes 0.6 ms against 0.75 ms per
-    matrix on a 2-vCPU host.  At paper size (D = 32) the matrix is 1024^2
-    reals, 8 MB, built by 16 per-matrix sweeps of 64 units."""
+    the matrix is c(Phi(unit u)), the `sweep` of row u of np.eye(D^2), the
+    coordinates of the Hermitian unit u (E_jj, H or B), MAP_UNITS rows at a
+    time with the kernel of `lindblad_kernel`; every pulse of a train
+    replays the waveform in the rotating frame, so a train costs one small
+    real product per pulse.  At desk size (D = 8) the 64 units are one
+    sweep of 64 x 64 step matrices, their C_k^L built first.  At paper size
+    (D = 32) the matrix is 1024^2 reals, 8 MB, built by 16 per-matrix
+    sweeps of 64 units."""
 
     def __init__(self, fieldspec: ControlField, basis: EigenBasis, diss: DissipationModel):
         d = self.dim = basis.n_states
-        units = hermitian_matrices(np.eye(d * d).reshape(d * d, d, d))
+        units = np.eye(d * d)
         kernel = lindblad_kernel(InteractionFrame(basis, fieldspec.dt), diss)
-        final = np.concatenate([sweep(kernel, units[a:a + MAP_UNITS], fieldspec.samples)
-                                for a in range(0, d * d, MAP_UNITS)])
-        self.matrix = hermitian_coordinates(final).reshape(d * d, d * d)
+        self.matrix = np.concatenate([sweep(kernel, units[a:a + MAP_UNITS], fieldspec.samples)
+                                      for a in range(0, d * d, MAP_UNITS)])
 
     def trace_drift(self) -> float:
         """max over the units u of |Tr Phi(u) - Tr u|."""
         d = self.dim
         unit_traces = np.eye(d).ravel()   # 1 for E_jj, 0 for H and B
         return float(np.abs(self.matrix[:, ::d + 1].sum(axis=1) - unit_traces).max())
+
+    @staticmethod
+    def norm(rho) -> float:
+        """The trace of a density matrix, which the pulse conserves."""
+        return np.trace(rho).real
 
     def apply(self, rho) -> np.ndarray:
         """The density matrix rho after the pulse; NumericalError unless it
@@ -669,3 +684,19 @@ class LindbladPulseMap:
         final = hermitian_matrices(c.reshape(rho.shape))
         _check_density(final, rho)
         return final
+
+
+def pulse_train(pulse_map, state, n_pulses: int):
+    """(states, correction) of n_pulses pulses of a `ClosedPulseMap` or a
+    `LindbladPulseMap` from state: states[l] enters pulse l, states[-1]
+    leaves the last.  Each result is divided by the map's `norm` of it, to
+    absorb the integrator drift `apply` has checked, and correction is the
+    largest |norm - 1| so removed."""
+    states = [state]
+    correction = 0.0
+    for _ in range(n_pulses):
+        out = pulse_map.apply(states[-1])
+        norm = pulse_map.norm(out)
+        correction = max(correction, abs(norm - 1.0))
+        states.append(out / norm)
+    return np.array(states), correction

@@ -173,11 +173,12 @@ class TestCliCommands:
          "[trap]\nprimitive_size = fifty\n", "[oct]\nfidelity_goal = high\n",
          "[dissipation]\ndeltas = 1.5, 3\n", None, "max_iterations = 5\n",
          "[oct]\nmax_iterations = 5\nmax_iterations = 6\n", "[dissipation]\ndeltas = 0\n",
-         "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n"],
+         "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n",
+         "[dissipation]\nkappa = 1e-18, -1e-18\n", "[dissipation]\nkappa = nan\n"],
         ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
              "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
              "missing-file", "no-section-header", "duplicate-key", "zero-delta",
-             "negative-sigma", "inverted-grid", "zero-substeps"],
+             "negative-sigma", "inverted-grid", "zero-substeps", "negative-kappa", "nan-kappa"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file, with one
@@ -212,6 +213,21 @@ class TestCliCommands:
         code = main([command, "--tier", "desk", "--out", str(tmp_path), "--kappa"])
         assert code == 2
         assert "kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["optimize", "--dissipative"]])
+    @pytest.mark.parametrize("kappa", ["nan", "-1.0"])
+    def test_bad_kappa_option_exits_2_before_writing(self, tmp_path, capsys, command, kappa):
+        """A --kappa that is not finite and non-negative is refused on load,
+        before the first artifact is written."""
+        field = tmp_path / "gate_p_field.csv"
+        save_field(ControlField(np.zeros(3), 1e3), str(field))
+        out = tmp_path / "out"
+        field_option = "--field" if command[0] == "simulate" else "--resume"
+        code = main(command + ["--tier", "desk", "--out", str(out), field_option, str(field),
+                               "--kappa", kappa])
+        assert code == 2
+        assert "kappa must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dissipative_with_two_kappas_exits_2(self, tmp_path):
         code = main([

@@ -3,7 +3,6 @@ import pytest
 
 from iontrapsim import (
     ValidationError,
-    decode,
     encode,
     gaussian_packet,
 )
@@ -29,21 +28,21 @@ def test_encode_populations_match_localization(paper_grid):
 def test_decode_arithmetic(paper_grid):
     c = np.zeros(16, dtype=complex)
     c[0] = 1.0
-    probs = decode(c, paper_grid)   # delta_x = 0.5
+    probs = np.abs(c) ** 2 / paper_grid.delta_x   # delta_x = 0.5
     assert probs[0] == pytest.approx(2.0)
     assert np.all(probs[1:] == 0.0)
 
 
 def test_decode_uniform(paper_grid):
     c = np.full(16, 0.25, dtype=complex)
-    probs = decode(c, paper_grid)
+    probs = np.abs(c) ** 2 / paper_grid.delta_x
     assert np.allclose(probs, 0.125)
 
 
 def test_round_trips(paper_grid):
     pk = gaussian_packet(paper_grid, 0.5, -0.75)
     c = encode(pk, paper_grid)
-    assert np.abs(decode(c, paper_grid) - np.abs(pk) ** 2).max() < 1e-12
+    assert np.abs(np.abs(c) ** 2 / paper_grid.delta_x - np.abs(pk) ** 2).max() < 1e-12
     back = c / np.sqrt(paper_grid.delta_x)
     assert np.abs(back - pk).max() < 1e-12
     assert np.abs(encode(back, paper_grid) - c).max() < 1e-14
@@ -51,7 +50,7 @@ def test_round_trips(paper_grid):
 
 def test_decoded_probabilities_normalize(paper_grid):
     pk = gaussian_packet(paper_grid, 1.0, -0.75)
-    probs = decode(encode(pk, paper_grid), paper_grid)
+    probs = np.abs(encode(pk, paper_grid)) ** 2 / paper_grid.delta_x
     assert np.sum(probs) * paper_grid.delta_x == pytest.approx(1.0, abs=1e-12)
 
 
@@ -59,13 +58,8 @@ def test_rejects_unnormalized(paper_grid):
     amps = np.ones(16, dtype=complex)
     with pytest.raises(ValidationError):
         encode(amps, paper_grid)
-    with pytest.raises(ValidationError):
-        decode(amps, paper_grid)
 
 
 def test_grid_mismatch_rejected(paper_grid, desk_grid):
-    c = encode(gaussian_packet(paper_grid, 1.0, -0.75), paper_grid)
-    with pytest.raises(ValidationError):
-        decode(c, desk_grid)
     with pytest.raises(ValidationError):
         encode(gaussian_packet(paper_grid, 1.0, -0.75), desk_grid)

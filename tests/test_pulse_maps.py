@@ -23,12 +23,12 @@ from iontrapsim import (
     periodicity_residual,
 )
 from iontrapsim import propagator
-from iontrapsim.cli import _closed_simulation, _dissipative_simulation
+from iontrapsim.analysis import map_fidelity_trace
 from iontrapsim.config import tier_config
 from iontrapsim.oct import GUESS_AMPLITUDE_AU
 from iontrapsim.propagator import (ClosedPulseMap, ControlField, InteractionFrame, Lindblad,
                                    LindbladPulseMap, hermitian_coordinates,
-                                   hermitian_matrices, sweep)
+                                   hermitian_matrices, pulse_train, sweep)
 from iontrapsim.units import TIME_AU_S
 
 KAPPA = 5e-14    # heats a 0.6 us desk pulse by a few percent
@@ -47,6 +47,13 @@ def train_field(desk_basis):
     cfg = OctConfig(t_pulse=600e-9 / TIME_AU_S, dt=2e-9 / TIME_AU_S, alpha0=1e15)
     guess = make_guess_field(desk_basis, cfg)
     return ControlField(guess.samples * (1e-12 / GUESS_AMPLITUDE_AU), guess.dt)
+
+
+def embedded(basis, c):
+    """The qubit amplitudes c zero-padded to the dynamical space."""
+    state = np.zeros(basis.n_states, dtype=complex)
+    state[: len(c)] = c
+    return state
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +81,15 @@ class TestHermitianCoordinates:
 def test_closed_simulation_matches_pulse_by_pulse_sweep(desk_basis, desk_grid, train_field,
                                                         c0):
     """Trajectory, probabilities, norms, the periodicity residual and the
-    largest renormalization of the map path against a `sweep` of the state
-    once per pulse (the reference loop is the former `_closed_simulation`).
-    store_every = 7 does not divide the 300 steps, so the final state is no
-    snapshot."""
+    largest renormalization of the map path (`pulse_train`, the snapshots
+    of pulse l from states[l], as `simulate` writes them) against a `sweep`
+    of the state once per pulse.  store_every = 7 does not divide the 300
+    steps, so the final state is no snapshot."""
     cfg = tier_config("desk")
     store_every = 7
     frame = InteractionFrame(desk_basis, train_field.dt)
     t_stored = np.arange(train_field.n_steps // store_every + 1) * store_every * train_field.dt
-    state = np.zeros(desk_basis.n_states, dtype=complex)
-    state[: len(c0)] = c0
+    state = embedded(desk_basis, c0)
     pulses = [np.abs(state[: desk_grid.n]) ** 2]
     times, populations, norms, corrections = [], [], [], []
     for pulse in range(cfg.n_pulses):
@@ -98,9 +104,14 @@ def test_closed_simulation_matches_pulse_by_pulse_sweep(desk_basis, desk_grid, t
         state = out / np.linalg.norm(out)
         pulses.append(np.abs(state[: desk_grid.n]) ** 2)
 
-    got_pulses, (got_t, got_pops, got_norms), got_correction = _closed_simulation(
-        cfg, ClosedPulseMap(train_field, desk_basis, store_every), desk_grid, c0
-    )
+    pulse_map = ClosedPulseMap(train_field, desk_basis, store_every)
+    states, got_correction = pulse_train(pulse_map, embedded(desk_basis, c0),
+                                         cfg.n_pulses)
+    got_pulses = np.abs(states[:, : desk_grid.n]) ** 2
+    stored = np.array([pulse_map.snapshots @ s for s in states[:-1]])
+    got_t = (pulse_map.times + pulse_map.t_pulse * np.arange(cfg.n_pulses)[:, None]).ravel()
+    got_pops = np.abs(stored.reshape(-1, desk_basis.n_states)) ** 2
+    got_norms = np.linalg.norm(stored, axis=2).ravel() ** 2
     assert_relative(got_pulses, pulses)
     assert np.array_equal(got_t, np.concatenate(times))
     assert_relative(got_pops, np.concatenate(populations))
@@ -123,28 +134,28 @@ def test_dissipative_simulation_matches_pulse_by_pulse_sweep(
     desk_basis, desk_grid, desk_gate, train_field, c0
 ):
     """Populations, <z> and the largest renormalization of the map path
-    against a `sweep` of rho once per pulse (the reference loop is the
-    former `_dissipative_simulation`)."""
+    (`pulse_train`) against a `sweep` of rho once per pulse."""
     cfg = tier_config("desk")
     diss = build_dissipation(desk_basis, KAPPA, cfg.deltas)
     lindblad = Lindblad(InteractionFrame(desk_basis, train_field.dt), diss)
-    c = np.zeros(desk_basis.n_states, dtype=complex)
-    c[: len(c0)] = c0
-    rho = np.outer(c, c.conj())
+    c = embedded(desk_basis, c0)
+    rho0 = rho = np.outer(c, c.conj())
     pulses = [np.real(np.diag(rho))[: desk_grid.n].copy()]
     zs = [mean_position_ion(rho, desk_basis)]
     corrections = []
     for _ in range(cfg.n_pulses):
-        rho = sweep(lindblad, rho, train_field.samples)
+        rho = hermitian_matrices(sweep(lindblad, hermitian_coordinates(rho).ravel(),
+                                       train_field.samples).reshape(rho.shape))
         corrections.append(abs(np.trace(rho).real - 1.0))
         rho = rho / np.trace(rho).real
         pulses.append(np.real(np.diag(rho))[: desk_grid.n].copy())
         zs.append(mean_position_ion(rho, desk_basis))
 
     pulse_map = LindbladPulseMap(train_field, desk_basis, diss)
-    got_pulses, got_zs, got_fids, got_correction = _dissipative_simulation(
-        cfg, desk_basis, desk_gate, pulse_map, desk_grid, c0
-    )
+    rhos, got_correction = pulse_train(pulse_map, rho0, cfg.n_pulses)
+    got_pulses = rhos.diagonal(axis1=1, axis2=2).real[:, : desk_grid.n]
+    got_zs = [mean_position_ion(rho, desk_basis) for rho in rhos]
+    got_fids = map_fidelity_trace(pulse_map, cfg.n_pulses, desk_gate)
     assert_relative(got_pulses, pulses)
     assert_relative(got_zs, zs)
     # the trace drifts by rounding only, on either path
@@ -187,12 +198,13 @@ def pulse_by_pulse_fidelity_trace(gate_field, basis, diss, n_pulses, gate):
             recombine[h, h] = recombine[b, h] = 0.5
             recombine[h, b], recombine[b, b] = -0.5j, 0.5j
     fids = np.empty(n_pulses)
-    x = units
+    x = hermitian_coordinates(units).reshape(n * n, d * d)
     target = np.eye(n, dtype=complex)
     for pulse in range(n_pulses):
         x = sweep(lindblad, x, gate_field.samples)
         target = us @ target
-        blocks = (recombine @ x[:, :n, :n].reshape(n * n, n * n)).reshape(n, n, n, n)
+        phi_units = hermitian_matrices(x.reshape(n * n, d, d))
+        blocks = (recombine @ phi_units[:, :n, :n].reshape(n * n, n * n)).reshape(n, n, n, n)
         fids[pulse] = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real / n**2
     return fids
 
@@ -214,7 +226,7 @@ def test_paper_size_map_sweeps_units_in_blocks(paper_basis, paper_gate):
     assert_relative(fidelity_trace(field, paper_basis, diss, 2, paper_gate), want)
 
 
-def test_non_positive_pulse_raises(desk_basis, desk_grid, desk_gate, c0):
+def test_non_positive_pulse_raises(desk_basis, c0):
     """Four zero-field steps with dt times the largest out-rate at 2 keep
     the trace but not positivity (as in `test_negative_eigenvalue_detected`);
     the map path checks every rho_l and stops at the first pulse."""
@@ -225,6 +237,6 @@ def test_non_positive_pulse_raises(desk_basis, desk_grid, desk_gate, c0):
     rho0[0, 0] = 1.0
     with pytest.raises(NumericalError, match="eigenvalue"):
         pulse_map.apply(rho0)
+    psi = embedded(desk_basis, c0)
     with pytest.raises(NumericalError, match="eigenvalue"):
-        _dissipative_simulation(tier_config("desk"), desk_basis, desk_gate, pulse_map,
-                                desk_grid, c0)
+        pulse_train(pulse_map, np.outer(psi, psi.conj()), tier_config("desk").n_pulses)
