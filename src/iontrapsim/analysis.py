@@ -1,8 +1,10 @@
 """Post-processing: spectra, filtering, mean positions, fidelity traces.
 
 The fidelity trace over l = 1..n pulses takes one `LindbladPulseMap` per
-field and dissipation model: the Hermitian coordinates of the N^2 units
-meet the map's real (D^2, D^2) matrix once per pulse.
+field and dissipation model.  Each pulse is one product of the N^2 unit
+coordinates with the map's real (D^2, D^2) matrix and one contraction with
+that pulse's weights; the weights of every pulse depend only on U_s and
+are built before the first.
 
 The band-pass filter works in the interior sine basis (DST-I), whose basis
 functions vanish at both pulse ends.  Masking sine components is an exact
@@ -16,7 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .gridsim import Grid
-from .propagator import ControlField, DissipationModel, LindbladPulseMap, hermitian_matrices
+from .propagator import (ControlField, DissipationModel, LindbladPulseMap, hermitian_coordinates,
+                         hermitian_matrices)
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -127,39 +130,44 @@ def fidelity_trace(
 def map_fidelity_trace(pulse_map: LindbladPulseMap, n_pulses: int, gate) -> np.ndarray:
     """Process fidelity of Phi^l against U_s^l for l = 1..n_pulses.
 
-    Carries the Hermitian coordinates of the N^2 units through the pulses,
-    one product with the pulse map's matrix per pulse: the projectors E_jj
-    and, for j < k, H = E_jk + E_kj and B = i (E_jk - E_kj), from which
-    Phi_l(E_jk) = (Phi_l(H) - i Phi_l(B)) / 2 and
-    Phi_l(E_kj) = (Phi_l(H) + i Phi_l(B)) / 2.  It evaluates
-    (1/N^2) sum_jk <U^l j| Phi_l(|j><k|) |U^l k>, which equals the gate
-    fidelity |Tr(U_s^dag U_P)|^2/N^2 whenever the map is unitary.
+    The fidelity (1/N^2) sum_jk <U^l j| Phi_l(|j><k|) |U^l k>, which equals
+    the gate fidelity |Tr(U_s^dag U_P)|^2/N^2 whenever the map is unitary,
+    is the trace of the map Y -> (U^dag)^l P Phi_l(Y) P U^l on the N x N
+    matrices Y, P the projector on the first N states.  On their Hermitian
+    units (E_jj, H and B of `hermitian_coordinates`) that trace is the real
+    bilinear form sum_uv x_l[u, v] g_l[u, v]:
+    - x_l[u] holds the coordinates of P Phi_l(unit u) P, carried through
+      the pulses by one product with the pulse map's matrix per pulse;
+    - g_l[u, v] is coordinate u of (U^dag)^l (unit v) U^l.  The weights
+      g_l = g_1^l of every pulse are built before the first, g_1 from the
+      Kronecker product vec(U^dag Y U) = vec(Y) (conj(U) (x) U).
+    ValidationError if the gate has more states than the map.
     """
     us = getattr(gate, "entries", gate)
     n = us.shape[0]
     d = pulse_map.dim
+    if n > d:
+        raise ValidationError(f"gate of {n} states exceeds the map's {d} states")
 
-    # unit u = j n + k holds E_jj (j = k), H (j < k) or B of the pair (k, j),
-    # which is coordinate j d + k in the D-state space; recombine[j n + k]
-    # gives Phi(E_jk) from the propagated units
-    units = (np.arange(n)[:, None] * d + np.arange(n)).ravel()
-    recombine = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(n):
-        recombine[j * n + j, j * n + j] = 1.0
-        for k in range(j + 1, n):
-            h, b = j * n + k, k * n + j
-            recombine[h, h] = recombine[b, h] = 0.5
-            recombine[h, b], recombine[b, b] = -0.5j, 0.5j
+    units = hermitian_matrices(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
+    kron = (us.conj()[:, None, :, None] * us[:, None, :]).reshape(n * n, n * n)
+    turned = hermitian_coordinates((units @ kron).reshape(n * n, n, n))
+    weights = np.empty((n_pulses, n * n, n * n))
+    weights[:1] = turned.reshape(n * n, n * n).T
+    done = 1
+    while done < n_pulses:   # g_(done + l) = g_l g_done, for up to done l at once
+        m = min(done, n_pulses - done)
+        np.matmul(weights[:m], weights[done - 1], out=weights[done:done + m])
+        done += m
 
+    # coordinate j d + k of the D states is coordinate j n + k of the first
+    # n; x starts as the n^2 unit rows, set without a D^2 identity (8 MB at
+    # D = 32)
+    block = (np.arange(n)[:, None] * d + np.arange(n)).ravel()
     fids = np.empty(n_pulses)
-    x = np.eye(d * d)[units]
-    target = np.eye(n, dtype=complex)
+    x = np.zeros((n * n, d * d))
+    x[np.arange(n * n), block] = 1.0
     for pulse in range(n_pulses):
         x = x @ pulse_map.matrix
-        target = us @ target
-        # blocks[j, k] = Phi_l(|j><k|) on the first n states
-        phi_units = hermitian_matrices(x.reshape(n * n, d, d)[:, :n, :n])
-        blocks = (recombine @ phi_units.reshape(n * n, n * n)).reshape(n, n, n, n)
-        acc = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real
-        fids[pulse] = acc / n**2
-    return fids
+        fids[pulse] = np.vdot(weights[pulse], x[:, block])
+    return fids / n**2

@@ -19,7 +19,8 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
 from .oct import TargetSet, fidelity, optimize_gate, optimize_gate_dissipative, \
     optimize_state_prep
-from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation, pulse_train
+from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation, check_kappa, \
+    pulse_train
 from .trap import solve_trap, transition_table
 from .units import TIME_AU_S
 
@@ -322,10 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_kappa_values(argv):
+    """`check_kappa` on each value after --kappa, before argparse reads
+    them.  argparse takes a value such as -1e-18 for an unknown option (its
+    negative-number test has no exponent, in Python 3.10 to 3.13) and
+    stops with "unrecognized arguments", a message that does not name
+    kappa."""
+    after_kappa = False
+    for token in argv:
+        try:
+            value = float(token)
+        except ValueError:
+            after_kappa = token == "--kappa"
+            continue
+        if after_kappa:
+            check_kappa(value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        _check_kappa_values(argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

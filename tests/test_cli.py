@@ -215,7 +215,7 @@ class TestCliCommands:
         assert "kappa" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["simulate"], ["optimize", "--dissipative"]])
-    @pytest.mark.parametrize("kappa", ["nan", "-1.0"])
+    @pytest.mark.parametrize("kappa", ["nan", "-1.0", "-1e-18"])
     def test_bad_kappa_option_exits_2_before_writing(self, tmp_path, capsys, command, kappa):
         """A --kappa that is not finite and non-negative is refused on load,
         before the first artifact is written."""

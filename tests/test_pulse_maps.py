@@ -7,12 +7,15 @@ pulse-by-pulse propagation they replace: a `sweep` of the state, or of the
 N^2 Hermitian units, once per pulse.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from iontrapsim import (
     NumericalError,
     OctConfig,
+    ValidationError,
     build_dissipation,
     encode,
     evolution_operator,
@@ -207,6 +210,60 @@ def pulse_by_pulse_fidelity_trace(gate_field, basis, diss, n_pulses, gate):
         blocks = (recombine @ phi_units[:, :n, :n].reshape(n * n, n * n)).reshape(n, n, n, n)
         fids[pulse] = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real / n**2
     return fids
+
+
+def per_pulse_map_fidelity_trace(pulse_map, n_pulses, gate):
+    """The former `map_fidelity_trace` readout: per pulse, the N^2 unit
+    coordinates recombined into Phi_l(|j><k|) and contracted with U^l."""
+    us = getattr(gate, "entries", gate)
+    n = us.shape[0]
+    d = pulse_map.dim
+    units = (np.arange(n)[:, None] * d + np.arange(n)).ravel()
+    recombine = np.zeros((n * n, n * n), dtype=complex)
+    for j in range(n):
+        recombine[j * n + j, j * n + j] = 1.0
+        for k in range(j + 1, n):
+            h, b = j * n + k, k * n + j
+            recombine[h, h] = recombine[b, h] = 0.5
+            recombine[h, b], recombine[b, b] = -0.5j, 0.5j
+    fids = np.empty(n_pulses)
+    x = np.eye(d * d)[units]
+    target = np.eye(n, dtype=complex)
+    for pulse in range(n_pulses):
+        x = x @ pulse_map.matrix
+        target = us @ target
+        phi_units = hermitian_matrices(x.reshape(n * n, d, d)[:, :n, :n])
+        blocks = (recombine @ phi_units.reshape(n * n, n * n)).reshape(n, n, n, n)
+        acc = np.einsum("aj,jkab,bk->", target.conj(), blocks, target).real
+        fids[pulse] = acc / n**2
+    return fids
+
+
+@pytest.mark.parametrize("n_pulses", [0, 1, 10])
+def test_map_fidelity_trace_matches_per_pulse_readout(desk_basis, desk_gate, train_field,
+                                                      n_pulses):
+    """The weights of every pulse, built before the first, read out what
+    the per-pulse recombination does, rounding apart; no pulse, no value."""
+    pulse_map = LindbladPulseMap(train_field, desk_basis, build_dissipation(desk_basis, KAPPA))
+    got = map_fidelity_trace(pulse_map, n_pulses, desk_gate)
+    assert got.shape == (n_pulses,)
+    if n_pulses:
+        assert_relative(got, per_pulse_map_fidelity_trace(pulse_map, n_pulses, desk_gate),
+                        rtol=1e-14)
+
+
+def test_paper_size_fidelity_readout(paper_gate):
+    """D = 32, N = 16 on a random map of spectral radius about 1: no sweep."""
+    rng = np.random.default_rng(11)
+    pulse_map = SimpleNamespace(dim=32, matrix=rng.normal(size=(1024, 1024)) / 32)
+    assert_relative(map_fidelity_trace(pulse_map, 10, paper_gate),
+                    per_pulse_map_fidelity_trace(pulse_map, 10, paper_gate))
+
+
+def test_gate_larger_than_map_raises():
+    pulse_map = SimpleNamespace(dim=8, matrix=np.eye(64))
+    with pytest.raises(ValidationError, match="9 states exceeds the map's 8"):
+        map_fidelity_trace(pulse_map, 1, np.eye(9))
 
 
 @pytest.mark.parametrize("kappa", [0.0, KAPPA])
