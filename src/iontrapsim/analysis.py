@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .gridsim import Grid
 from .propagator import (ControlField, DissipationModel, LindbladPulseMap, hermitian_coordinates,
-                         hermitian_matrices)
+                         hermitian_units)
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
@@ -149,7 +149,7 @@ def map_fidelity_trace(pulse_map: LindbladPulseMap, n_pulses: int, gate) -> np.n
     if n > d:
         raise ValidationError(f"gate of {n} states exceeds the map's {d} states")
 
-    units = hermitian_matrices(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
+    units = hermitian_units(n).reshape(n * n, n * n)
     kron = (us.conj()[:, None, :, None] * us[:, None, :]).reshape(n * n, n * n)
     turned = hermitian_coordinates((units @ kron).reshape(n * n, n, n))
     weights = np.empty((n_pulses, n * n, n * n))

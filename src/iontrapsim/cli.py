@@ -323,29 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_kappa_values(argv):
-    """`check_kappa` on each value after --kappa, before argparse reads
-    them.  argparse takes a value such as -1e-18 for an unknown option (its
-    negative-number test has no exponent, in Python 3.10 to 3.13) and
-    stops with "unrecognized arguments", a message that does not name
-    kappa."""
-    after_kappa = False
-    for token in argv:
-        try:
-            value = float(token)
-        except ValueError:
-            after_kappa = token == "--kappa"
-            continue
-        if after_kappa:
+def _parse_args(parser, argv):
+    """argparse's parse_args, except that a number left over by a command
+    that took --kappa (spelled out or abbreviated) is checked as a kappa.
+    argparse takes a value such as -1e-18 or -inf for an unknown option (its
+    negative-number test has no exponent, in Python 3.10 to 3.13) and would
+    stop with "unrecognized arguments", a message that does not name kappa."""
+    args, extras = parser.parse_known_args(argv)
+    if getattr(args, "kappas", None) is not None:
+        for token in extras:
+            try:
+                value = float(token)
+            except ValueError:
+                continue
             check_kappa(value)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        _check_kappa_values(argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

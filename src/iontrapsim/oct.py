@@ -55,7 +55,7 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import unitarity_defect
 from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
                          commutator_coordinates, hermitian_coordinates, lindblad_kernel,
-                         step_blocks, sweep)
+                         population_form, step_blocks, sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -160,14 +160,14 @@ class OctTrace:
     def final_fidelity(self) -> float:
         return self.fidelities[-1] if self.fidelities else 0.0
 
-    def is_monotonic(self, slack: float = MONOTONE_SLACK) -> bool:
+    def is_monotonic(self) -> bool:
         j = self.objectives
-        return all(_no_decrease(j[i], j[i + 1], slack) for i in range(len(j) - 1))
+        return all(_no_decrease(j[i], j[i + 1]) for i in range(len(j) - 1))
 
 
-def _no_decrease(before: float, after: float, slack: float = MONOTONE_SLACK) -> bool:
-    """after >= before up to a relative slack; False if either is NaN."""
-    return after >= before - slack * max(1.0, abs(before))
+def _no_decrease(before: float, after: float) -> bool:
+    """after >= before up to a relative MONOTONE_SLACK; False on NaN."""
+    return after >= before - MONOTONE_SLACK * max(1.0, abs(before))
 
 
 def switch_envelope(config: OctConfig) -> np.ndarray:
@@ -403,7 +403,7 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     the superposition projector for the P functional); multipliers eta_j
     run backward from the target projectors under the adjoint generator.
     The objective is sum_j Tr(W_j rho_j(T)), measured on Hermitian
-    coordinates by `_population_form`.  The trace's fidelities, and so the
+    coordinates by `population_form`.  The trace's fidelities, and so the
     `fidelity` column of `*_diss_trace.csv`, are the mean target population
     of the gate trajectories, the phase-insensitive surrogate available in
     the density formalism.  They are not the gate fidelity that `fidelity`
@@ -421,7 +421,7 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
         bracket = _matrix_bracket(frame.mu, config.functional, n_gate)
     else:
         bracket = _coordinate_bracket(frame.mu, config.functional)
-    target_bras = eta_final * _population_form(d)
+    target_bras = eta_final * population_form(d)
 
     def measure(rho):
         pops = np.einsum("tu,tu->t", target_bras, rho)
@@ -455,12 +455,6 @@ def _matrix_bracket(mu, functional, n_gate):
     return bracket
 
 
-def _population_form(d):
-    """w, 1 on the diagonal coordinates and 2 off them, so that
-    Tr(X Y) = sum_u w_u c_u(X) c_u(Y) for Hermitian X and Y."""
-    return 2.0 - np.eye(d).ravel()
-
-
 def _coordinate_bracket(mu, functional):
     """Update bracket of the dissipative functionals for the
     `LindbladSuperoperator` kernels, whose states are rows of Hermitian
@@ -475,7 +469,7 @@ def _coordinate_bracket(mu, functional):
     c(eta) @ W of every step, and a step pairs them with rho by one
     multiply-and-sum.  The F functional also weighs the target populations
     Tr(y_eta y_rho) of its trajectories, the gate's N."""
-    weights = _population_form(len(mu))
+    weights = population_form(len(mu))
     form = weights[:, None] * commutator_coordinates(mu).T / 2
 
     def bracket(etas):

@@ -12,12 +12,9 @@ integrated by classical fourth-order Runge-Kutta in one `InteractionFrame`.
 
 Closed kernel.  With the field held over a step, mu_I(t_n + s) =
 P_n mu_I(s) P_n^*, P_n = exp(i E t_n), so in the rotating variable
-y = exp(-i E t) x one RK4 step is exactly y <- sum_k e_n^k C_k y, with five
-constant matrices C_k per direction: the step operators of an
-`InteractionFrame`, one matmul per step on amplitude columns.  The powers
-of e_n are real, so S = sum_k e_n^k C_k is one real product with the real
-view of the C_k, for a block of samples or for the one sample the
-optimizer has just corrected.
+y = exp(-i E t) x one RK4 step is exactly y <- S(e_n) y, with the step
+matrix S(e) = sum_k e^k C_k of five constant C_k per direction: the
+`InteractionFrame` kernel, one matmul per step on amplitude columns.
 
 Lindblad kernels.  The dissipator commutes with conjugation by P_n, so
 density matrices step in y = P_n^* rho P_n by RK4 with the three constant
@@ -38,7 +35,9 @@ crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
 All three kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them, `fresh_step` under a sample the
 optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
-y.  Density matrices enter and leave both Lindblad kernels as the rows
+y.  The two step-matrix kernels share them (`_StepMatrices`): the powers
+of e are real, so step operators are one real product with the cached C_k.
+Density matrices enter and leave both Lindblad kernels as the rows
 (..., D^2) of their `hermitian_coordinates`, which the superoperator turns
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
 converts.  One `sweep` integrates any kernel through a pulse, and
@@ -186,19 +185,54 @@ def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> Dissipa
     return DissipationModel(kappa, gamma, mean_rate)
 
 
-class InteractionFrame:
-    """Phases exp(i E_j t) of a basis on the half-step grid t = h dt / 2,
-    h an integer, the stage dipoles of one RK4 step, and the closed kernel:
-    RK4 steps of amplitude columns in the rotating variable y = exp(-i E t) x."""
+class _StepMatrices:
+    """A kernel whose RK4 step is one step operator S(e) = sum_k e^k C_k of
+    the held field e.  A subclass gives its C_k as real rows (5, size)
+    (`_rk4_coefficients`), reads sums of them as operators (`_as_operators`)
+    and defines `step` and `rotate_out`."""
 
     _POWERS = np.arange(5)   # the k of e^k C_k, hoisted: np.arange costs ~1 us a call
 
+    def __init__(self):
+        self._coefficients = {}
+
+    def operators(self, e, backward: bool = False) -> np.ndarray:
+        """The step operator of every held field value in e, toward earlier
+        times if backward: sum_k e^k C_k, one real product of the powers of
+        e with the C_k, built once per direction."""
+        e = np.asarray(e, dtype=float)
+        return self._step_matrices(e[:, None] ** self._POWERS, backward)
+
+    def _step_matrices(self, powers, backward: bool) -> np.ndarray:
+        c = self._coefficients.get(backward)
+        if c is None:
+            c = self._coefficients[backward] = self._rk4_coefficients(backward)
+        return self._as_operators(powers @ c)
+
+    def fresh_step(self, y, e, coupled):
+        """One forward step of y under the held field e, a Python float
+        (coupled unused): the step operator from its powers, then `step`."""
+        return self.step(y, self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False))
+
+    def rotate_in(self, x, half_idx):
+        """The rotating variable y of x at t = half_idx dt / 2."""
+        return self.rotate_out(x, -half_idx)
+
+
+class InteractionFrame(_StepMatrices):
+    """Phases exp(i E_j t) of a basis on the half-step grid t = h dt / 2,
+    h an integer, the stage dipoles of one RK4 step, and the closed kernel:
+    RK4 steps of amplitude columns in the rotating variable y = exp(-i E t) x
+    by complex D x D step matrices, y <- S y.  The C_k hold the RK4
+    polynomial in (i h mu_I(s))^k, s = 0, h/2, h, times the frame phase
+    exp(-i E h); their real view halves the work of a complex product."""
+
     def __init__(self, basis: EigenBasis, dt: float):
+        super().__init__()
         self.energies = basis.energies
         self.mu = basis.dipole
         self.dt = dt
         self._stages = {}
-        self._coefficients = {}
 
     def phases(self, half_idx) -> np.ndarray:
         """exp(i E t) at t = half_idx dt / 2, one row per half-step index."""
@@ -222,26 +256,8 @@ class InteractionFrame:
             mu_s = self._stages[backward] = p[:, :, None] * self.mu * p.conj()[:, None, :]
         return mu_s
 
-    def operators(self, e, backward: bool = False) -> np.ndarray:
-        """RK4 step matrices S = sum_k e^k C_k, one per held field value in e.
-
-        y <- S y is one step of y, toward earlier times if backward.  The C_k
-        hold the RK4 polynomial in (i h mu_I(s))^k, s = 0, h/2, h, times the
-        frame phase exp(-i E h); they are built once per direction."""
-        e = np.asarray(e, dtype=float)
-        return self._step_matrices(e[:, None] ** self._POWERS, backward)
-
-    def _step_matrices(self, powers, backward: bool) -> np.ndarray:
-        """sum_k e^k C_k for real powers (..., 5) of e: one real product
-        with the real view of the C_k, half the work of a complex one."""
-        c = self._coefficients.get(backward)
-        if c is None:
-            c = self._coefficients[backward] = self._rk4_coefficients(backward).view(float)
-        d = len(self.energies)
-        return (powers @ c).view(complex).reshape(powers.shape[:-1] + (d, d))
-
     def _rk4_coefficients(self, backward: bool) -> np.ndarray:
-        """C_0..C_4 of `operators`, flattened to (5, D^2)."""
+        """The real view of C_0..C_4, flattened to (5, 2 D^2)."""
         h = -self.dt if backward else self.dt
         m0, mh, m1 = 1j * h * self.stage_dipoles(backward)
         mh2 = mh @ mh
@@ -253,20 +269,15 @@ class InteractionFrame:
             m1 @ mh2 @ m0 / 24,
         ])
         p_end = self.phases(-2 if backward else 2)
-        return (p_end.conj()[:, None] * b).reshape(5, -1)
+        return (p_end.conj()[:, None] * b).reshape(5, -1).view(float)
+
+    def _as_operators(self, sums):
+        d = len(self.energies)
+        return sums.view(complex).reshape(sums.shape[:-1] + (d, d))
 
     def step(self, y, s, backward=False):
         """One step of the columns y with the step matrix s."""
         return s @ y
-
-    def fresh_step(self, y, e, mu_y):
-        """One forward step of y under the held field e, a Python float
-        (mu_y unused): S(e) built from its powers, then S y."""
-        return self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False) @ y
-
-    def rotate_in(self, x, half_idx):
-        """y = exp(-i E t) x at t = half_idx dt / 2."""
-        return self.phases(half_idx).conj()[:, None] * x
 
     def rotate_out(self, y, half_idx):
         """x = exp(i E t) y at t = half_idx dt / 2."""
@@ -345,7 +356,7 @@ class Lindblad:
         return x.reshape(x.shape[:-2] + (-1,))
 
 
-class LindbladSuperoperator:
+class LindbladSuperoperator(_StepMatrices):
     """The RK4 step of a `Lindblad` generator or its adjoint, frame rotation
     included, as one real (D^2, D^2) step matrix S on
     `hermitian_coordinates`, the kernel of `lindblad_kernel` up to
@@ -365,26 +376,13 @@ class LindbladSuperoperator:
     The C_k are built once per direction, 160 KB at D = 8."""
 
     def __init__(self, lindblad: Lindblad):
+        super().__init__()
         self.lindblad = lindblad
         self.dim = len(lindblad.frame.energies)
-        self._coefficients = {}
-
-    def operators(self, e, backward: bool = False) -> np.ndarray:
-        """Step increments S - I = sum_k e^k C_k, (n, D^2, D^2), one per held
-        field value in e; c <- c + c @ (S - I) is one step, toward earlier
-        times if backward."""
-        e = np.asarray(e, dtype=float)
-        return self._step_matrices(e[:, None] ** InteractionFrame._POWERS, backward)
-
-    def _step_matrices(self, powers, backward: bool) -> np.ndarray:
-        c = self._coefficients.get(backward)
-        if c is None:
-            c = self._coefficients[backward] = self._rk4_coefficients(backward)
-        d2 = self.dim * self.dim
-        return (powers @ c).reshape(powers.shape[:-1] + (d2, d2))
 
     def _rk4_coefficients(self, backward: bool) -> np.ndarray:
-        """C_0..C_4 of `operators`, flattened to (5, D^4)."""
+        """The step increments C_0..C_4, S - I = sum_k e^k C_k, flattened
+        to (5, D^4); c <- c + c @ (S - I) is one step."""
         lindblad = self.lindblad
         d, n = self.dim, self.dim ** 2
         h = -lindblad.frame.dt if backward else lindblad.frame.dt
@@ -429,19 +427,13 @@ class LindbladSuperoperator:
         out[0] += turn_coordinates(np.eye(n).reshape(n, d, d), w).reshape(n, n) - np.eye(n)
         return out.reshape(5, -1)
 
+    def _as_operators(self, sums):
+        d2 = self.dim * self.dim
+        return sums.reshape(sums.shape[:-1] + (d2, d2))
+
     def step(self, y, s, backward=False):
         """One step of the coordinate rows y with the step increment s."""
         return y + y @ s
-
-    def fresh_step(self, y, e, coupled):
-        """One forward step of y under the held field e, a Python float
-        (coupled unused): S(e) - I built from its powers, then y + y @ it."""
-        return y + y @ self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False)
-
-    def rotate_in(self, c, half_idx):
-        """The coordinate rows of y = P^* x P at t = half_idx dt / 2 from
-        those of x."""
-        return self.rotate_out(c, -half_idx)
 
     def rotate_out(self, c, half_idx):
         """The coordinate rows of x = P y P^* at t = half_idx dt / 2 from
@@ -556,6 +548,12 @@ def hermitian_coordinates(x) -> np.ndarray:
     return np.where(np.tri(d, k=-1, dtype=bool), -x.imag, x.real)
 
 
+def population_form(d: int) -> np.ndarray:
+    """w, 1 on the diagonal coordinates and 2 off them, so that
+    Tr(X Y) = sum_u w_u c_u(X) c_u(Y) for Hermitian X and Y (D, D)."""
+    return 2.0 - np.eye(d).ravel()
+
+
 def hermitian_matrices(c) -> np.ndarray:
     """The Hermitian matrices whose coordinates (`hermitian_coordinates`)
     are c (..., D, D)."""
@@ -579,7 +577,7 @@ def turn_coordinates(c, w, out=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _unit_rows(d: int) -> np.ndarray:
+def hermitian_units(d: int) -> np.ndarray:
     """The D^2 Hermitian units E_jj, H and B (`hermitian_coordinates`) as
     D^3 rows of D, read-only: 64 KB at D = 8, kept per D because building
     them took 40 us of a 0.4 ms C_k build."""
@@ -594,7 +592,7 @@ def commutator_coordinates(mu) -> np.ndarray:
     coordinates of i [mu, unit u].  As in `Lindblad`, i [mu, y] is
     -(c + c^dag) with c = y (i mu)."""
     d = mu.shape[-1]
-    c = (_unit_rows(d) @ (1j * mu)).reshape(mu.shape[:-2] + (d * d, d, d))
+    c = (hermitian_units(d) @ (1j * mu)).reshape(mu.shape[:-2] + (d * d, d, d))
     re, im = c.real, c.imag
     below = np.tri(d, k=-1, dtype=bool)
     rate = np.where(below, im - im.swapaxes(-1, -2), -(re + re.swapaxes(-1, -2)))

@@ -215,8 +215,12 @@ class TestCliCommands:
         assert "kappa" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["simulate"], ["optimize", "--dissipative"]])
-    @pytest.mark.parametrize("kappa", ["nan", "-1.0", "-1e-18"])
-    def test_bad_kappa_option_exits_2_before_writing(self, tmp_path, capsys, command, kappa):
+    @pytest.mark.parametrize("spelling, kappa", [
+        # the full spelling keeps the bare value as its id
+        pytest.param(spelling, kappa, id=kappa if spelling == "--kappa" else f"{spelling} {kappa}")
+        for spelling in ("--kappa", "--kap") for kappa in ("nan", "-1.0", "-1e-18")])
+    def test_bad_kappa_option_exits_2_before_writing(self, tmp_path, capsys, command, spelling,
+                                                     kappa):
         """A --kappa that is not finite and non-negative is refused on load,
         before the first artifact is written."""
         field = tmp_path / "gate_p_field.csv"
@@ -224,10 +228,18 @@ class TestCliCommands:
         out = tmp_path / "out"
         field_option = "--field" if command[0] == "simulate" else "--resume"
         code = main(command + ["--tier", "desk", "--out", str(out), field_option, str(field),
-                               "--kappa", kappa])
+                               spelling, kappa])
         assert code == 2
         assert "kappa must be finite and non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stray_number_exits_2_as_unrecognized(self, tmp_path, capsys):
+        """A number without --kappa is no kappa: argparse refuses it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--tier", "desk", "--out", str(tmp_path / "out"), "-1e-18"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -1e-18" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dissipative_with_two_kappas_exits_2(self, tmp_path):
         code = main([

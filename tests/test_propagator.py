@@ -457,6 +457,17 @@ class TestLindbladSuperoperator:
                 got = superop.fresh_step(superop.rotate_in(x, 0), e, None)
                 assert_relative(superop.rotate_out(got, 0), lindblad.rotate_out(want, 0))
 
+    def test_fresh_step_is_step_with_operator(self, desk_basis, diss):
+        """The contract `_forward_update` relies on, for both step-matrix
+        kernels: fresh_step(y, e, None) is step(y, operators([e])[0])."""
+        frame = InteractionFrame(desk_basis, self.DT)
+        superop = LindbladSuperoperator(Lindblad(frame, diss, adjoint=True))
+        for kernel, y in ((frame, random_columns(8, 5, seed=5)),
+                          (superop, coordinate_rows(self.hermitian_stack(5)))):
+            for e in self.FIELDS:
+                assert_relative(kernel.fresh_step(y, e, None),
+                                kernel.step(y, kernel.operators([e])[0]), rtol=1e-15)
+
     @pytest.mark.parametrize("adjoint, backward", [(False, False), (True, True)])
     def test_sweep_with_partial_block(self, desk_basis, diss, adjoint, backward):
         """37 steps, two blocks of step matrices and a partial one, with
