@@ -175,8 +175,7 @@ def cmd_simulate(args) -> int:
     closed_map = ClosedPulseMap(gate_field, basis, max(1, gate_field.n_steps // 1000))
     fid = fidelity(gate, closed_map.gate(gate.n))
     print(f"simulate: gate field realizes F = {fid:.6f}")
-    # the drift of this map bounds what each pulse's renormalization removes;
-    # every run prints what it did remove
+    # bounds the norm drift each pulse of the trains below adds and keeps
     print(f"closed pulse map: max |U^dag U - I| = {closed_map.unitarity_drift():.3e}")
 
     # closed run for every configured packet; the first one keeps the
@@ -191,9 +190,7 @@ def cmd_simulate(args) -> int:
         state[: len(c)] = c
         if index == 0:
             rho0 = np.outer(state, state.conj())
-        states, correction = pulse_train(closed_map, state, cfg.n_pulses)
-        print(f"closed run (sigma={sigma:g}, x0={x0:g}): renormalization removed "
-              f"up to {correction:.3e} of the norm per pulse")
+        states = pulse_train(closed_map, state, cfg.n_pulses)
         pulses = np.abs(states[:, : grid.n]) ** 2
         # the snapshots of pulse l are those of the state entering it
         stored = np.array([closed_map.snapshots @ s for s in states[:-1]])
@@ -221,7 +218,7 @@ def cmd_simulate(args) -> int:
     for kappa in cfg.kappas:
         lindblad_map = LindbladPulseMap(gate_field, basis,
                                         build_dissipation(basis, kappa, cfg.deltas))
-        rhos, correction = pulse_train(lindblad_map, rho0, cfg.n_pulses)
+        rhos = pulse_train(lindblad_map, rho0, cfg.n_pulses)
         fid_k = analysis.map_fidelity_trace(lindblad_map, cfg.n_pulses, gate)
         tag = f"kappa_{kappa:.3e}"
         serialization.save_probability_snapshots(
@@ -236,8 +233,7 @@ def cmd_simulate(args) -> int:
             fid_k, os.path.join(cfg.outdir, f"fidelity_{tag}.csv"), meta
         )
         print(f"kappa = {kappa:.3e}: final-pulse fidelity {fid_k[-1]:.6f}, "
-              f"pulse map trace drift {lindblad_map.trace_drift():.3e}, "
-              f"renormalization removed up to {correction:.3e} of the trace per pulse")
+              f"pulse map trace drift {lindblad_map.trace_drift():.3e}")
     return EXIT_OK
 
 

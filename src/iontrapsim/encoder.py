@@ -19,6 +19,6 @@ def encode(psi: np.ndarray, grid: Grid) -> np.ndarray:
     if len(psi) != grid.n:
         raise ValidationError(f"wavepacket has {len(psi)} entries, the grid {grid.n}")
     total = float(np.sum(np.abs(psi) ** 2) * grid.delta_x)
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValidationError(f"wavepacket norm^2 = {total!r}, expected 1 within {NORM_TOL}")
     return (psi * np.sqrt(grid.delta_x)).astype(complex)

@@ -30,7 +30,7 @@ class Grid:
     points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.x_min >= self.x_max:
+        if not self.x_min < self.x_max:
             raise ValidationError("x_min must be below x_max")
         if self.n < 2:
             raise ValidationError("need at least two grid points")
@@ -76,7 +76,7 @@ class SimSystem:
 def check_sigma(sigma: float) -> None:
     """The one check of a packet width, run by `gaussian_packet` and by
     `RunConfig.validate`."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValidationError("sigma must be positive")
 
 
@@ -100,7 +100,7 @@ def gaussian_packet(grid: Grid, sigma: float, x0: float) -> np.ndarray:
     psi = (sigma / np.pi) ** 0.25 * np.exp(-((x - x0) ** 2) / (2.0 * sigma))
     psi = psi.astype(complex)
     n2 = np.sum(np.abs(psi) ** 2) * grid.delta_x
-    if n2 <= 0:
+    if not n2 > 0:
         raise ValidationError("packet vanished on the grid")
     psi /= np.sqrt(n2)
     edge = max(abs(psi[0]) ** 2, abs(psi[-1]) ** 2) * grid.delta_x
@@ -159,7 +159,7 @@ def elementary_gate(system: SimSystem, grid: Grid, delta_t: float, k_substeps: i
     half_v, kin = _split_factors(system, grid, dt_sub)
     u = _apply_split(np.eye(grid.n, dtype=complex), half_v, kin, k_substeps)
     defect = unitarity_defect(u)
-    if defect > UNITARITY_FATAL:
+    if not defect <= UNITARITY_FATAL:
         raise NumericalError(f"gate unitarity defect {defect:.2e} exceeds {UNITARITY_FATAL}")
     return GateMatrix(u, delta_t, k_substeps, label=system.label)
 

@@ -81,7 +81,7 @@ class OctConfig:
     def __post_init__(self):
         if not (self.t_pulse > 0 and self.dt > 0):
             raise ValidationError("t_pulse and dt must be positive")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ValidationError("alpha0 must be positive")
         if not 0 < self.fidelity_goal <= 1:
             raise ValidationError("fidelity_goal must be in (0, 1]")
@@ -106,7 +106,7 @@ class TargetSet:
 
     def __post_init__(self):
         self.gate = np.asarray(self.gate, dtype=complex)
-        if unitarity_defect(self.gate) > 1e-8:
+        if not unitarity_defect(self.gate) <= 1e-8:
             raise ValidationError("target gate is not unitary")
 
     @property
@@ -248,8 +248,9 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     `adjoint` kernel, then runs `_forward_update` from `initials` under
     `kernel`.  Iteration 0 in the trace is the evaluation of the starting
     field; the monotonic sweeps are iterations 1..max_iterations.  A
-    starting field that already meets the fidelity goal returns without
-    any sweep.
+    starting field that already meets the fidelity goal, by its evaluation
+    or by the last fidelity of the trace it continues, returns without any
+    sweep.
     """
     if initial_field is not None:
         if len(initial_field.samples) != config.n_steps + 1:
@@ -266,9 +267,9 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     if not len(trace):
         objective, fid = measure(sweep(kernel, initials, field))
         trace.append(0, objective, fid, ControlField(field, config.dt).fluence())
-        if fid >= config.fidelity_goal:
-            trace.status = "converged"
-            return ControlField(field, config.dt), trace
+    if trace.fidelities[-1] >= config.fidelity_goal:
+        trace.status = "converged"
+        return ControlField(field, config.dt), trace
     start = trace.iterations[-1] + 1
     trace.backward_s, trace.forward_s = [], []
     for it in range(start, config.max_iterations + start):
@@ -369,7 +370,7 @@ def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig
     |<target|psi(T)>|^2, insensitive to the global phase.
     """
     c = np.asarray(target, dtype=complex)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(c) - 1.0) <= 1e-8:
         raise ValidationError("target amplitudes must be normalized")
     dim = basis.n_states
     if len(c) > dim:

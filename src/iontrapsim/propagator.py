@@ -55,9 +55,9 @@ the Hermitian units E_jj, H = E_jk + E_kj and B = i (E_jk - E_kj), 64 at
 a time, with the kernel `lindblad_kernel` picks: at desk size one sweep
 of step matrices, at paper size a 1024^2 matrix (8 MB) from 16 sweeps of
 64 units, 1 MB per stack.  `pulse_train` applies either map pulse after
-pulse; their `apply` checks every pulse's result: the norm of an
-amplitude vector, and the Hermiticity, trace and positivity of a density
-matrix.  Drift beyond tolerance raises NumericalError.
+pulse and renormalizes nothing; `apply` checks every pulse's result: the
+norm of an amplitude vector, and the Hermiticity, trace and positivity of
+a density matrix.  Drift beyond tolerance raises NumericalError.
 
 Field convention.  The field is held constant over every time step:
 sample n drives step n, from t_n to t_n + dt, and the last sample closes
@@ -628,11 +628,6 @@ class ClosedPulseMap:
         """max |U^dag U - I| of U(t_pulse)."""
         return unitarity_defect(self.final)
 
-    @staticmethod
-    def norm(state) -> float:
-        """The norm of an amplitude vector, which the pulse conserves."""
-        return np.linalg.norm(state)
-
     def apply(self, state):
         """The amplitude vector state after the pulse; NumericalError if the
         pulse changed its norm beyond tolerance.  Its snapshots over the
@@ -670,11 +665,6 @@ class LindbladPulseMap:
         unit_traces = np.eye(d).ravel()   # 1 for E_jj, 0 for H and B
         return float(np.abs(self.matrix[:, ::d + 1].sum(axis=1) - unit_traces).max())
 
-    @staticmethod
-    def norm(rho) -> float:
-        """The trace of a density matrix, which the pulse conserves."""
-        return np.trace(rho).real
-
     def apply(self, rho) -> np.ndarray:
         """The density matrix rho after the pulse; NumericalError unless it
         is a density matrix of the same trace (`_check_density`)."""
@@ -684,17 +674,11 @@ class LindbladPulseMap:
         return final
 
 
-def pulse_train(pulse_map, state, n_pulses: int):
-    """(states, correction) of n_pulses pulses of a `ClosedPulseMap` or a
-    `LindbladPulseMap` from state: states[l] enters pulse l, states[-1]
-    leaves the last.  Each result is divided by the map's `norm` of it, to
-    absorb the integrator drift `apply` has checked, and correction is the
-    largest |norm - 1| so removed."""
+def pulse_train(pulse_map, state, n_pulses: int) -> np.ndarray:
+    """The states of n_pulses pulses of a `ClosedPulseMap` or a
+    `LindbladPulseMap` from state, each the checked `apply` of the one
+    before: states[l] enters pulse l, states[-1] leaves the last."""
     states = [state]
-    correction = 0.0
     for _ in range(n_pulses):
-        out = pulse_map.apply(states[-1])
-        norm = pulse_map.norm(out)
-        correction = max(correction, abs(norm - 1.0))
-        states.append(out / norm)
-    return np.array(states), correction
+        states.append(pulse_map.apply(states[-1]))
+    return np.array(states)

@@ -79,8 +79,8 @@ def _read_table(path):
 
     `# key=value` lines go to `meta`; the first other line is the header;
     blank lines are skipped.  Every data row must have one cell per header
-    column and every cell must parse as a Python `float`, or this raises
-    ValidationError naming the file and line.  `data` is a float64
+    column and every cell must parse as a finite Python `float`, or this
+    raises ValidationError naming the file and line.  `data` is a float64
     (rows, columns) array, (0, columns) when the file has no rows.
     """
     with open(path, newline="") as handle:
@@ -114,6 +114,10 @@ def _read_table(path):
                 raise ValidationError(
                     f"{path}, line {numbers[i // len(header)]}: {cell!r} is not a number"
                 ) from None
+    if not np.isfinite(data).all():
+        i = int(np.argmin(np.isfinite(data)))
+        raise ValidationError(f"{path}, line {numbers[i // len(header)]}: "
+                              f"{cells[i]!r} is not finite")
     return header, data.reshape(len(numbers), len(header)), meta
 
 
@@ -148,12 +152,14 @@ def load_eigenbasis(outdir: str) -> EigenBasis:
         with open(path_json) as handle:
             payload = json.load(handle)
         params = TrapParams(**payload["params"])
-        energies = np.array(payload["energies_au"])
+        energies = np.array(payload["energies_au"], dtype=float)
     except (ValueError, KeyError, TypeError) as err:
         raise ValidationError(f"{path_json} is not a basis sidecar: {err!r}") from None
     d = params.dynamical_size
     if energies.shape != (d,):
         raise ValidationError(f"{path_json} holds {energies.size} energies, not {d}")
+    if not np.isfinite(energies).all():
+        raise ValidationError(f"{path_json} holds a non-finite energy")
 
     def read_matrix(name, rows):
         path = os.path.join(outdir, f"{name}.csv")

@@ -34,9 +34,10 @@ class TrapParams:
                 f"got N={self.computational_size}, D={self.dynamical_size}, "
                 f"M={self.primitive_size}"
             )
-        if self.k <= 0 or self.mass <= 0:
-            raise ValidationError("mass and k must be positive")
-        if self.k_quart < 0:
+        # omega = sqrt(q k / m) needs q k / m > 0
+        if not (self.k > 0 and self.mass > 0 and self.charge > 0):
+            raise ValidationError("mass, charge and k must be positive")
+        if not self.k_quart >= 0:
             raise ValidationError("k_quart must be non-negative")
 
     @property

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -7,11 +8,12 @@ import shutil
 import numpy as np
 import pytest
 
-from iontrapsim import ControlField, SimSystem, elementary_gate, evolution_operator, fidelity, \
-    make_grid, solve_trap
+from iontrapsim import ControlField, SimSystem, elementary_gate, encode, evolution_operator, \
+    fidelity, gaussian_packet, make_grid, solve_trap
 from iontrapsim.cli import _load_run_config, build_parser, main
 from iontrapsim.config import load_config, parse_quantity, tier_config
 from iontrapsim.errors import ValidationError
+from iontrapsim.propagator import ClosedPulseMap
 from iontrapsim.serialization import _read_table, load_eigenbasis, load_field, load_gate, \
     save_field
 from iontrapsim.units import TIME_AU_S
@@ -174,11 +176,13 @@ class TestCliCommands:
          "[dissipation]\ndeltas = 1.5, 3\n", None, "max_iterations = 5\n",
          "[oct]\nmax_iterations = 5\nmax_iterations = 6\n", "[dissipation]\ndeltas = 0\n",
          "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n",
-         "[dissipation]\nkappa = 1e-18, -1e-18\n", "[dissipation]\nkappa = nan\n"],
+         "[dissipation]\nkappa = 1e-18, -1e-18\n", "[dissipation]\nkappa = nan\n",
+         "[trap]\ncharge = 0\n", "[trap]\ncharge = -1\n"],
         ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
              "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
              "missing-file", "no-section-header", "duplicate-key", "zero-delta",
-             "negative-sigma", "inverted-grid", "zero-substeps", "negative-kappa", "nan-kappa"],
+             "negative-sigma", "inverted-grid", "zero-substeps", "negative-kappa", "nan-kappa",
+             "zero-charge", "negative-charge"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file, with one
@@ -321,9 +325,9 @@ class TestCliCommands:
         assert "n_pulses" in capsys.readouterr().err
 
     def test_simulate_reports_map_drift_and_reruns_identically(self, tmp_path, capsys):
-        """The drift of each pulse map, and what renormalizing every pulse
-        removed from each packet's closed run and each kappa's run, go to the
-        console only; the artifacts of a rerun are byte-identical."""
+        """The drift of each pulse map goes to the console only, and no
+        renormalization is reported; the artifacts of a rerun are
+        byte-identical."""
         ini = tmp_path / "short.ini"
         ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
         field = os.path.join(str(tmp_path / "f"), "gate_p_field.csv")
@@ -341,14 +345,38 @@ class TestCliCommands:
         console = capsys.readouterr().out
         assert console.count("closed pulse map: max |U^dag U - I| = ") == 2
         assert console.count("pulse map trace drift") == 4
-        assert console.count("renormalization removed up to") == 8
-        assert console.count("of the norm per pulse") == 4    # two packets
+        assert "renormaliz" not in console
         names = sorted(os.listdir(outs[0]))
         assert names == sorted(os.listdir(outs[1]))
         for name in names:
             with open(os.path.join(outs[0], name), "rb") as a, \
                     open(os.path.join(outs[1], name), "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_closed_trajectory_keeps_the_accumulated_norm(self, tmp_path, desk_converged):
+        """The closed train is not renormalized: at the start of pulse l the
+        `norm_or_trace` of closed_trajectory.csv is ||U^l psi||^2 of the
+        map's U(t_pulse), and after the first pulse it differs from 1 by
+        more than rounding."""
+        field_path = str(tmp_path / "gate_p_field.csv")
+        save_field(desk_converged["P"][0], field_path)
+        out = str(tmp_path / "s")
+        assert main(["simulate", "--tier", "desk", "--out", out, "--field", field_path,
+                     "--kappa", "1e-18"]) == 0
+        cfg = tier_config("desk")
+        grid = make_grid(cfg.x_min, cfg.x_max, cfg.grid_points)
+        basis = solve_trap(cfg.trap)
+        u = ClosedPulseMap(load_field(field_path), basis).final
+        state = np.zeros(basis.n_states, dtype=complex)
+        state[: grid.n] = encode(gaussian_packet(grid, *cfg.packets[0]), grid)
+        want = []
+        for _ in range(cfg.n_pulses):
+            want.append(np.linalg.norm(state) ** 2)
+            state = u @ state
+        _, data, _ = _read_table(os.path.join(out, "closed_trajectory.csv"))
+        got = data[:, -1].reshape(cfg.n_pulses, -1)[:, 0]
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(got[1:] - 1.0).min() > 1e-12
 
     def test_simulate_reports_evolution_operator_fidelity(self, tmp_path, capsys):
         """The `realizes F` line, now read off the closed pulse map, prints
@@ -480,6 +508,27 @@ class TestCliCommands:
 
         assert load_trace(os.path.join(out, f"{resumed_stem}_trace.csv")).iterations == [0, 1]
         assert load_trace(os.path.join(out, f"{first_stem}_trace.csv")).iterations == [0, 1, 2]
+
+    def test_resume_of_a_converged_run_sweeps_no_more(self, tmp_path):
+        """Resuming a run whose trace already meets the goal returns
+        without a sweep: the field's data rows stay as they were and the
+        trace gains no row."""
+        ini = tmp_path / "easy.ini"
+        ini.write_text("[oct]\nt_pulse = 0.4 us\ndt = 2 ns\nfidelity_goal = 0.28\n")
+        out = str(tmp_path / "c")
+        common = ["optimize", "--config", str(ini), "--tier", "desk", "--out", out]
+        assert main(common) == 0
+        field, trace = (os.path.join(out, f"gate_p_{name}.csv") for name in ("field", "trace"))
+
+        def data_rows(path):
+            with open(path) as handle:
+                return [line for line in handle if not line.startswith("#")]
+
+        field_rows, trace_rows = data_rows(field), data_rows(trace)
+        assert len(trace_rows) > 2    # the goal takes at least one sweep
+        assert main(common + ["--resume", field, "--max-iterations", "5"]) == 0
+        assert data_rows(field) == field_rows
+        assert data_rows(trace) == trace_rows
 
     def test_resume_with_other_sample_spacing_exits_2(self, tmp_path, capsys):
         """A field of the configured sample count but another spacing is
@@ -626,6 +675,12 @@ MALFORMED = {
                                r"basis\.json is not a basis sidecar: KeyError"),
     "basis_unknown_param": ("basis.json", _edit_json(lambda p: p["params"].update(extra=1.0)),
                             r"basis\.json is not a basis sidecar: TypeError"),
+    "nan_gate_cell": ("gate.csv", _replace_cell(4, 2, "nan"),
+                      r"gate\.csv, line 5: 'nan' is not finite"),
+    "inf_z_matrix_cell": ("z_matrix.csv", _replace_cell(4, 3, "inf"),
+                          r"z_matrix\.csv, line 5: 'inf' is not finite"),
+    "nan_energy": ("basis.json", _edit_json(lambda p: p["energies_au"].__setitem__(0, math.nan)),
+                   r"basis\.json holds a non-finite energy"),
 }
 
 
