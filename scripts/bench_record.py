@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Assemble a BENCH_*.json benchmark record from two checkouts' run records.
+
+Benchmark a change in alternating pairs: check out the parent commit and
+the change side by side, and for every seed run
+
+    python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
+
+in both checkouts, in alternating order.  Each run leaves its record in
+that checkout's `perfbench/.out/W-seedS-trace0.json`.  This script pairs
+the records by workload and seed and writes, per workload, every
+end-to-end metric that BENCHMARK.json lists: the value of each seed on
+both sides, the medians and quartiles, the relative change of the median
+and how many pairs the change wins, plus the failed and attempted
+operation counts of every run.
+
+    python3 scripts/bench_record.py --parent ../parent --change . \\
+        --title "what the change does" --claim "paper-oct sweep_ms" \\
+        --out BENCH_21.json
+
+Only the Python standard library is used.  A workload with no seed run
+on both sides is left out; a seed run on one side only is an error.
+"""
+
+import argparse
+import glob
+import json
+import os
+import re
+import statistics
+import sys
+
+RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
+# the order of the runs of each pair, as the module docstring asks for them
+PAIRS = "alternating order: odd seeds run the parent first, even seeds the change first"
+
+
+def read_records(checkout):
+    """{workload: {seed: run record}} of the untraced runs of a checkout."""
+    records = {}
+    for path in glob.glob(os.path.join(checkout, "perfbench", ".out", "*-trace0.json")):
+        match = RECORD.match(os.path.basename(path))
+        if match:
+            with open(path) as handle:
+                records.setdefault(match["workload"], {})[int(match["seed"])] = json.load(handle)
+    return records
+
+
+def host(env):
+    """The machine and software of a run, from its record."""
+    caches = env["cache_bytes"]
+    return (f"{env['cpu_count']} CPUs, L2 {caches['L2'] / 2**20:g} MiB, "
+            f"L3 {caches['L3'] / 2**20:g} MiB; Python {env['python']}, numpy {env['numpy']}, "
+            f"{env['blas']['name']} {env['blas']['version']}")
+
+
+def summary(parent, change, better):
+    """The per-metric entry of a record: values, medians, quartiles,
+    relative change of the median and the pairs the change wins."""
+    def quartiles(values):
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return [round(q1, 6), round(q3, 6)]
+
+    wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    return {
+        "parent": [round(v, 6) for v in parent],
+        "change": [round(v, 6) for v in change],
+        "parent_median": round(parent_median, 6),
+        "change_median": round(change_median, 6),
+        "parent_quartiles": quartiles(parent),
+        "change_quartiles": quartiles(change),
+        "relative_change": round(change_median / parent_median - 1.0, 4),
+        "change_better_pairs": wins,
+        "pairs": len(parent),
+    }
+
+
+def workload_entry(parent_runs, change_runs, metrics):
+    seeds = sorted(parent_runs)
+    entry = {
+        "seeds": seeds,
+        "failed": {"parent": [parent_runs[s]["failed"] for s in seeds],
+                   "change": [change_runs[s]["failed"] for s in seeds]},
+        "attempted": {"parent": [parent_runs[s]["attempted"] for s in seeds],
+                      "change": [change_runs[s]["attempted"] for s in seeds]},
+        "metrics": {},
+    }
+    for metric in metrics:
+        parent = [parent_runs[s]["metrics"][metric["name"]] for s in seeds]
+        change = [change_runs[s]["metrics"][metric["name"]] for s in seeds]
+        entry["metrics"][metric["name"]] = {"unit": metric["unit"],
+                                            **summary(parent, change, metric["better"])}
+    return entry
+
+
+def build(args):
+    with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
+        benchmark = json.load(handle)
+    parent, change = read_records(args.parent), read_records(args.change)
+    workloads = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        parent_runs, change_runs = parent.get(workload, {}), change.get(workload, {})
+        if set(parent_runs) != set(change_runs):
+            raise SystemExit(f"{workload}: seeds {sorted(parent_runs)} on the parent side, "
+                             f"{sorted(change_runs)} on the change side")
+        if parent_runs:
+            workloads[workload] = workload_entry(parent_runs, change_runs,
+                                                 benchmark["end_to_end"])
+    if not workloads:
+        raise SystemExit("no run records found in either checkout's perfbench/.out")
+    environments = [run["environment"] for runs in (parent, change)
+                    for by_seed in runs.values() for run in by_seed.values()]
+    threads = {env["thread_env"]["OPENBLAS_NUM_THREADS"] for env in environments}
+    thread_text = ("default OpenBLAS threads" if threads == {None}
+                   else f"OPENBLAS_NUM_THREADS {sorted(map(str, threads))}")
+    record = {
+        "change": args.title,
+        "claim": args.claim,
+        "benchmark": f"perfbench/run.py --seconds {benchmark['run_seconds']} --trace 0, "
+                     + thread_text,
+        "host": "; ".join(sorted({host(env) for env in environments})),
+        "pairs": PAIRS,
+        "workloads": workloads,
+    }
+    if args.note:
+        record["notes"] = args.note
+    return record
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--title", required=True, help="what the change does")
+    parser.add_argument("--claim", required=True,
+                        help="the workload and metric the change claims to improve")
+    parser.add_argument("--note", action="append", help="a line for the record's notes")
+    parser.add_argument("--out", help="file to write; stdout if not given")
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    text = json.dumps(build(args), indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

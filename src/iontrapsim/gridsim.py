@@ -30,8 +30,8 @@ class Grid:
     points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValidationError("x_min must be below x_max")
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise ValidationError("x_min must be below x_max, both finite")
         if self.n < 2:
             raise ValidationError("need at least two grid points")
         dx = (self.x_max - self.x_min) / self.n
@@ -76,8 +76,8 @@ class SimSystem:
 def check_sigma(sigma: float) -> None:
     """The one check of a packet width, run by `gaussian_packet` and by
     `RunConfig.validate`."""
-    if not sigma > 0:
-        raise ValidationError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValidationError("sigma must be positive and finite")
 
 
 def check_substeps(k_substeps: int) -> None:
@@ -155,6 +155,8 @@ def elementary_gate(system: SimSystem, grid: Grid, delta_t: float, k_substeps: i
     the c_j amplitude convention.
     """
     check_substeps(k_substeps)
+    if not abs(delta_t) < np.inf:
+        raise ValidationError(f"delta_t must be finite, not {delta_t!r}")
     dt_sub = delta_t / k_substeps
     half_v, kin = _split_factors(system, grid, dt_sub)
     u = _apply_split(np.eye(grid.n, dtype=complex), half_v, kin, k_substeps)

@@ -43,7 +43,11 @@ steps at a time: it steps the multipliers through the block first, and the
 bracket prepares everything that does not depend on the states for the
 whole block at once (for the closed functionals, the conjugated bras lam
 and mu lam of every step).  A step then pairs the states with its bras,
-corrects its sample, and takes one step of the states under it.
+corrects its sample, and takes one step of the states under it.  The
+multipliers of every block go into one array per forward update, and each
+bracket writes its bras into one array per optimizer run (`_block_rows`),
+as `step_blocks` does the step operators: at paper size a fresh array per
+block would fault its pages in again every BLOCK_STEPS steps.
 """
 
 import time
@@ -79,18 +83,18 @@ class OctConfig:
     fidelity_goal: float = 0.99999
 
     def __post_init__(self):
-        if not (self.t_pulse > 0 and self.dt > 0):
-            raise ValidationError("t_pulse and dt must be positive")
-        if not self.alpha0 > 0:
-            raise ValidationError("alpha0 must be positive")
+        if not (0 < self.t_pulse < np.inf and 0 < self.dt < np.inf):
+            raise ValidationError("t_pulse and dt must be positive and finite")
+        if not 0 < self.alpha0 < np.inf:
+            raise ValidationError("alpha0 must be positive and finite")
         if not 0 < self.fidelity_goal <= 1:
             raise ValidationError("fidelity_goal must be in (0, 1]")
         if self.functional not in ("F", "P"):
             raise ValidationError("functional must be 'F' or 'P'")
         if self.max_iterations < 0:
             raise ValidationError("max_iterations must be non-negative (0 only evaluates)")
-        n = self.t_pulse / self.dt
-        if abs(n - round(n)) > 1e-9 * n or round(n) < 2:
+        n = self.t_pulse / self.dt   # inf if t_pulse / dt overflows, which round refuses
+        if not n < np.inf or abs(n - round(n)) > 1e-9 * n or round(n) < 2:
             raise ValidationError("t_pulse must be an integer multiple (>= 2) of dt")
 
     @property
@@ -106,7 +110,7 @@ class TargetSet:
 
     def __post_init__(self):
         self.gate = np.asarray(self.gate, dtype=complex)
-        if not unitarity_defect(self.gate) <= 1e-8:
+        if not (np.isfinite(self.gate).all() and unitarity_defect(self.gate) <= 1e-8):
             raise ValidationError("target gate is not unitary")
 
     @property
@@ -213,6 +217,22 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
     return ControlField(samples, config.dt)
 
 
+def _block_rows():
+    """rows(n, shape, dtype): the first n rows of one array of (n,) + shape,
+    made on the first call and again only for a longer block, so every
+    block of a forward update, or of an optimizer run, is written into the
+    same memory.  A block's rows are valid only until the next call."""
+    array = None
+
+    def rows(n, shape, dtype):
+        nonlocal array
+        if array is None or len(array) < n:
+            array = np.empty((n,) + shape, dtype)
+        return array[:n]
+
+    return rows
+
+
 def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     """Forward sweep with immediate update; the multipliers lam ride along
     under the old field.  Both start at t = 0 and move to the kernels'
@@ -223,8 +243,9 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     Returns (new field samples, final states)."""
     new_field = field.copy()
     psi, lam = kernel.rotate_in(psi, 0), adjoint.rotate_in(lam, 0)
+    rows = _block_rows()
     for steps, lam_ops in step_blocks(adjoint, field):
-        lams = np.empty((len(lam_ops),) + lam.shape, dtype=lam.dtype)
+        lams = rows(len(lam_ops), lam.shape, lam.dtype)
         for i, op in enumerate(lam_ops):
             lams[i] = lam
             lam = adjoint.step(lam, op)
@@ -318,8 +339,10 @@ def _closed_bracket(mu, functional):
     bras of every step, so a step pairs them with psi by one
     multiply-and-sum.  The F functional takes one phase-coherent sum over
     its trajectories, the gate's N."""
+    rows = _block_rows()
+
     def bracket(lams):
-        pairs = np.empty((len(lams), 2) + lams.shape[1:], dtype=complex)
+        pairs = rows(len(lams), (2,) + lams.shape[1:], complex)
         bras = np.conjugate(lams, out=pairs[:, 0])
         np.matmul(mu, bras.view(float), out=pairs[:, 1].view(float))
         if functional == "F":
@@ -439,9 +462,10 @@ def _matrix_bracket(mu, functional, n_gate):
     [mu, y_rho] = a^dag - a with a = y_rho mu, so the pairing is
     -2i Im Tr(y_eta a)."""
     d = len(mu)
+    rows = _block_rows()
 
     def bracket(etas):
-        etas_c = etas.conj()
+        etas_c = np.conjugate(etas, out=rows(len(etas), etas.shape[1:], complex))
 
         def pairing(i, rho):
             rho_mu = (rho.reshape(-1, d) @ mu).reshape(rho.shape)
@@ -472,16 +496,19 @@ def _coordinate_bracket(mu, functional):
     Tr(y_eta y_rho) of its trajectories, the gate's N."""
     weights = population_form(len(mu))
     form = weights[:, None] * commutator_coordinates(mu).T / 2
+    rows = _block_rows()
 
     def bracket(etas):
         if functional == "F":
-            pairs = np.stack([etas * weights, etas @ form], axis=1)
+            pairs = rows(len(etas), (2,) + etas.shape[1:], float)
+            np.multiply(etas, weights, out=pairs[:, 0])
+            np.matmul(etas, form, out=pairs[:, 1])
 
             def pairing(i, rho):
                 pops, pair = np.add.reduce(pairs[i] * rho, axis=(1, 2))
                 return -float(pops * pair), None
         else:
-            bras = etas @ form
+            bras = np.matmul(etas, form, out=rows(len(etas), etas.shape[1:], float))
 
             def pairing(i, rho):
                 return -float(np.vdot(bras[i], rho)), None

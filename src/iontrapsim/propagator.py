@@ -42,6 +42,11 @@ Density matrices enter and leave both Lindblad kernels as the rows
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
 converts.  One `sweep` integrates any kernel through a pulse, and
 `step_blocks` is the one block loop it shares with the forward update.
+It writes the operators of every block of a sweep into one buffer
+(`operators(..., out=)`), whose pages fault in once per sweep: glibc
+hands a freed block-sized array back to the kernel, so a fresh one per
+block would fault in again every BLOCK_STEPS steps (362 against 98 minor
+faults per 80-step paper-size optimizer sweep).
 
 Pulse maps.  Every pulse of a train replays the same waveform in the
 rotating frame, so `simulate` and the fidelity trace build each pulse's
@@ -87,11 +92,14 @@ MAP_UNITS = 64     # Hermitian units per sweep of a `LindbladPulseMap`: 1 MB
                    # 42 ms in blocks of 64, and in 68 ms with 180 MB of
                    # working set as one stack
 BLOCK_STEPS = 16   # steps per block of precomputed step operators, and of
-                   # the optimizer's prepared multipliers; at D = 32, 256 KB
-                   # of closed step matrices (64 steps, 1 MB, adds 1.4 MB
-                   # to the peak RSS of a paper-size optimize), 420 KB of
-                   # closed multipliers and bras, and 9 MB of Lindblad ones;
-                   # at D = 8, 512 KB of 64 x 64 Lindblad step matrices
+                   # the optimizer's prepared multipliers and bras, each kind
+                   # one buffer per sweep; at D = 32, 256 KB of closed step
+                   # matrices (64 steps, 1 MB, adds 1.4 MB to the peak RSS
+                   # of a paper-size optimize), 136 KB of closed multipliers
+                   # and 272 KB of bras, and 768 KB of per-matrix Lindblad
+                   # operators with 4.25 MB each of multipliers and their
+                   # conjugates; at D = 8, 512 KB of 64 x 64 Lindblad step
+                   # matrices
 SUPEROPERATOR_MAX_DIM = 16   # largest D that `lindblad_kernel` steps as a
                    # `LindbladSuperoperator`.  Per step on a 2-vCPU host with
                    # one OpenBLAS thread (per-matrix / superoperator), stacks
@@ -196,18 +204,22 @@ class _StepMatrices:
     def __init__(self):
         self._coefficients = {}
 
-    def operators(self, e, backward: bool = False) -> np.ndarray:
+    def operators(self, e, backward: bool = False, out=None) -> np.ndarray:
         """The step operator of every held field value in e, toward earlier
         times if backward: sum_k e^k C_k, one real product of the powers of
-        e with the C_k, built once per direction."""
+        e with the C_k, built once per direction.  With out, a contiguous
+        array of the operators' shape, the product is written into it."""
         e = np.asarray(e, dtype=float)
-        return self._step_matrices(e[:, None] ** self._POWERS, backward)
+        return self._step_matrices(e[:, None] ** self._POWERS, backward, out)
 
-    def _step_matrices(self, powers, backward: bool) -> np.ndarray:
+    def _step_matrices(self, powers, backward: bool, out=None) -> np.ndarray:
         c = self._coefficients.get(backward)
         if c is None:
             c = self._coefficients[backward] = self._rk4_coefficients(backward)
-        return self._as_operators(powers @ c)
+        if out is None:
+            return self._as_operators(powers @ c)
+        np.matmul(powers, c, out=out.reshape(len(out), -1).view(float))
+        return out
 
     def fresh_step(self, y, e, coupled):
         """One forward step of y under the held field e, a Python float
@@ -304,11 +316,13 @@ class Lindblad:
         self._rotations = {False: frame.conjugation(-2), True: frame.conjugation(2)}
         self._diag = slice(None, None, len(frame.energies) + 1)   # of a flattened D x D
 
-    def operators(self, e, backward: bool = False) -> np.ndarray:
+    def operators(self, e, backward: bool = False, out=None) -> np.ndarray:
         """K^dag at the three stage dipoles, (n, 3, D, D), one row per held
-        field value in e."""
+        field value in e; written into out if given."""
         mu_s = 1j * self.frame.stage_dipoles(backward)
-        return np.multiply.outer(np.asarray(e, dtype=float), mu_s) + np.diag(self._half_rates)
+        out = np.multiply.outer(np.asarray(e, dtype=float), mu_s, out=out)
+        out += np.diag(self._half_rates)
+        return out
 
     def rhs(self, y, kdag):
         """dy/dt of a Hermitian stack y at one stage generator kdag."""
@@ -456,12 +470,22 @@ def step_blocks(kernel, field, backward=False):
     """(steps, ops) for every block of up to BLOCK_STEPS steps of the sample
     array `field`, in sweep order: ops[i] is the step operator of sample
     steps[i], and blocks and steps run from the last step to the first if
-    backward.  The last sample closes the record without driving."""
+    backward.  The last sample closes the record without driving.
+
+    Every block is written into one buffer per sweep, so a block's
+    operators are valid only until the next block is requested.  The
+    buffer is the first block's own array, or, backward, that of the first
+    full block after the partial last one."""
     drive = field[:-1]
     blocks = range(0, len(drive), BLOCK_STEPS)
+    buffer = None
     for a in reversed(blocks) if backward else blocks:
-        ops = kernel.operators(drive[a:a + BLOCK_STEPS], backward)
-        steps = range(a, a + len(ops))
+        e = drive[a:a + BLOCK_STEPS]
+        if buffer is None or len(buffer) < len(e):
+            ops = buffer = kernel.operators(e, backward)
+        else:
+            ops = kernel.operators(e, backward, out=buffer[:len(e)])
+        steps = range(a, a + len(e))
         yield (steps[::-1], ops[::-1]) if backward else (steps, ops)
 
 

@@ -152,6 +152,7 @@ def load_eigenbasis(outdir: str) -> EigenBasis:
         with open(path_json) as handle:
             payload = json.load(handle)
         params = TrapParams(**payload["params"])
+        params.validate()
         energies = np.array(payload["energies_au"], dtype=float)
     except (ValueError, KeyError, TypeError) as err:
         raise ValidationError(f"{path_json} is not a basis sidecar: {err!r}") from None

@@ -35,10 +35,10 @@ class TrapParams:
                 f"M={self.primitive_size}"
             )
         # omega = sqrt(q k / m) needs q k / m > 0
-        if not (self.k > 0 and self.mass > 0 and self.charge > 0):
-            raise ValidationError("mass, charge and k must be positive")
-        if not self.k_quart >= 0:
-            raise ValidationError("k_quart must be non-negative")
+        if not (0 < self.k < np.inf and 0 < self.mass < np.inf and 0 < self.charge < np.inf):
+            raise ValidationError("mass, charge and k must be positive and finite")
+        if not 0 <= self.k_quart < np.inf:
+            raise ValidationError("k_quart must be non-negative and finite")
 
     @property
     def omega(self) -> float:

@@ -1,5 +1,6 @@
-"""Shared fixtures.  The converged desk-scale control fields are expensive
-(tens of seconds each), so they are computed once per session."""
+"""Shared fixtures and the exact oracle of the held-sample model.  The
+converged desk-scale control fields are expensive (tens of seconds each),
+so they are computed once per session."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,21 @@ from iontrapsim.units import TIME_AU_S
 DESK_T_PULSE = 20e-6 / TIME_AU_S
 DESK_DT = 2e-9 / TIME_AU_S
 DESK_ALPHA0 = {"P": 5e14, "F": 2e15}
+
+
+def held_sample_propagator(basis, samples, dt) -> np.ndarray:
+    """The exact closed propagator of the held-sample model, in the
+    interaction picture of `evolution_operator`: with sample n held over
+    step n, U = exp(i E T) prod_n exp(-i (E - e_n mu) dt), each factor from
+    one `eigh` of its Hamiltonian.  The last sample closes the record
+    without driving."""
+    energies = basis.energies
+    h0 = np.diag(energies)
+    u = np.eye(len(energies), dtype=complex)
+    for e in samples[:-1]:
+        w, v = np.linalg.eigh(h0 - e * basis.dipole)
+        u = (v * np.exp(-1j * dt * w)) @ (v.conj().T @ u)
+    return np.exp(1j * (len(samples) - 1) * dt * energies)[:, None] * u
 
 
 def desk_oct_config(functional: str, **overrides) -> OctConfig:

@@ -679,6 +679,8 @@ MALFORMED = {
                       r"gate\.csv, line 5: 'nan' is not finite"),
     "inf_z_matrix_cell": ("z_matrix.csv", _replace_cell(4, 3, "inf"),
                           r"z_matrix\.csv, line 5: 'inf' is not finite"),
+    "negative_charge": ("basis.json", _edit_json(lambda p: p["params"].update(charge=-1.0)),
+                        r"basis\.json is not a basis sidecar: .*charge and k must be positive"),
     "nan_energy": ("basis.json", _edit_json(lambda p: p["energies_au"].__setitem__(0, math.nan)),
                    r"basis\.json holds a non-finite energy"),
 }

@@ -17,7 +17,7 @@ from iontrapsim import (
     gaussian_packet,
 )
 from iontrapsim import propagator
-from iontrapsim.oct import switch_envelope
+from iontrapsim.oct import _block_rows, switch_envelope
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
 
@@ -246,3 +246,16 @@ class TestDissipativeOptimizer:
                           (trace.fidelities, want_trace.fidelities)):
             assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
         assert want_trace.objectives[-1] > want_trace.objectives[0] + 1e-3
+
+
+def test_block_rows_reuse_one_array():
+    """The forward update and the brackets write every block into one
+    array: a block of no more rows than the array holds is a view of it,
+    and only a longer block gets a new one."""
+    rows = _block_rows()
+    first = rows(16, (3, 2), complex)
+    partial = rows(5, (3, 2), complex)
+    assert partial.shape == (5, 3, 2) and np.shares_memory(first, partial)
+    longer = rows(20, (3, 2), complex)
+    assert longer.shape == (20, 3, 2) and not np.shares_memory(first, longer)
+    assert np.shares_memory(rows(16, (3, 2), complex), longer)
