@@ -87,14 +87,14 @@ def _save_run(cfg, stem, fieldspec, trace):
     serialization.save_trace(trace, os.path.join(cfg.outdir, f"{stem}_trace.csv"), _meta(cfg))
 
 
-def _checkpoint_writer(cfg, stem, every):
+def _checkpoint_writer(cfg, stem, every, measure):
     """Prints each iteration; saves the run's record after every, 2 every, ..."""
     def callback(iteration, fieldspec, trace):
         if every and iteration % every == 0:
             _save_run(cfg, stem, fieldspec, trace)
         print(
             f"  iter {iteration:5d}  J = {trace.objectives[-1]:.8f}  "
-            f"F = {trace.fidelities[-1]:.6f}",
+            f"{measure} = {trace.fidelities[-1]:.6f}",
             flush=True,
         )
 
@@ -108,9 +108,9 @@ def cmd_optimize(args) -> int:
     basis = solve_trap(cfg.trap)
     oct_cfg = cfg.oct_config()
 
-    stem = f"{args.mode}_{cfg.functional.lower()}"
-    if args.dissipative:
-        stem = f"{stem}_diss"
+    stem = f"{args.mode}_{cfg.functional.lower()}" + ("_diss" if args.dissipative else "")
+    # a dissipative run measures the mean target population, not a gate fidelity
+    measure = "population" if args.dissipative else "F"
 
     # only this run's own field continues the trace beside it; any other
     # field starts a new trace, whose iteration 0 evaluates that field
@@ -122,7 +122,7 @@ def cmd_optimize(args) -> int:
         trace_path = os.path.join(os.path.dirname(args.resume), f"{stem}_trace.csv")
         if os.path.basename(args.resume) == f"{stem}_field.csv" and os.path.exists(trace_path):
             trace = serialization.load_trace(trace_path)
-    callback = _checkpoint_writer(cfg, stem, args.checkpoint_every)
+    callback = _checkpoint_writer(cfg, stem, args.checkpoint_every, measure)
 
     if args.mode == "prep":
         if args.dissipative:
@@ -154,7 +154,7 @@ def cmd_optimize(args) -> int:
     _save_run(cfg, stem, fieldspec, trace)
     print(
         f"optimize {args.mode}/{cfg.functional}: {trace.status} after {trace.iterations[-1]} "
-        f"iterations, F = {trace.final_fidelity:.6f}, "
+        f"iterations, {measure} = {trace.final_fidelity:.6f}, "
         f"peak = {fieldspec.peak_v_per_m():.3f} V/m"
     )
     if trace.status != "converged":

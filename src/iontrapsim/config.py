@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
 from .gridsim import Grid, check_sigma, check_substeps
-from .oct import OctConfig
+from .oct import OctConfig, check_alpha0
 from .propagator import check_kappa
 from .trap import TrapParams, check_deltas
 from .units import TIME_AU_S
@@ -113,6 +113,8 @@ class RunConfig:
 
     def validate(self) -> None:
         self.trap.validate()
+        for name in ("alpha0_p", "alpha0_f"):   # the other functional's too
+            check_alpha0(getattr(self, name), name)
         self.oct_config()
         # the checks the grid, the gate and the packets make when built
         Grid(self.x_min, self.x_max, self.grid_points)

@@ -9,16 +9,17 @@ sweeps forward with an immediate per-time-step correction
 where the bracket couples all trajectories.  The transition-probability
 functional (P) drives the N basis-state targets plus one superposition
 target that pins a common gate phase; the trace functional (F) drives N
-targets through a phase-coherent trace product.  The recorded objective is
-the functional's main term (the fluence is recorded separately); it is the
-quantity the incremental scheme increases monotonically.
+targets through a phase-coherent trace product; only the closed gate
+optimizer takes F.  The recorded objective is the functional's main term
+(the fluence is recorded separately); it is the quantity the incremental
+scheme increases monotonically.
 
 Both sweeps use the one field rule of `propagator`: sample n is held
 over step n.  The scheme's monotonic convergence is derived for this
 rule, and the fidelity recorded for a field is the one
 `evolution_operator` measures for it.
 
-The dissipative variant replaces amplitude vectors by density matrices
+The dissipative variant replaces P's amplitude vectors by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
 trajectories through Tr(eta (mu rho - rho mu)).  They enter and leave
 the kernels as rows of Hermitian coordinates.  Up to
@@ -71,6 +72,13 @@ STALL_IMPROVEMENT = 1e-12
 STALL_ITERATIONS = 20
 
 
+def check_alpha0(alpha0: float, name: str = "alpha0") -> None:
+    """The one check of a penalty scale, run by `OctConfig` and, for the
+    scales of both functionals, by `RunConfig.validate`."""
+    if not 0 < alpha0 < np.inf:
+        raise ValidationError(f"{name} must be positive and finite")
+
+
 @dataclass
 class OctConfig:
     """Optimization parameters; times in a.u."""
@@ -85,8 +93,7 @@ class OctConfig:
     def __post_init__(self):
         if not (0 < self.t_pulse < np.inf and 0 < self.dt < np.inf):
             raise ValidationError("t_pulse and dt must be positive and finite")
-        if not 0 < self.alpha0 < np.inf:
-            raise ValidationError("alpha0 must be positive and finite")
+        check_alpha0(self.alpha0)
         if not 0 < self.fidelity_goal <= 1:
             raise ValidationError("fidelity_goal must be in (0, 1]")
         if self.functional not in ("F", "P"):
@@ -389,9 +396,12 @@ def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig
                         trace: OctTrace | None = None, callback=None):
     """Field preparing the encoded wavepacket from the motional ground state.
 
-    Single-target variant; the reported fidelity is the population overlap
-    |<target|psi(T)>|^2, insensitive to the global phase.
+    Single-target variant of the P functional, the only one it takes; the
+    reported fidelity is the population overlap |<target|psi(T)>|^2,
+    insensitive to the global phase.
     """
+    if config.functional != "P":
+        raise ValidationError("state preparation runs the P functional only")
     c = np.asarray(target, dtype=complex)
     if not abs(np.linalg.norm(c) - 1.0) <= 1e-8:
         raise ValidationError("target amplitudes must be normalized")
@@ -423,9 +433,10 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
                               trace: OctTrace | None = None, callback=None):
     """Gate optimization with forward/backward Lindblad propagation.
 
-    Trajectories are density matrices rho_j from the basis projectors (plus
-    the superposition projector for the P functional); multipliers eta_j
-    run backward from the target projectors under the adjoint generator.
+    The density form of the P functional, the only one it takes.
+    Trajectories are density matrices rho_j from the basis projectors and
+    the superposition projector; multipliers eta_j run backward from the
+    target projectors under the adjoint generator.
     The objective is sum_j Tr(W_j rho_j(T)), measured on Hermitian
     coordinates by `population_form`.  The trace's fidelities, and so the
     `fidelity` column of `*_diss_trace.csv`, are the mean target population
@@ -433,18 +444,20 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     the density formalism.  They are not the gate fidelity that `fidelity`
     and the process-fidelity trace of `analysis` report.
     """
+    if config.functional != "P":
+        raise ValidationError("the dissipative optimizer runs the P functional only")
     frame = InteractionFrame(basis, config.dt)
     d = basis.n_states
-    init_vecs, targ_vecs = targets.trajectories(d, config.functional == "P")
+    init_vecs, targ_vecs = targets.trajectories(d, with_superposition=True)
     rho0, eta_final = (
         hermitian_coordinates(np.einsum("dt,et->tde", v, v.conj())).reshape(-1, d * d)
         for v in (init_vecs, targ_vecs))
     n_gate = targets.n
     kernel = lindblad_kernel(frame, diss)
     if isinstance(kernel, Lindblad):
-        bracket = _matrix_bracket(frame.mu, config.functional, n_gate)
+        bracket = _matrix_bracket(frame.mu)
     else:
-        bracket = _coordinate_bracket(frame.mu, config.functional)
+        bracket = _coordinate_bracket(frame.mu)
     target_bras = eta_final * population_form(d)
 
     def measure(rho):
@@ -455,8 +468,8 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
                            rho0, eta_final, bracket, measure, initial_field, trace, callback)
 
 
-def _matrix_bracket(mu, functional, n_gate):
-    """Update bracket of the dissipative functionals for the per-matrix
+def _matrix_bracket(mu):
+    """Update bracket of the dissipative P functional for the per-matrix
     `Lindblad` kernels.  In y = P^* x P, Tr(eta [mu_I, rho]) =
     Tr(y_eta [mu, y_rho]) with the static dipole; for Hermitian y_rho,
     [mu, y_rho] = a^dag - a with a = y_rho mu, so the pairing is
@@ -470,18 +483,15 @@ def _matrix_bracket(mu, functional, n_gate):
         def pairing(i, rho):
             rho_mu = (rho.reshape(-1, d) @ mu).reshape(rho.shape)
             pair = np.einsum("tde,tde->t", etas_c[i], rho_mu).imag
-            if functional == "P":
-                return -float(np.sum(pair)), rho_mu
-            pops = np.einsum("tde,tde->t", etas_c[i], rho).real
-            return -float(np.sum(pops[:n_gate]) * np.sum(pair[:n_gate])), rho_mu
+            return -float(np.sum(pair)), rho_mu
 
         return pairing
 
     return bracket
 
 
-def _coordinate_bracket(mu, functional):
-    """Update bracket of the dissipative functionals for the
+def _coordinate_bracket(mu):
+    """Update bracket of the dissipative P functional for the
     `LindbladSuperoperator` kernels, whose states are rows of Hermitian
     coordinates (`propagator.hermitian_coordinates`).
 
@@ -492,26 +502,16 @@ def _coordinate_bracket(mu, functional):
     c(eta) @ W @ c(rho), W = w[:, None] * B^T / 2 (Palao & Kosloff, PRA 68,
     062308 (2003)).  Per block, one product gives the bras
     c(eta) @ W of every step, and a step pairs them with rho by one
-    multiply-and-sum.  The F functional also weighs the target populations
-    Tr(y_eta y_rho) of its trajectories, the gate's N."""
-    weights = population_form(len(mu))
-    form = weights[:, None] * commutator_coordinates(mu).T / 2
+    multiply-and-sum."""
+    form = population_form(len(mu))[:, None] * commutator_coordinates(mu).T / 2
     rows = _block_rows()
 
     def bracket(etas):
-        if functional == "F":
-            pairs = rows(len(etas), (2,) + etas.shape[1:], float)
-            np.multiply(etas, weights, out=pairs[:, 0])
-            np.matmul(etas, form, out=pairs[:, 1])
+        bras = np.matmul(etas, form, out=rows(len(etas), etas.shape[1:], float))
 
-            def pairing(i, rho):
-                pops, pair = np.add.reduce(pairs[i] * rho, axis=(1, 2))
-                return -float(pops * pair), None
-        else:
-            bras = np.matmul(etas, form, out=rows(len(etas), etas.shape[1:], float))
+        def pairing(i, rho):
+            return -float(np.vdot(bras[i], rho)), None
 
-            def pairing(i, rho):
-                return -float(np.vdot(bras[i], rho)), None
         return pairing
 
     return bracket

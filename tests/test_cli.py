@@ -15,7 +15,7 @@ from iontrapsim.config import load_config, parse_quantity, tier_config
 from iontrapsim.errors import ValidationError
 from iontrapsim.propagator import ClosedPulseMap
 from iontrapsim.serialization import _read_table, load_eigenbasis, load_field, load_gate, \
-    save_field
+    load_trace, save_field
 from iontrapsim.units import TIME_AU_S
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -177,12 +177,14 @@ class TestCliCommands:
          "[oct]\nmax_iterations = 5\nmax_iterations = 6\n", "[dissipation]\ndeltas = 0\n",
          "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n",
          "[dissipation]\nkappa = 1e-18, -1e-18\n", "[dissipation]\nkappa = nan\n",
-         "[trap]\ncharge = 0\n", "[trap]\ncharge = -1\n"],
+         "[trap]\ncharge = 0\n", "[trap]\ncharge = -1\n", "[oct]\nalpha0_f = -1\n",
+         "[oct]\nfunctional = F\nalpha0_p = -1\n"],
         ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
              "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
              "missing-file", "no-section-header", "duplicate-key", "zero-delta",
              "negative-sigma", "inverted-grid", "zero-substeps", "negative-kappa", "nan-kappa",
-             "zero-charge", "negative-charge"],
+             "zero-charge", "negative-charge", "negative-alpha0-f-under-p",
+             "negative-alpha0-p-under-f"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file, with one
@@ -252,6 +254,42 @@ class TestCliCommands:
             "--max-iterations", "1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--dissipative", "--kappa", "1e-17"], ["--mode", "prep"]],
+                             ids=["dissipative", "prep"])
+    def test_f_outside_the_closed_gate_exits_2_before_writing(self, tmp_path, capsys, argv):
+        """F is the closed gate's functional only: the dissipative and the
+        prep optimizer refuse it rather than run it as P."""
+        out = tmp_path / "out"
+        code = main(["optimize", "--tier", "desk", "--out", str(out), "--functional", "F",
+                     "--max-iterations", "1"] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert "P functional only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, stem, measure", [
+        ([], "gate_p", "F"), (["--mode", "prep"], "prep_p", "F"),
+        (["--dissipative", "--kappa", "1e-17"], "gate_p_diss", "population")],
+        ids=["closed", "prep", "dissipative"])
+    def test_console_names_the_measure(self, tmp_path, capsys, argv, stem, measure):
+        """Closed and prep runs print their fidelity as F; a dissipative run
+        prints its mean target population under its own name, on every
+        iteration line and on the final line."""
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        out = str(tmp_path / "o")
+        main(["optimize", "--config", str(ini), "--tier", "desk", "--out", out,
+              "--max-iterations", "2"] + argv)
+        trace = load_trace(os.path.join(out, f"{stem}_trace.csv"))
+        field = load_field(os.path.join(out, f"{stem}_field.csv"))
+        want = [f"  iter {i:5d}  J = {j:.8f}  {measure} = {f:.6f}" for i, j, f in
+                zip(trace.iterations[1:], trace.objectives[1:], trace.fidelities[1:])]
+        want.append(f"optimize {stem[:4]}/P: {trace.status} after {trace.iterations[-1]} "
+                    f"iterations, {measure} = {trace.final_fidelity:.6f}, "
+                    f"peak = {field.peak_v_per_m():.3f} V/m")
+        assert capsys.readouterr().out.splitlines() == want
 
     def test_optimize_budget_exhaustion_exits_4(self, tmp_path, capsys):
         out = str(tmp_path / "o")

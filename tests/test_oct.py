@@ -17,6 +17,7 @@ from iontrapsim import (
     gaussian_packet,
 )
 from iontrapsim import propagator
+from iontrapsim.analysis import map_fidelity_trace
 from iontrapsim.oct import _block_rows, switch_envelope
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
@@ -198,6 +199,13 @@ class TestOptimizeStatePrep:
         assert trace.is_monotonic()
         assert trace.fidelities[-1] > 0.5  # fast single-target convergence
 
+    def test_refuses_the_f_functional(self, desk_basis, desk_grid):
+        """One target has one functional: F is refused, not run as P."""
+        target = encode(gaussian_packet(desk_grid, 1.0, -0.75), desk_grid)
+        with pytest.raises(ValidationError, match="P functional only"):
+            optimize_state_prep(desk_basis, target,
+                                small_config(functional="F", max_iterations=0))
+
     def test_rejects_unnormalized_target(self, desk_basis):
         with pytest.raises(ValidationError):
             optimize_state_prep(desk_basis, np.ones(4), small_config())
@@ -224,15 +232,42 @@ class TestDissipativeOptimizer:
         assert len(trace) == 3
         assert np.all(np.isfinite(field.samples))
 
-    @pytest.mark.parametrize("functional", ["P", "F"])
+    def test_refuses_the_f_functional(self, desk_basis, desk_gate):
+        """The optimizer is the density form of P; that of F would need the
+        N^2 coherences |j><k| as trajectories."""
+        with pytest.raises(ValidationError, match="P functional only"):
+            optimize_gate_dissipative(desk_basis, TargetSet(desk_gate.entries),
+                                      small_config(functional="F", max_iterations=0),
+                                      build_dissipation(desk_basis, kappa=1e-17))
+
+    @pytest.mark.parametrize("field_name, kappa", [
+        ("guess", 0.0), ("guess", 1e-18), ("converged", 1e-18)])
+    def test_population_mean_bounds_the_process_fidelity(self, request, desk_basis,
+                                                         desk_gate, field_name, kappa):
+        """The one-pulse process fidelity of a field is at most the mean
+        target population the optimizer reports for it at iteration 0: for a
+        completely positive map, G_jk = <Vj|Phi(|j><k|)|Vk> is positive
+        semidefinite, so sum_jk G_jk / N^2 <= sum_j G_jj / N."""
+        cfg = small_config(max_iterations=0)
+        if field_name == "guess":
+            field = make_guess_field(desk_basis, cfg)
+        else:
+            field, _ = request.getfixturevalue("desk_converged")["P"]
+        diss = build_dissipation(desk_basis, kappa=kappa)
+        _, trace = optimize_gate_dissipative(desk_basis, TargetSet(desk_gate.entries), cfg,
+                                             diss, initial_field=field)
+        process = map_fidelity_trace(propagator.LindbladPulseMap(field, desk_basis, diss), 1,
+                                     desk_gate)
+        assert trace.iterations == [0]
+        assert process[0] <= trace.fidelities[0]
+
     def test_superoperator_kernel_matches_per_matrix_kernel(self, desk_basis, desk_gate,
-                                                            monkeypatch, functional):
+                                                            monkeypatch):
         """Three iterations on 300 desk steps (a partial block at the end):
         the field and the trace of the `LindbladSuperoperator` kernels and
         their coordinate bracket agree at 1e-12 relative with the per-matrix
         kernels, which SUPEROPERATOR_MAX_DIM = 0 selects."""
-        cfg = small_config(t_pulse=600e-9 / TIME_AU_S, functional=functional,
-                           alpha0={"P": 5e14, "F": 2e15}[functional], max_iterations=3)
+        cfg = small_config(t_pulse=600e-9 / TIME_AU_S, max_iterations=3)
         diss = build_dissipation(desk_basis, kappa=1e-17)
         runs = []
         for max_dim in (propagator.SUPEROPERATOR_MAX_DIM, 0):
