@@ -105,6 +105,16 @@ def cmd_optimize(args) -> int:
     cfg = _load_run_config(args)
     if args.checkpoint_every < 0:
         raise ValidationError("--checkpoint-every must be non-negative (0 saves at the end only)")
+    # refused before the trap solve; the two optimizers refuse F themselves too
+    if args.mode == "prep" and args.dissipative:
+        raise ValidationError("dissipative optimization is defined for the gate")
+    if cfg.functional != "P" and (args.mode == "prep" or args.dissipative):
+        optimizer = "state preparation" if args.mode == "prep" else "the dissipative optimizer"
+        raise ValidationError(f"{optimizer} runs the P functional only")
+    if args.dissipative and len(cfg.kappas) != 1:
+        raise ValidationError(
+            "--dissipative requires exactly one kappa (--kappa K or [dissipation] kappa = K)"
+        )
     basis = solve_trap(cfg.trap)
     oct_cfg = cfg.oct_config()
 
@@ -125,8 +135,6 @@ def cmd_optimize(args) -> int:
     callback = _checkpoint_writer(cfg, stem, args.checkpoint_every, measure)
 
     if args.mode == "prep":
-        if args.dissipative:
-            raise ValidationError("dissipative optimization is defined for the gate")
         sigma, x0 = cfg.packets[0]
         grid = make_grid(cfg.x_min, cfg.x_max, cfg.grid_points)
         target = encode(gaussian_packet(grid, sigma, x0), grid)
@@ -137,11 +145,6 @@ def cmd_optimize(args) -> int:
         _, gate = _build_gate(cfg)
         targets = TargetSet(gate.entries)
         if args.dissipative:
-            if len(cfg.kappas) != 1:
-                raise ValidationError(
-                    "--dissipative requires exactly one kappa (--kappa K or "
-                    "[dissipation] kappa = K)"
-                )
             diss = build_dissipation(basis, cfg.kappas[0], cfg.deltas)
             fieldspec, trace = optimize_gate_dissipative(
                 basis, targets, oct_cfg, diss, initial_field, trace, callback

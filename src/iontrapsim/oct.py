@@ -40,10 +40,12 @@ backward sweep and forward update on the `OctTrace`.
 The forward update is sequential in time, since the corrected sample of
 step n depends on the states at t_n, but the multipliers ride along under
 the old field.  So `_forward_update` works a block of `propagator.BLOCK_STEPS`
-steps at a time: it steps the multipliers through the block first, and the
-bracket prepares everything that does not depend on the states for the
-whole block at once (for the closed functionals, the conjugated bras lam
-and mu lam of every step).  A step then pairs the states with its bras,
+steps at a time: it steps the multipliers through the block first, each
+step written by the adjoint kernel straight into the next row of the
+block (`step(..., out=)`), and the bracket prepares everything that does
+not depend on the states for the whole block at once (for the closed
+functionals, the plain bras lam and mu lam of every step, which the
+pairing conjugates).  A step then pairs the states with its bras,
 corrects its sample, and takes one step of the states under it.  The
 multipliers of every block go into one array per forward update, and each
 bracket writes its bras into one array per optimizer run (`_block_rows`),
@@ -243,20 +245,23 @@ def _block_rows():
 def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     """Forward sweep with immediate update; the multipliers lam ride along
     under the old field.  Both start at t = 0 and move to the kernels'
-    rotating variable there.  Per block of steps, the multipliers are stepped
-    through the block first, and `bracket` of their stacked trajectory
-    returns `pairing(i, psi)`: the bracket at step i of the block and its
-    dipole product, which `kernel.fresh_step` reuses.
+    rotating variable there.  Per block of n steps, the multipliers are
+    stepped through the block first, row i into row i + 1 of n + 1 rows,
+    and `bracket` of the first n rows returns `pairing(i, psi)`: the
+    bracket at step i of the block and its dipole product, which
+    `kernel.fresh_step` reuses.  Row n starts the next block.
     Returns (new field samples, final states)."""
     new_field = field.copy()
     psi, lam = kernel.rotate_in(psi, 0), adjoint.rotate_in(lam, 0)
     rows = _block_rows()
     for steps, lam_ops in step_blocks(adjoint, field):
-        lams = rows(len(lam_ops), lam.shape, lam.dtype)
+        n = len(lam_ops)
+        lams = rows(n + 1, lam.shape, lam.dtype)
+        lams[0] = lam
         for i, op in enumerate(lam_ops):
-            lams[i] = lam
-            lam = adjoint.step(lam, op)
-        pairing = bracket(lams)
+            adjoint.step(lams[i], op, out=lams[i + 1])
+        lam = lams[n]
+        pairing = bracket(lams[:n])
         block = slice(steps.start, steps.stop)
         updated = []
         for i, (e, w) in enumerate(zip(field[block].tolist(), weight[block].tolist())):
@@ -342,24 +347,27 @@ def _closed_bracket(mu, functional):
     """Update bracket of the closed functionals.  In the rotating variable,
     <lam|psi> = <y_lam|y_psi> and <lam|mu_I psi> = <y_lam|mu y_psi> =
     <mu y_lam|y_psi> with the static, real symmetric dipole mu.  Per block,
-    one conjugation and one real product of mu with the real view give both
-    bras of every step, so a step pairs them with psi by one
-    multiply-and-sum.  The F functional takes one phase-coherent sum over
-    its trajectories, the gate's N."""
+    one copy and one real product of mu with the real view give both bras
+    of every step, unconjugated: the pairing conjugates them.  P pairs
+    them with psi trajectory by trajectory in one `np.vecdot`, then couples
+    the overlaps by one `np.vdot`; F takes one phase-coherent sum over its
+    trajectories, the gate's N, by one `np.vdot` per bra."""
     rows = _block_rows()
 
     def bracket(lams):
         pairs = rows(len(lams), (2,) + lams.shape[1:], complex)
-        bras = np.conjugate(lams, out=pairs[:, 0])
-        np.matmul(mu, bras.view(float), out=pairs[:, 1].view(float))
+        pairs[:, 0] = lams
+        np.matmul(mu, lams.view(float), out=pairs[:, 1].view(float))
         if functional == "F":
             def pairing(i, psi):
-                overlap, coupling = np.add.reduce(pairs[i] * psi, axis=(1, 2))
-                return float((overlap.conjugate() * coupling).imag), None
+                overlap = np.vdot(pairs[i, 0], psi)
+                return float((overlap.conjugate() * np.vdot(pairs[i, 1], psi)).imag), None
         else:
+            red = np.empty((2, lams.shape[-1]), complex)
+
             def pairing(i, psi):
-                overlaps, couplings = np.add.reduce(pairs[i] * psi, axis=1)
-                return float(np.vdot(overlaps, couplings).imag), None
+                np.vecdot(pairs[i], psi, axis=-2, out=red)
+                return float(np.vdot(red[0], red[1]).imag), None
         return pairing
 
     return bracket

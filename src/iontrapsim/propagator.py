@@ -33,10 +33,14 @@ crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
 57 us per matrix), and the per-matrix kernel above it, at paper size too.
 
 All three kernels offer the same methods: `operators` for a block of held
-samples, `step` with one of them, `fresh_step` under a sample the
-optimizer has just corrected, and `rotate_in`/`rotate_out` between x and
-y.  The two step-matrix kernels share them (`_StepMatrices`): the powers
-of e are real, so step operators are one real product with the cached C_k.
+samples, `step` with one of them (`step(y, op, backward, out=)` writes
+the stepped y into out, which must not be y), `fresh_step` under a sample
+the optimizer has just corrected, and `rotate_in`/`rotate_out` between x
+and y.  The two step-matrix kernels share them (`_StepMatrices`): the
+powers of e are real, so step operators are one real product with the
+cached C_k, and `fresh_step` writes its one operator into a buffer the
+kernel owns.  That buffer makes a kernel non-reentrant: one kernel must
+not serve two forward updates at once, from two threads say.
 Density matrices enter and leave both Lindblad kernels as the rows
 (..., D^2) of their `hermitian_coordinates`, which the superoperator turns
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
@@ -95,11 +99,11 @@ BLOCK_STEPS = 16   # steps per block of precomputed step operators, and of
                    # the optimizer's prepared multipliers and bras, each kind
                    # one buffer per sweep; at D = 32, 256 KB of closed step
                    # matrices (64 steps, 1 MB, adds 1.4 MB to the peak RSS
-                   # of a paper-size optimize), 136 KB of closed multipliers
-                   # and 272 KB of bras, and 768 KB of per-matrix Lindblad
-                   # operators with 4.25 MB each of multipliers and their
-                   # conjugates; at D = 8, 512 KB of 64 x 64 Lindblad step
-                   # matrices
+                   # of a paper-size optimize), 145 KB of closed multipliers
+                   # (BLOCK_STEPS + 1 rows) and 272 KB of bras, and 768 KB of
+                   # per-matrix Lindblad operators with 4.5 MB of multipliers
+                   # and 4.25 MB of their conjugates; at D = 8, 512 KB of
+                   # 64 x 64 Lindblad step matrices
 SUPEROPERATOR_MAX_DIM = 16   # largest D that `lindblad_kernel` steps as a
                    # `LindbladSuperoperator`.  Per step on a 2-vCPU host with
                    # one OpenBLAS thread (per-matrix / superoperator), stacks
@@ -203,19 +207,21 @@ class _StepMatrices:
 
     def __init__(self):
         self._coefficients = {}
+        self._fresh = None   # forward C_k, the one-step buffer and its operator view
+
+    def _coefficients_of(self, backward: bool) -> np.ndarray:
+        c = self._coefficients.get(backward)
+        if c is None:
+            c = self._coefficients[backward] = self._rk4_coefficients(backward)
+        return c
 
     def operators(self, e, backward: bool = False, out=None) -> np.ndarray:
         """The step operator of every held field value in e, toward earlier
         times if backward: sum_k e^k C_k, one real product of the powers of
         e with the C_k, built once per direction.  With out, a contiguous
         array of the operators' shape, the product is written into it."""
-        e = np.asarray(e, dtype=float)
-        return self._step_matrices(e[:, None] ** self._POWERS, backward, out)
-
-    def _step_matrices(self, powers, backward: bool, out=None) -> np.ndarray:
-        c = self._coefficients.get(backward)
-        if c is None:
-            c = self._coefficients[backward] = self._rk4_coefficients(backward)
+        powers = np.asarray(e, dtype=float)[:, None] ** self._POWERS
+        c = self._coefficients_of(backward)
         if out is None:
             return self._as_operators(powers @ c)
         np.matmul(powers, c, out=out.reshape(len(out), -1).view(float))
@@ -223,8 +229,15 @@ class _StepMatrices:
 
     def fresh_step(self, y, e, coupled):
         """One forward step of y under the held field e, a Python float
-        (coupled unused): the step operator from its powers, then `step`."""
-        return self.step(y, self._step_matrices(np.array((1.0, e, e * e, e ** 3, e ** 4)), False))
+        (coupled unused): the step operator from its powers, written into
+        the kernel's one-step buffer, then `step`."""
+        if self._fresh is None:
+            c = self._coefficients_of(False)
+            flat = np.empty(c.shape[1])
+            self._fresh = c, flat, self._as_operators(flat)
+        c, flat, s = self._fresh
+        np.matmul(np.array((1.0, e, e * e, e ** 3, e ** 4)), c, out=flat)
+        return self.step(y, s)
 
     def rotate_in(self, x, half_idx):
         """The rotating variable y of x at t = half_idx dt / 2."""
@@ -287,9 +300,12 @@ class InteractionFrame(_StepMatrices):
         d = len(self.energies)
         return sums.view(complex).reshape(sums.shape[:-1] + (d, d))
 
-    def step(self, y, s, backward=False):
-        """One step of the columns y with the step matrix s."""
-        return s @ y
+    def step(self, y, s, backward=False, out=None):
+        """One step of the columns y with the step matrix s, into out if
+        given."""
+        if out is None:
+            return s @ y
+        return np.matmul(s, y, out=out)
 
     def rotate_out(self, y, half_idx):
         """x = exp(i E t) y at t = half_idx dt / 2."""
@@ -337,10 +353,10 @@ class Lindblad:
         dy.reshape(-1, d2)[:, self._diag] += y.reshape(-1, d2)[:, self._diag].real @ self._transfer
         return dy
 
-    def step(self, y, kdag, backward=False):
+    def step(self, y, kdag, backward=False, out=None):
         """One RK4 step of y over dt (-dt if backward) with the stage
-        generators kdag, then the frame rotation."""
-        return self._rk4(y, kdag, backward, self.rhs(y, kdag[0]))
+        generators kdag, then the frame rotation, into out if given."""
+        return self._rk4(y, kdag, backward, self.rhs(y, kdag[0]), out)
 
     def fresh_step(self, y, e, y_mu):
         """One forward step of y under the held field e; at s = 0, mu_I = mu,
@@ -348,14 +364,14 @@ class Lindblad:
         k1 = self._rate(y, y * self._half_rates + (1j * e) * y_mu)
         return self._rk4(y, self.operators([e])[0], False, k1)
 
-    def _rk4(self, y, kdag, backward, k1):
+    def _rk4(self, y, kdag, backward, k1, out=None):
         h = -self.frame.dt if backward else self.frame.dt
         k2 = self.rhs(y + 0.5 * h * k1, kdag[1])
         k3 = self.rhs(y + 0.5 * h * k2, kdag[1])
         k4 = self.rhs(y + h * k3, kdag[2])
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        y *= self._rotations[backward]
-        return y
+        out = np.add(y, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), out=out)
+        out *= self._rotations[backward]
+        return out
 
     def rotate_in(self, c, half_idx):
         """y = P^* x P at t = half_idx dt / 2 from the coordinate rows c
@@ -445,9 +461,14 @@ class LindbladSuperoperator(_StepMatrices):
         d2 = self.dim * self.dim
         return sums.reshape(sums.shape[:-1] + (d2, d2))
 
-    def step(self, y, s, backward=False):
-        """One step of the coordinate rows y with the step increment s."""
-        return y + y @ s
+    def step(self, y, s, backward=False, out=None):
+        """One step of the coordinate rows y with the step increment s, into
+        out if given (not y itself)."""
+        if out is None:
+            return y + y @ s
+        np.matmul(y, s, out=out)
+        out += y
+        return out
 
     def rotate_out(self, c, half_idx):
         """The coordinate rows of x = P y P^* at t = half_idx dt / 2 from

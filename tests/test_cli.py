@@ -4,6 +4,7 @@ import os
 import re
 import shlex
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,35 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1, err
         assert "P functional only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--functional", "F", "--mode", "prep"], "state preparation runs the P functional only"),
+        (["--functional", "F", "--dissipative", "--kappa", "1e-17"],
+         "the dissipative optimizer runs the P functional only"),
+        (["--mode", "prep", "--dissipative", "--kappa", "1e-17"],
+         "dissipative optimization is defined for the gate"),
+        (["--dissipative", "--kappa", "1e-17", "5e-18"],
+         "--dissipative requires exactly one kappa (--kappa K or [dissipation] kappa = K)")],
+        ids=["prep-f", "dissipative-f", "prep-dissipative", "dissipative-two-kappas"])
+    def test_refusals_come_before_the_trap_solve(self, tmp_path, capsys, monkeypatch, argv,
+                                                 message):
+        """A combination no optimizer runs is refused before any trap solve
+        or packet encoding."""
+        from iontrapsim import cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_trap called")
+
+        monkeypatch.setattr(cli, "solve_trap", no_solve)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimize", "--tier", "desk", "--out", str(out),
+                         "--max-iterations", "1"] + argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not [w for w in caught if "packet leaks off-grid" in str(w.message)]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, stem, measure", [

@@ -18,7 +18,7 @@ from iontrapsim import (
 )
 from iontrapsim import propagator
 from iontrapsim.analysis import map_fidelity_trace
-from iontrapsim.oct import _block_rows, switch_envelope
+from iontrapsim.oct import _block_rows, _closed_bracket, switch_envelope
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
 
@@ -294,3 +294,34 @@ def test_block_rows_reuse_one_array():
     longer = rows(20, (3, 2), complex)
     assert longer.shape == (20, 3, 2) and not np.shares_memory(first, longer)
     assert np.shares_memory(rows(16, (3, 2), complex), longer)
+
+
+@pytest.mark.parametrize("functional", ["P", "F"])
+@pytest.mark.parametrize("d, n", [(8, 5), (32, 17)], ids=["desk", "paper"])
+def test_closed_pairing_matches_the_conjugated_sum(functional, d, n):
+    """The closed bracket pairs plain bras with psi by `np.vecdot` and
+    `np.vdot` (P) or two `np.vdot` (F).  Over 200 random stacks it agrees
+    with the conjugated bras multiplied by psi and summed by
+    `np.add.reduce`, which sums in another order, to 1e-13 relative to the
+    magnitude of the terms summed: the imaginary part of a sum of many
+    complex products cancels, so it can be far smaller than its terms."""
+    rng = np.random.default_rng(23)
+    mu = rng.normal(size=(d, d))
+    mu += mu.T
+    lams, psis = rng.normal(size=(2, 200, d, n)) + 1j * rng.normal(size=(2, 200, d, n))
+    pairing = _closed_bracket(mu, functional)(lams)
+    bras = np.conjugate(lams)
+    pairs = np.stack([bras, np.matmul(mu, bras.view(float)).view(complex)], axis=1)
+    for i, psi in enumerate(psis):
+        sizes = np.add.reduce(np.abs(pairs[i]) * np.abs(psi), axis=1)
+        if functional == "F":
+            overlap, coupling = np.add.reduce(pairs[i] * psi, axis=(1, 2))
+            want = float((overlap.conjugate() * coupling).imag)
+            size = sizes[0].sum() * sizes[1].sum()
+        else:
+            overlaps, couplings = np.add.reduce(pairs[i] * psi, axis=1)
+            want = float(np.vdot(overlaps, couplings).imag)
+            size = sizes[0] @ sizes[1]
+        value, coupled = pairing(i, psi)
+        assert coupled is None
+        assert abs(value - want) <= 1e-13 * size

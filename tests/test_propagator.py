@@ -479,17 +479,6 @@ class TestLindbladSuperoperator:
                 got = superop.fresh_step(superop.rotate_in(x, 0), e, None)
                 assert_relative(superop.rotate_out(got, 0), lindblad.rotate_out(want, 0))
 
-    def test_fresh_step_is_step_with_operator(self, desk_basis, diss):
-        """The contract `_forward_update` relies on, for both step-matrix
-        kernels: fresh_step(y, e, None) is step(y, operators([e])[0])."""
-        frame = InteractionFrame(desk_basis, self.DT)
-        superop = LindbladSuperoperator(Lindblad(frame, diss, adjoint=True))
-        for kernel, y in ((frame, random_columns(8, 5, seed=5)),
-                          (superop, coordinate_rows(self.hermitian_stack(5)))):
-            for e in self.FIELDS:
-                assert_relative(kernel.fresh_step(y, e, None),
-                                kernel.step(y, kernel.operators([e])[0]), rtol=1e-15)
-
     @pytest.mark.parametrize("adjoint, backward", [(False, False), (True, True)])
     def test_sweep_with_partial_block(self, desk_basis, diss, adjoint, backward):
         """37 steps, two blocks of step matrices and a partial one, with
@@ -558,3 +547,53 @@ class TestStepBlocks:
         assert len(blocks) == 3
         assert np.shares_memory(blocks[2], blocks[1])
         assert np.shares_memory(blocks[1], blocks[0]) != backward
+
+
+class TestKernelContract:
+    """What `_forward_update` asks of every kernel, at desk and at paper
+    size: step(y, op, out=buf) returns buf, holding bit for bit what
+    step(y, op) gives, and fresh_step(y, e, ...) is step(y, operators([e])[0])
+    under one field after another, so a reused one-step buffer is
+    overwritten, never stale.  The superoperator is built at D = 32 too,
+    above the dimension `lindblad_kernel` gives it."""
+
+    DT = 2e-9 / TIME_AU_S
+    FIELDS = (0.0, 8e-12, -1.5e-11)
+
+    @pytest.fixture(scope="class", params=[8, 32], ids=["D8", "D32"])
+    def basis(self, request):
+        return request.getfixturevalue("desk_basis" if request.param == 8 else "paper_basis")
+
+    @pytest.fixture(scope="class", params=["closed", "superoperator", "per-matrix"])
+    def case(self, request, basis):
+        """(kernel, y, the third argument of its fresh_step for y)."""
+        d = basis.n_states
+        frame = InteractionFrame(basis, self.DT)
+        if request.param == "closed":
+            return frame, random_columns(d, 5, seed=11), None
+        rng = np.random.default_rng(12)
+        gamma = rng.uniform(0.0, 2e-9, size=(d, d))
+        np.fill_diagonal(gamma, 0.0)
+        lindblad = Lindblad(frame, DissipationModel(1.0, gamma, 0.0), adjoint=True)
+        x = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        x = coordinate_rows(x + x.conj().swapaxes(-1, -2))
+        if request.param == "superoperator":
+            return LindbladSuperoperator(lindblad), x, None
+        y = lindblad.rotate_in(x, 0)
+        return lindblad, y, (y.reshape(-1, d) @ basis.dipole).reshape(y.shape)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_step_into_out(self, case, backward):
+        kernel, y, _ = case
+        for e in self.FIELDS:
+            op = kernel.operators([e], backward)[0]
+            buf = np.empty_like(y)
+            got = kernel.step(y, op, backward, out=buf)
+            assert got is buf
+            assert got.tobytes() == kernel.step(y, op, backward).tobytes()
+
+    def test_successive_fresh_steps(self, case):
+        kernel, y, coupled = case
+        for e in self.FIELDS:
+            assert_relative(kernel.fresh_step(y, e, coupled),
+                            kernel.step(y, kernel.operators([e])[0]), rtol=1e-15)
