@@ -14,6 +14,14 @@ both sides, the medians and quartiles, the relative change of the median
 and how many pairs the change wins, plus the failed and attempted
 operation counts of every run.
 
+Each metric gets a verdict.  The claimed one is met when the change wins
+at least nine in ten pairs, its median is better than the parent's by
+more than the distance between the parent's quartiles, and no more
+operations fail than at the parent.  Every other metric is a regression
+when the change's median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json, a share of the parent's median.  The
+record's own verdict sums them up.
+
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --title "what the change does" --claim "paper-oct sweep_ms" \\
         --out BENCH_21.json
@@ -76,21 +84,40 @@ def summary(parent, change, better):
     }
 
 
-def workload_entry(parent_runs, change_runs, metrics):
+def verdict(entry, metric, claimed, more_failures):
+    """The verdict on one metric's summary: "claim met" or "claim not met"
+    for the claimed metric, and for any other "regression" when its median
+    is worse than the parent's by more than the metric's bound, else
+    "within bound"."""
+    sign = 1 if metric["better"] == "lower" else -1
+    if claimed:
+        q1, q3 = entry["parent_quartiles"]
+        gain = sign * (entry["parent_median"] - entry["change_median"])
+        met = (10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > q3 - q1
+               and not more_failures)
+        return "claim met" if met else "claim not met"
+    worse = sign * (entry["change_median"] / entry["parent_median"] - 1.0)
+    return "regression" if worse > metric["bound"] else "within bound"
+
+
+def workload_entry(parent_runs, change_runs, metrics, claimed=None):
+    """The record of one workload; claimed names its metric the change
+    claims to improve, if any."""
     seeds = sorted(parent_runs)
-    entry = {
-        "seeds": seeds,
-        "failed": {"parent": [parent_runs[s]["failed"] for s in seeds],
-                   "change": [change_runs[s]["failed"] for s in seeds]},
-        "attempted": {"parent": [parent_runs[s]["attempted"] for s in seeds],
-                      "change": [change_runs[s]["attempted"] for s in seeds]},
-        "metrics": {},
-    }
+    failed = {"parent": [parent_runs[s]["failed"] for s in seeds],
+              "change": [change_runs[s]["failed"] for s in seeds]}
+    attempted = {"parent": [parent_runs[s]["attempted"] for s in seeds],
+                 "change": [change_runs[s]["attempted"] for s in seeds]}
+    # a larger share of the attempted operations failed
+    more_failures = (sum(failed["change"]) * sum(attempted["parent"])
+                     > sum(failed["parent"]) * sum(attempted["change"]))
+    entry = {"seeds": seeds, "failed": failed, "attempted": attempted, "metrics": {}}
     for metric in metrics:
         parent = [parent_runs[s]["metrics"][metric["name"]] for s in seeds]
         change = [change_runs[s]["metrics"][metric["name"]] for s in seeds]
-        entry["metrics"][metric["name"]] = {"unit": metric["unit"],
-                                            **summary(parent, change, metric["better"])}
+        result = summary(parent, change, metric["better"])
+        result["verdict"] = verdict(result, metric, metric["name"] == claimed, more_failures)
+        entry["metrics"][metric["name"]] = {"unit": metric["unit"], **result}
     return entry
 
 
@@ -98,6 +125,7 @@ def build(args):
     with open(os.path.join(args.change, "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
     parent, change = read_records(args.parent), read_records(args.change)
+    claimed_workload, _, claimed_metric = args.claim.partition(" ")
     workloads = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         parent_runs, change_runs = parent.get(workload, {}), change.get(workload, {})
@@ -105,10 +133,18 @@ def build(args):
             raise SystemExit(f"{workload}: seeds {sorted(parent_runs)} on the parent side, "
                              f"{sorted(change_runs)} on the change side")
         if parent_runs:
-            workloads[workload] = workload_entry(parent_runs, change_runs,
-                                                 benchmark["end_to_end"])
+            workloads[workload] = workload_entry(
+                parent_runs, change_runs, benchmark["end_to_end"],
+                claimed_metric if workload == claimed_workload else None)
     if not workloads:
         raise SystemExit("no run records found in either checkout's perfbench/.out")
+    if claimed_metric not in workloads.get(claimed_workload, {}).get("metrics", {}):
+        raise SystemExit(f"claim {args.claim!r} is not '<workload> <metric>' of the run "
+                         "records and BENCHMARK.json")
+    claim = workloads[claimed_workload]["metrics"][claimed_metric]["verdict"]
+    regressions = [f"{name} {metric}" for name, entry in workloads.items()
+                   for metric, result in entry["metrics"].items()
+                   if result["verdict"] == "regression"]
     environments = [run["environment"] for runs in (parent, change)
                     for by_seed in runs.values() for run in by_seed.values()]
     threads = {env["thread_env"]["OPENBLAS_NUM_THREADS"] for env in environments}
@@ -121,6 +157,8 @@ def build(args):
                      + thread_text,
         "host": "; ".join(sorted({host(env) for env in environments})),
         "pairs": PAIRS,
+        "verdict": f"{claim}; " + (f"regression on {', '.join(regressions)}" if regressions
+                                   else "no other metric worse than its bound"),
         "workloads": workloads,
     }
     if args.note:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full-scale reproduction: 16 computational states, 96 us pulses sampled at
 # 960 ps, fidelity goal 0.99999.  A closed-system gate-synthesis iteration
-# takes about 2.2 s (P) or 2.0 s (F) on a shared 2-vCPU host with one
+# takes about 2.1 s (P) or 1.9 s (F) on a shared 2-vCPU host with one
 # OpenBLAS thread (2,000-step iterations scaled to 100,000 steps), so the
 # 1,500-iteration budget is about 0.9 h (one recorded P run reached
 # F >= 0.999 in 383 iterations, 29 min).  The dissipative re-optimization

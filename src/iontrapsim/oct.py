@@ -364,10 +364,11 @@ def _closed_bracket(mu, functional):
                 return float((overlap.conjugate() * np.vdot(pairs[i, 1], psi)).imag), None
         else:
             red = np.empty((2, lams.shape[-1]), complex)
+            overlaps, dipole_overlaps = red
 
             def pairing(i, psi):
                 np.vecdot(pairs[i], psi, axis=-2, out=red)
-                return float(np.vdot(red[0], red[1]).imag), None
+                return np.vdot(overlaps, dipole_overlaps).imag, None
         return pairing
 
     return bracket
@@ -489,7 +490,7 @@ def _matrix_bracket(mu):
         etas_c = np.conjugate(etas, out=rows(len(etas), etas.shape[1:], complex))
 
         def pairing(i, rho):
-            rho_mu = (rho.reshape(-1, d) @ mu).reshape(rho.shape)
+            rho_mu = np.dot(rho.reshape(-1, d), mu).reshape(rho.shape)
             pair = np.einsum("tde,tde->t", etas_c[i], rho_mu).imag
             return -float(np.sum(pair)), rho_mu
 

@@ -36,11 +36,17 @@ All three kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them (`step(y, op, backward, out=)` writes
 the stepped y into out, which must not be y), `fresh_step` under a sample
 the optimizer has just corrected, and `rotate_in`/`rotate_out` between x
-and y.  The two step-matrix kernels share them (`_StepMatrices`): the
-powers of e are real, so step operators are one real product with the
-cached C_k, and `fresh_step` writes its one operator into a buffer the
-kernel owns.  That buffer makes a kernel non-reentrant: one kernel must
-not serve two forward updates at once, from two threads say.
+and y.  Every product they take once per step has 2-D operands and is one
+`np.dot`, which calls BLAS directly, where the `np.matmul` ufunc resolves
+its loop on every call (a closed D = 8 step into out, 1.15 -> 0.96 us
+with one OpenBLAS thread on a 2-vCPU x86-64 host); so out must be
+C-contiguous and of the result's dtype, or `np.dot` raises ValueError.
+Products that broadcast over a stack stay `np.matmul`.  The two
+step-matrix kernels share the methods (`_StepMatrices`): the powers of e
+are real, so step operators are one real product with the cached C_k,
+and `fresh_step` writes its one operator into a buffer the kernel owns.
+That buffer makes a kernel non-reentrant: one kernel must not serve two
+forward updates at once, from two threads say.
 Density matrices enter and leave both Lindblad kernels as the rows
 (..., D^2) of their `hermitian_coordinates`, which the superoperator turns
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
@@ -223,8 +229,8 @@ class _StepMatrices:
         powers = np.asarray(e, dtype=float)[:, None] ** self._POWERS
         c = self._coefficients_of(backward)
         if out is None:
-            return self._as_operators(powers @ c)
-        np.matmul(powers, c, out=out.reshape(len(out), -1).view(float))
+            return self._as_operators(np.dot(powers, c))
+        np.dot(powers, c, out=out.reshape(len(out), -1).view(float))
         return out
 
     def fresh_step(self, y, e, coupled):
@@ -236,7 +242,7 @@ class _StepMatrices:
             flat = np.empty(c.shape[1])
             self._fresh = c, flat, self._as_operators(flat)
         c, flat, s = self._fresh
-        np.matmul(np.array((1.0, e, e * e, e ** 3, e ** 4)), c, out=flat)
+        np.dot(np.array((1.0, e, e * e, e ** 3, e ** 4)), c, out=flat)
         return self.step(y, s)
 
     def rotate_in(self, x, half_idx):
@@ -303,9 +309,7 @@ class InteractionFrame(_StepMatrices):
     def step(self, y, s, backward=False, out=None):
         """One step of the columns y with the step matrix s, into out if
         given."""
-        if out is None:
-            return s @ y
-        return np.matmul(s, y, out=out)
+        return np.dot(s, y, out=out)
 
     def rotate_out(self, y, half_idx):
         """x = exp(i E t) y at t = half_idx dt / 2."""
@@ -343,14 +347,15 @@ class Lindblad:
     def rhs(self, y, kdag):
         """dy/dt of a Hermitian stack y at one stage generator kdag."""
         d = y.shape[-1]
-        return self._rate(y, (y.reshape(-1, d) @ kdag).reshape(y.shape))
+        return self._rate(y, np.dot(y.reshape(-1, d), kdag).reshape(y.shape))
 
     def _rate(self, y, c):
         """dy/dt of a Hermitian stack y from its product c = y K^dag."""
         dy = -c   # a new C-contiguous array, so the flattened diagonal is a view
         dy -= c.conj().swapaxes(-1, -2)
         d2 = y.shape[-1] ** 2
-        dy.reshape(-1, d2)[:, self._diag] += y.reshape(-1, d2)[:, self._diag].real @ self._transfer
+        dy.reshape(-1, d2)[:, self._diag] += np.dot(y.reshape(-1, d2)[:, self._diag].real,
+                                                    self._transfer)
         return dy
 
     def step(self, y, kdag, backward=False, out=None):
@@ -465,8 +470,8 @@ class LindbladSuperoperator(_StepMatrices):
         """One step of the coordinate rows y with the step increment s, into
         out if given (not y itself)."""
         if out is None:
-            return y + y @ s
-        np.matmul(y, s, out=out)
+            return y + np.dot(y, s)
+        np.dot(y, s, out=out)
         out += y
         return out
 

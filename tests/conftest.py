@@ -1,4 +1,4 @@
-"""Shared fixtures and the exact oracle of the held-sample model.  The
+"""Shared fixtures and the exact oracles of the held-sample model.  The
 converged desk-scale control fields are expensive (tens of seconds each),
 so they are computed once per session."""
 
@@ -15,6 +15,7 @@ from iontrapsim import (
     optimize_gate,
     solve_trap,
 )
+from iontrapsim.propagator import hermitian_coordinates, hermitian_matrices
 from iontrapsim.units import TIME_AU_S
 
 DESK_T_PULSE = 20e-6 / TIME_AU_S
@@ -35,6 +36,51 @@ def held_sample_propagator(basis, samples, dt) -> np.ndarray:
         w, v = np.linalg.eigh(h0 - e * basis.dipole)
         u = (v * np.exp(-1j * dt * w)) @ (v.conj().T @ u)
     return np.exp(1j * (len(samples) - 1) * dt * energies)[:, None] * u
+
+
+def _expm(a) -> np.ndarray:
+    """exp(a) of a real square matrix: its Taylor series to a^12 after
+    halving a until its row-sum norm is at most 1/4, where the remainder
+    is below 4^-13 / 13!, 3e-18; then as many squarings."""
+    squarings = max(0, int(np.ceil(np.log2(4.0 * np.abs(a).sum(axis=1).max()))))
+    a = a / 2.0 ** squarings
+    term = result = np.eye(len(a))
+    for k in range(1, 13):
+        term = term @ a / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def held_sample_lindblad_map(basis, gamma, samples, dt) -> np.ndarray:
+    """The exact Lindblad pulse map of the held-sample model on Hermitian
+    coordinates, in the interaction picture of `LindbladPulseMap`: row u
+    holds the coordinates of Phi(unit u).  The generator is the textbook
+    Lindblad form with jump operators sqrt(gamma_jk) |j><k|,
+        L_e(x) = -i [E - e mu, x] + sum_jk (L x L^dag - {L^dag L, x} / 2),
+    on coordinates A + e B, both built from the units.  With sample n held
+    over step n, a row c of coordinates steps as c <- c @ exp(dt (A + e_n B))
+    (`_expm`); the product is turned to the interaction picture at T,
+    x -> exp(i E T) x exp(-i E T).  The last sample closes the record
+    without driving."""
+    d = len(basis.energies)
+    units = hermitian_matrices(np.eye(d * d).reshape(d * d, d, d))
+    h0 = np.diag(basis.energies)
+    drift = -1j * (h0 @ units - units @ h0)
+    for j, k in zip(*np.nonzero(gamma)):
+        jump = np.zeros((d, d))
+        jump[j, k] = np.sqrt(gamma[j, k])
+        drift += jump @ units @ jump.T - 0.5 * (jump.T @ jump @ units + units @ jump.T @ jump)
+    drive = 1j * (basis.dipole @ units - units @ basis.dipole)
+    a, b = (hermitian_coordinates(x).reshape(d * d, d * d) for x in (drift, drive))
+    phi = np.eye(d * d)
+    for e in samples[:-1]:
+        phi = phi @ _expm(dt * (a + e * b))
+    t = (len(samples) - 1) * dt
+    turn = np.exp(1j * t * np.subtract.outer(basis.energies, basis.energies))
+    return hermitian_coordinates(hermitian_matrices(phi.reshape(-1, d, d)) * turn).reshape(
+        d * d, d * d)
 
 
 def desk_oct_config(functional: str, **overrides) -> OctConfig:

@@ -1,5 +1,6 @@
 """`scripts/bench_record.py` assembles a record that CI's completeness check
-accepts: one value per seed on both sides of every end-to-end metric."""
+accepts, one value per seed on both sides of every end-to-end metric, and
+gives each metric its verdict."""
 
 import importlib.util
 import json
@@ -31,8 +32,24 @@ def fake_checkout(path, runs):
     return str(path)
 
 
-def metrics(sweep_ms):
-    return {"setup_s": 0.07, "sweep_ms": sweep_ms, "check_ms": 1.8, "peak_rss_mb": 47.0}
+def metrics(sweep_ms, check_ms=1.8):
+    return {"setup_s": 0.07, "sweep_ms": sweep_ms, "check_ms": check_ms, "peak_rss_mb": 47.0}
+
+
+def ten_pairs(tmp_path, parent_sweeps, change_sweeps, change_check_ms=1.8):
+    """The record of ten desk-gate pairs claiming sweep_ms."""
+    seeds = range(1, 11)
+    parent = fake_checkout(tmp_path / "parent", [("desk-gate", s, metrics(v))
+                                                 for s, v in zip(seeds, parent_sweeps)])
+    change = fake_checkout(tmp_path / "change", [("desk-gate", s, metrics(v, change_check_ms))
+                                                 for s, v in zip(seeds, change_sweeps)])
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", parent, "--change", change, "--title", "t",
+                       "--claim", "desk-gate sweep_ms", "--out", str(out)])
+    return json.loads(out.read_text())
+
+
+PARENT_SWEEPS = [1.35, 1.36, 1.34, 1.37, 1.35, 1.33, 1.36, 1.35, 1.38, 1.34]
 
 
 def test_pairs_records_by_workload_and_seed(tmp_path):
@@ -67,3 +84,40 @@ def test_refuses_a_seed_run_on_one_side_only(tmp_path):
     with pytest.raises(SystemExit, match="desk-gate: seeds"):
         bench_record.main(["--parent", parent, "--change", change, "--title", "t",
                            "--claim", "c"])
+
+
+def test_claim_met_by_nine_wins_and_a_gap_beyond_the_parent_spread(tmp_path):
+    change = [1.22, 1.21, 1.23, 1.22, 1.36, 1.20, 1.22, 1.21, 1.23, 1.22]
+    record = ten_pairs(tmp_path, PARENT_SWEEPS, change)
+    sweep = record["workloads"]["desk-gate"]["metrics"]["sweep_ms"]
+    assert sweep["change_better_pairs"] == 9
+    assert sweep["verdict"] == "claim met"
+    assert record["workloads"]["desk-gate"]["metrics"]["check_ms"]["verdict"] == "within bound"
+    assert record["verdict"] == "claim met; no other metric worse than its bound"
+
+
+@pytest.mark.parametrize("change", [
+    [1.22, 1.21, 1.23, 1.22, 1.36, 1.20, 1.22, 1.39, 1.23, 1.22],   # 8 wins of 10
+    [p - 0.005 for p in PARENT_SWEEPS],   # 10 wins, gap inside the parent's quartiles
+], ids=["eight-wins", "gap-inside-spread"])
+def test_claim_not_met(tmp_path, change):
+    record = ten_pairs(tmp_path, PARENT_SWEEPS, change)
+    assert record["workloads"]["desk-gate"]["metrics"]["sweep_ms"]["verdict"] == "claim not met"
+    assert record["verdict"] == "claim not met; no other metric worse than its bound"
+
+
+def test_regression_beyond_the_bound(tmp_path):
+    record = ten_pairs(tmp_path, PARENT_SWEEPS, [p - 0.1 for p in PARENT_SWEEPS],
+                       change_check_ms=1.8 * 1.3)
+    check = record["workloads"]["desk-gate"]["metrics"]["check_ms"]
+    assert check["relative_change"] == 0.3 and check["verdict"] == "regression"
+    assert record["verdict"] == "claim met; regression on desk-gate check_ms"
+
+
+def test_refuses_a_claim_on_no_recorded_metric(tmp_path):
+    runs = [("desk-gate", 1, metrics(2.0)), ("desk-gate", 2, metrics(2.0))]
+    parent = fake_checkout(tmp_path / "parent", runs)
+    change = fake_checkout(tmp_path / "change", runs)
+    with pytest.raises(SystemExit, match="claim 'paper-oct sweep_ms'"):
+        bench_record.main(["--parent", parent, "--change", change, "--title", "t",
+                           "--claim", "paper-oct sweep_ms"])
