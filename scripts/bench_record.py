@@ -27,7 +27,9 @@ record's own verdict sums them up.
         --out BENCH_21.json
 
 Only the Python standard library is used.  A workload with no seed run
-on both sides is left out; a seed run on one side only is an error.
+on both sides is left out; a seed run on one side only is an error, and
+so is a run record of any size but "full" (`perfbench/selfcheck.py`
+leaves tiny ones under the same names).
 """
 
 import argparse
@@ -44,13 +46,18 @@ PAIRS = "alternating order: odd seeds run the parent first, even seeds the chang
 
 
 def read_records(checkout):
-    """{workload: {seed: run record}} of the untraced runs of a checkout."""
+    """{workload: {seed: run record}} of the untraced runs of a checkout.
+    A record of a run at any size but "full" is refused."""
     records = {}
     for path in glob.glob(os.path.join(checkout, "perfbench", ".out", "*-trace0.json")):
         match = RECORD.match(os.path.basename(path))
         if match:
             with open(path) as handle:
-                records.setdefault(match["workload"], {})[int(match["seed"])] = json.load(handle)
+                record = json.load(handle)
+            if record.get("size") != "full":
+                raise SystemExit(f"{path} records a run of size {record.get('size')!r}, "
+                                 "not 'full'; remove it or rerun it at full size")
+            records.setdefault(match["workload"], {})[int(match["seed"])] = record
     return records
 
 

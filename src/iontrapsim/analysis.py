@@ -108,7 +108,7 @@ def mean_position_sim(populations: np.ndarray, grid: Grid) -> float:
 
 def periodicity_residual(population_trajectory) -> float:
     """Max over l = 0..4 of the max-norm difference between the pulse-l and
-    pulse-(10-l) population vectors of a ten-pulse run."""
+    pulse-(10-l) populations of a ten-pulse run."""
     traj = [np.asarray(p, dtype=float) for p in population_trajectory]
     if len(traj) != 11:
         raise ValidationError("expected populations after pulses 0..10")

@@ -19,7 +19,7 @@ over step n.  The scheme's monotonic convergence is derived for this
 rule, and the fidelity recorded for a field is the one
 `evolution_operator` measures for it.
 
-The dissipative variant replaces P's amplitude vectors by density matrices
+The dissipative variant replaces P's state amplitudes by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
 trajectories through Tr(eta (mu rho - rho mu)).  They enter and leave
 the kernels as rows of Hermitian coordinates.  Up to

@@ -5,18 +5,21 @@ columns: `# key=value` meta lines (the CLI's provenance hashes), one
 header line, then one row per line, integer columns as integers and every
 other column with 17 significant digits, so reruns are byte-identical.
 Lines end in LF.  `basis.json` and `gate.json` are written by
-`_write_json`, with the meta mapping embedded in the payload.  Every file
-is written atomically (a temporary file in the same directory, then a
-rename) and gets the mode a plain `open` gives under the umask.
+`_write_json`, with the meta mapping embedded in the payload.  An
+eigenbasis is `basis.json` (parameters, energies) and `z_matrix.csv`:
+the energies and the dipole are all the dynamics read, so the primitive
+coefficients of the eigenstates are not written.  Every file is written
+atomically (a temporary file in the same directory, then a rename) and
+gets the mode a plain `open` gives under the umask.
 
 Every loader reads its CSV files through one reader, `_read_table`, in
 one pass: meta lines, a header, then rows parsed by Python's `float` into
 one float64 array, so loaded values are bit-identical to what was
 written.  Every cell must be a number and every row must have the
 header's column count; a loader also checks the shape its artifact
-needs.  A file that breaks either raises ValidationError, which the CLI
-reports on one line with exit code 2.  The reader accepts CRLF endings
-too.
+needs, and `z_matrix.csv` must be exactly symmetric.  A file that breaks
+either raises ValidationError, which the CLI reports on one line with
+exit code 2.  The reader accepts CRLF endings too.
 """
 
 import json
@@ -124,11 +127,10 @@ def _read_table(path):
 # --------------------------------------------------------------------- trap
 
 def save_eigenbasis(basis: EigenBasis, outdir: str, meta=None) -> dict:
-    """basis.json plus the CSV matrices `vectors` and `z_matrix`; returns
-    the written paths.  The dipole is not written: it is charge x z_matrix."""
+    """basis.json plus the CSV matrix `z_matrix`; returns the written
+    paths.  The dipole is not written: it is charge x z_matrix."""
     paths = {
         "json": os.path.join(outdir, "basis.json"),
-        "vectors": os.path.join(outdir, "vectors.csv"),
         "z_matrix": os.path.join(outdir, "z_matrix.csv"),
     }
     payload = {
@@ -139,10 +141,8 @@ def save_eigenbasis(basis: EigenBasis, outdir: str, meta=None) -> dict:
     payload.update(meta or {})
     _write_json(paths["json"], payload)
     d = basis.n_states
-    for key, column in (("vectors", "state"), ("z_matrix", "col")):
-        matrix = getattr(basis, key)
-        _write_csv(paths[key], ["row"] + [f"{column}_{j}" for j in range(d)],
-                   [np.arange(len(matrix))] + list(matrix.T), meta)
+    _write_csv(paths["z_matrix"], ["row"] + [f"col_{j}" for j in range(d)],
+               [np.arange(d)] + list(basis.z_matrix.T), meta)
     return paths
 
 
@@ -162,22 +162,20 @@ def load_eigenbasis(outdir: str) -> EigenBasis:
     if not np.isfinite(energies).all():
         raise ValidationError(f"{path_json} holds a non-finite energy")
 
-    def read_matrix(name, rows):
-        path = os.path.join(outdir, f"{name}.csv")
-        _, data, _ = _read_table(path)
-        if data.shape != (rows, d + 1):
-            raise ValidationError(
-                f"{path} holds a {data.shape[0]}x{data.shape[1] - 1} matrix, "
-                f"basis.json needs {rows}x{d}"
-            )
-        return np.ascontiguousarray(data[:, 1:])
-
-    vectors = read_matrix("vectors", params.primitive_size)
-    z_matrix = read_matrix("z_matrix", d)
+    path = os.path.join(outdir, "z_matrix.csv")
+    _, data, _ = _read_table(path)
+    if data.shape != (d, d + 1):
+        raise ValidationError(
+            f"{path} holds a {data.shape[0]}x{data.shape[1] - 1} matrix, "
+            f"basis.json needs {d}x{d}"
+        )
+    z_matrix = np.ascontiguousarray(data[:, 1:])
+    # the writer symmetrizes z exactly, and the dynamics assume it
+    if not np.array_equal(z_matrix, z_matrix.T):
+        raise ValidationError(f"{path} holds a matrix that is not exactly symmetric")
     return EigenBasis(
         params=params,
         energies=energies,
-        vectors=vectors,
         z_matrix=z_matrix,
         dipole=params.charge * z_matrix,
     )

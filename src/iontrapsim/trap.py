@@ -4,7 +4,10 @@ The axial trapping potential is q*(k/2 z^2 + k'/24 z^4).  The stationary
 states are obtained by diagonalizing the Hamiltonian in a basis of
 harmonic-oscillator eigenfunctions of the quadratic part; the quartic
 matrix elements are exact ladder-operator expressions, so no spatial
-quadrature enters the chain.
+quadrature enters the chain.  The gate field drives the eigenstates only
+through their energies and dipole couplings, so those are all a basis
+keeps: the primitive coefficients of the eigenstates are dropped once
+the position matrix is projected onto them.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +51,7 @@ class TrapParams:
 
 @dataclass
 class EigenBasis:
-    """Trap eigenpairs and operator matrices on the dynamical subspace.
+    """Trap eigenenergies and operator matrices on the dynamical subspace.
 
     Attributes
     ----------
@@ -56,8 +59,6 @@ class EigenBasis:
         The parameters the basis was built from.
     energies : (D,) array
         Eigenenergies in a.u., strictly ascending.
-    vectors : (M, D) array
-        Eigenvectors as columns over the harmonic primitive basis.
     z_matrix : (D, D) array
         Position matrix elements <j|z|k> in a.u.
     dipole : (D, D) array
@@ -68,14 +69,13 @@ class EigenBasis:
 
     params: TrapParams
     energies: np.ndarray
-    vectors: np.ndarray
     z_matrix: np.ndarray
     dipole: np.ndarray
     omega: float = field(init=False)
 
     def __post_init__(self):
         self.omega = self.params.omega
-        for arr in (self.energies, self.vectors, self.z_matrix, self.dipole):
+        for arr in (self.energies, self.z_matrix, self.dipole):
             arr.setflags(write=False)
 
     @property
@@ -103,6 +103,8 @@ def solve_trap(params: TrapParams) -> EigenBasis:
     basis padded by four states, which makes every retained element exact.
     Eigenvector signs are fixed so the largest-magnitude primitive
     coefficient is positive, making all derived matrices reproducible.
+    The eigenvector matrix V itself is not returned: z_matrix = V^T z V
+    is the one product of it the dynamics read.
     """
     params.validate()
     m_size = params.primitive_size
@@ -136,7 +138,6 @@ def solve_trap(params: TrapParams) -> EigenBasis:
     return EigenBasis(
         params=params,
         energies=energies,
-        vectors=vectors,
         z_matrix=z_matrix,
         dipole=dipole.copy(),
     )

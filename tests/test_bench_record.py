@@ -16,14 +16,14 @@ bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
 
-def fake_checkout(path, runs):
-    """A checkout holding BENCHMARK.json and one untraced run record per
-    (workload, seed, metric values)."""
+def fake_checkout(path, runs, size="full"):
+    """A checkout holding BENCHMARK.json and one untraced run record of
+    `size` per (workload, seed, metric values)."""
     out = path / "perfbench" / ".out"
-    out.mkdir(parents=True)
+    out.mkdir(parents=True, exist_ok=True)
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), path)
     for workload, seed, values in runs:
-        record = {"attempted": 30, "failed": 0, "metrics": values,
+        record = {"size": size, "attempted": 30, "failed": 0, "metrics": values,
                   "environment": {"thread_env": {"OPENBLAS_NUM_THREADS": None}, "cpu_count": 2,
                                   "cache_bytes": {"L2": 2 << 20, "L3": 300 << 20},
                                   "python": "3.11.7", "numpy": "2.4.6",
@@ -84,6 +84,17 @@ def test_refuses_a_seed_run_on_one_side_only(tmp_path):
     with pytest.raises(SystemExit, match="desk-gate: seeds"):
         bench_record.main(["--parent", parent, "--change", change, "--title", "t",
                            "--claim", "c"])
+
+
+def test_refuses_a_run_record_not_of_full_size(tmp_path):
+    runs = [("paper-oct", s, metrics(2.0)) for s in (1, 2)]
+    parent = fake_checkout(tmp_path / "parent", runs)
+    change = fake_checkout(tmp_path / "change", runs)
+    fake_checkout(tmp_path / "change", [("paper-oct", 7, metrics(0.2))], size="tiny")
+    with pytest.raises(SystemExit, match=r"paper-oct-seed7-trace0\.json records a run of size "
+                                         r"'tiny', not 'full'"):
+        bench_record.main(["--parent", parent, "--change", change, "--title", "t",
+                           "--claim", "paper-oct sweep_ms"])
 
 
 def test_claim_met_by_nine_wins_and_a_gap_beyond_the_parent_spread(tmp_path):

@@ -141,11 +141,28 @@ class TestCliCommands:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["trap", "--tier", "desk", "--out", out1]) == 0
         assert main(["trap", "--tier", "desk", "--out", out2]) == 0
-        for name in ("basis.json", "vectors.csv", "z_matrix.csv"):
+        assert sorted(os.listdir(out1)) == ["basis.json", "z_matrix.csv"]
+        for name in ("basis.json", "z_matrix.csv"):
             b1 = open(os.path.join(out1, name), "rb").read()
             b2 = open(os.path.join(out2, name), "rb").read()
             assert b1 == b2
         assert "MHz" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tier", ["desk", "paper"])
+    def test_field_check_on_trap_output_is_bit_identical(self, tmp_path, request, tier):
+        """The field check on a `trap` output directory, `evolution_operator`
+        of a field on the loaded basis and its gate fidelity, equals the one
+        on the basis `solve_trap` returns, bit for bit."""
+        out = str(tmp_path / tier)
+        assert main(["trap", "--tier", tier, "--out", out, "--acknowledge-long-run"]) == 0
+        cfg = tier_config(tier)
+        gate = request.getfixturevalue(f"{tier}_gate")
+        field = ControlField(np.random.default_rng(3).normal(scale=1e-12, size=200), cfg.oct_dt)
+        n = cfg.trap.computational_size
+        loaded = evolution_operator(field, load_eigenbasis(out), n)
+        solved = evolution_operator(field, solve_trap(cfg.trap), n)
+        assert loaded.tobytes() == solved.tobytes()
+        assert fidelity(gate, loaded) == fidelity(gate, solved)
 
     def test_gate_reports_unitarity(self, tmp_path, capsys):
         out = str(tmp_path / "g")
@@ -679,7 +696,7 @@ class TestCliCommands:
             os.umask(old_umask)
         capsys.readouterr()
         names = sorted(os.listdir(outs[0]))
-        assert len(names) == 29 and names == sorted(os.listdir(outs[1]))
+        assert len(names) == 28 and names == sorted(os.listdir(outs[1]))
         for name in names:
             paths = [os.path.join(out, name) for out in outs]
             with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
@@ -747,6 +764,8 @@ MALFORMED = {
                       r"gate\.csv, line 5: 'nan' is not finite"),
     "inf_z_matrix_cell": ("z_matrix.csv", _replace_cell(4, 3, "inf"),
                           r"z_matrix\.csv, line 5: 'inf' is not finite"),
+    "asymmetric_z_matrix": ("z_matrix.csv", _replace_cell(4, 3, "98.16"),
+                            r"z_matrix\.csv holds a matrix that is not exactly symmetric"),
     "negative_charge": ("basis.json", _edit_json(lambda p: p["params"].update(charge=-1.0)),
                         r"basis\.json is not a basis sidecar: .*charge and k must be positive"),
     "nan_energy": ("basis.json", _edit_json(lambda p: p["energies_au"].__setitem__(0, math.nan)),

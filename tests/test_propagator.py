@@ -32,7 +32,6 @@ def two_level_basis(omega0: float = 1.0, mu01: float = 1.0) -> EigenBasis:
     return EigenBasis(
         params=params,
         energies=np.array([0.0, omega0]),
-        vectors=np.eye(2),
         z_matrix=z,
         dipole=z.copy(),
     )

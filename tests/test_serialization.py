@@ -7,6 +7,7 @@ from iontrapsim import ControlField, OctTrace, TrapParams, solve_trap
 from iontrapsim.errors import ValidationError
 from iontrapsim.serialization import (
     _read_table,
+    _write_csv,
     load_eigenbasis,
     load_field,
     load_gate,
@@ -29,9 +30,25 @@ def test_eigenbasis_roundtrip(tmp_path, small_basis):
     back = load_eigenbasis(str(tmp_path))
     assert back.params == small_basis.params
     assert np.array_equal(back.energies, small_basis.energies)
-    assert np.array_equal(back.vectors, small_basis.vectors)
     assert np.array_equal(back.z_matrix, small_basis.z_matrix)
     assert np.array_equal(back.dipole, small_basis.dipole)
+
+
+def test_eigenbasis_directory_with_vectors_file_loads(tmp_path):
+    """A directory written before the eigenvectors were dropped also holds
+    the M x D `vectors.csv`; it loads to the same basis.  Without the
+    quartic term the old writer's eigenvectors were the primitive states,
+    so the file is rebuilt here in its old layout."""
+    basis = solve_trap(TrapParams(k_quart=0.0, primitive_size=40, dynamical_size=6,
+                                  computational_size=4))
+    meta = {"config_hash": "abc"}
+    save_eigenbasis(basis, str(tmp_path), meta)
+    _write_csv(str(tmp_path / "vectors.csv"), ["row"] + [f"state_{j}" for j in range(6)],
+               [np.arange(40)] + list(np.eye(40, 6).T), meta)
+    back = load_eigenbasis(str(tmp_path))
+    assert back.params == basis.params
+    for name in ("energies", "z_matrix", "dipole"):
+        assert np.array_equal(getattr(back, name), getattr(basis, name))
 
 
 def test_eigenbasis_energy_count_checked(tmp_path, small_basis):
@@ -99,7 +116,7 @@ def test_deterministic_bytes(tmp_path, small_basis):
     p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
     save_eigenbasis(small_basis, p1, {"config_hash": "x"})
     save_eigenbasis(small_basis, p2, {"config_hash": "x"})
-    for name in ("basis.json", "vectors.csv", "z_matrix.csv"):
+    for name in ("basis.json", "z_matrix.csv"):
         assert open(f"{p1}/{name}", "rb").read() == open(f"{p2}/{name}", "rb").read()
 
 
@@ -175,6 +192,6 @@ def test_write_read_write_is_byte_identical(tmp_path, small_basis, desk_gate):
 
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
-    assert len(names) == 7
+    assert len(names) == 6
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name

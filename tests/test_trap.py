@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iontrapsim import TrapParams, ValidationError, solve_trap, transition_table
+from iontrapsim.trap import ladder_position_matrix
 from iontrapsim.units import TIME_AU_S
 
 
@@ -33,6 +34,16 @@ class TestHarmonicLimit:
             assert harmonic_basis.dipole[j, j + 1] == pytest.approx(expected, rel=1e-8)
         assert harmonic_basis.dipole[0, 1] == pytest.approx(76.6, abs=0.1)
 
+    def test_position_matrix_in_sign_gauge(self, harmonic_basis):
+        """Without the quartic term the eigenstates are the primitive ones,
+        each with its positive sign, so z is the ladder matrix scaled by
+        the oscillator length, bit for bit: a flipped sign would flip a
+        row and a column."""
+        p = harmonic_basis.params
+        alpha = np.sqrt(1.0 / (2.0 * p.mass * p.omega))
+        expected = alpha * ladder_position_matrix(p.dynamical_size)
+        assert np.array_equal(harmonic_basis.z_matrix, expected)
+
     def test_parity_zeros(self, harmonic_basis):
         mu = harmonic_basis.dipole
         for j in range(8):
@@ -45,9 +56,16 @@ class TestAnharmonicTrap:
     def test_energies_ascending(self, paper_basis):
         assert np.all(np.diff(paper_basis.energies) > 0)
 
-    def test_eigenvectors_orthonormal(self, paper_basis):
-        v = paper_basis.vectors
-        assert np.abs(v.T @ v - np.eye(paper_basis.n_states)).max() < 1e-10
+    def test_eigenvectors_orthonormal(self):
+        """With D = M the eigenvectors form a square matrix V, and the kept
+        z = V^T z_prim V has the spectrum of the primitive position matrix
+        when V is orthogonal; a scaled or skewed V moves it."""
+        params = TrapParams(primitive_size=40, dynamical_size=40, computational_size=16)
+        z = solve_trap(params).z_matrix
+        z_prim = np.sqrt(1.0 / (2.0 * params.mass * params.omega)) * ladder_position_matrix(40)
+        expected = np.linalg.eigvalsh(z_prim)
+        error = np.abs(np.linalg.eigvalsh(z) - expected).max() / np.abs(expected).max()
+        assert error < 1e-13
 
     def test_matrices_symmetric(self, paper_basis):
         assert np.abs(paper_basis.z_matrix - paper_basis.z_matrix.T).max() < 1e-12
@@ -82,7 +100,7 @@ class TestAnharmonicTrap:
 
     def test_sign_convention_reproducible(self, paper_basis):
         again = solve_trap(paper_basis.params)
-        assert np.array_equal(again.vectors, paper_basis.vectors)
+        assert np.array_equal(again.z_matrix, paper_basis.z_matrix)
         assert np.array_equal(again.dipole, paper_basis.dipole)
 
 
