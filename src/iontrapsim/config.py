@@ -127,7 +127,11 @@ class RunConfig:
             raise ValidationError("kappa needs at least one value")
         for kappa in self.kappas:
             check_kappa(kappa)
-        check_deltas(self.deltas)
+        beyond = [d for d in check_deltas(self.deltas) if d >= self.trap.dynamical_size]
+        if beyond:
+            raise ValidationError(
+                f"deltas {beyond} select no transition among the "
+                f"{self.trap.dynamical_size} dynamical states")
 
 
 # What each tier sets over RunConfig's defaults, which are the paper's problem.

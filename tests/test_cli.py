@@ -196,13 +196,13 @@ class TestCliCommands:
          "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n",
          "[dissipation]\nkappa = 1e-18, -1e-18\n", "[dissipation]\nkappa = nan\n",
          "[trap]\ncharge = 0\n", "[trap]\ncharge = -1\n", "[oct]\nalpha0_f = -1\n",
-         "[oct]\nfunctional = F\nalpha0_p = -1\n"],
+         "[oct]\nfunctional = F\nalpha0_p = -1\n", "[dissipation]\ndeltas = 1, 9\n"],
         ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
              "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
              "missing-file", "no-section-header", "duplicate-key", "zero-delta",
              "negative-sigma", "inverted-grid", "zero-substeps", "negative-kappa", "nan-kappa",
              "zero-charge", "negative-charge", "negative-alpha0-f-under-p",
-             "negative-alpha0-p-under-f"],
+             "negative-alpha0-p-under-f", "delta-beyond-dynamical"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file, with one
