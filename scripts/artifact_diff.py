@@ -9,9 +9,11 @@ started as a script, into OUT, which must not exist or be empty (exit 2
 otherwise, so that no file of an earlier run is compared): trap; gate;
 optimize P, F, prep and `--dissipative --kappa 1e-17`, 5 iterations
 each; `simulate --kappa 1e-16 5e-18`; `analyze --filter-band 0.5 12` of
-the P field.  `simulate` and `analyze` read the P field of the same run,
-so a change that moves that field moves their artifacts too.  An
-optimize that stops on its iteration budget (exit 4) counts as run.
+the P field; then 2 more iterations of P resumed from its field, which
+rewrite `gate_p_field.csv` and `gate_p_trace.csv`.  `simulate` and
+`analyze` read the P field of the same run, so a change that moves that
+field moves their artifacts too.  An optimize that stops on its
+iteration budget (exit 4) counts as run.
 `--short` runs the same stages on a 100-step pulse with 2 iterations
 each, in well under a second.  `--src` names the package source to run,
 by default the `src` beside this script, so the same script can run a
@@ -64,6 +66,10 @@ def stages(iterations):
         ["optimize", "--dissipative", "--kappa", "1e-17"] + budget,
         ["simulate", "--kappa", "1e-16", "5e-18"],
         ["analyze", "--field", "{out}/gate_p_field.csv", "--filter-band", "0.5", "12"],
+        # the run's own P field continues its trace: no evaluation of its
+        # starting field, so the first multipliers come from a forward sweep
+        ["optimize", "--functional", "P", "--resume", "{out}/gate_p_field.csv",
+         "--max-iterations", "2"],
     ]
 
 

@@ -30,12 +30,27 @@ zero it reproduces the closed-system iteration to rounding (same fields,
 same objective column).
 
 All three optimizers run one iteration driver, `_run_iterations`: the
-backward `propagator.sweep` of the multipliers, one `_forward_update` and
-the evaluation sweep.  Each optimizer supplies only its kernels (the
-closed `InteractionFrame` twice, or the `propagator.lindblad_kernel` of a
-Lindblad generator and of its adjoint), its trajectories, its update
-bracket and its measure.  The driver records the wall time of each
-backward sweep and forward update on the `OctTrace`.
+multipliers at t = 0, one `_forward_update` and the evaluation sweep.
+Each optimizer supplies only its kernels (the closed `InteractionFrame`
+twice, or the `propagator.lindblad_kernel` of a Lindblad generator and of
+its adjoint), its trajectories, its update bracket and its measure.  The
+driver records the wall time of obtaining the multipliers and of each
+forward update on the `OctTrace`.
+
+The closed gate optimizer sweeps no multipliers backward.  In the
+rotating variable the backward RK4 step matrix of a held sample is the
+adjoint of the forward one, S_b(e) = S_f(e)^dag (to 6e-17 relative at
+D = 8 and 1.3e-16 at D = 32 for |e| up to 3e-11), so the backward sweep
+from the targets ends at lambda(0) = S_b(e_0) ... S_b(e_{n-1}) targets =
+U^dag targets, U the forward propagator of the same field.  Its forward update and its
+evaluation sweep step the trajectories together with the basis states
+they leave out (P: the N basis states, the superposition and the other
+D - N, so 9 columns at desk size and 33 at paper size; F: the D basis
+states), in the one product per step they take anyway; the next
+iteration's multipliers are then one D x D product.  The state
+preparation optimizer keeps its backward sweep: completing its one
+column to a basis would step D of them.  So does the dissipative one,
+which would need the whole D^2 map of the Lindblad pulse.
 
 The forward update is sequential in time, since the corrected sample of
 step n depends on the states at t_n, but the multipliers ride along under
@@ -147,10 +162,13 @@ class TargetSet:
 class OctTrace:
     """Per-iteration convergence record.
 
-    `backward_s` and `forward_s` hold the wall seconds of the backward
-    sweep and of the forward update of every iteration swept by the last
-    optimizer call on this trace; they stay in memory, so artifacts do not
-    depend on timing."""
+    `backward_s` and `forward_s` hold the wall seconds of obtaining the
+    multipliers at t = 0 and of the forward update of every iteration
+    swept by the last optimizer call on this trace: for the closed gate
+    optimizer one product with the propagator of the last forward update
+    (after a forward sweep of the starting field on a resumed trace), for
+    the others the backward sweep.  They stay in memory, so artifacts do
+    not depend on timing."""
 
     iterations: list = dataclass_field(default_factory=list)
     objectives: list = dataclass_field(default_factory=list)
@@ -250,9 +268,17 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     and `bracket` of the first n rows returns `pairing(i, psi)`: the
     bracket at step i of the block and its dipole product, which
     `kernel.fresh_step` reuses.  Row n starts the next block.
+
+    The states may hold more columns than lam, the closed gate
+    optimizer's completion of its trajectories to a basis: the pairing
+    reads the first lam.shape[-1], and the rest ride along under the new
+    field.  The states step between two C-contiguous buffers (`step`'s
+    out), each paired through a view of its first columns made once.
     Returns (new field samples, final states)."""
     new_field = field.copy()
-    psi, lam = kernel.rotate_in(psi, 0), adjoint.rotate_in(lam, 0)
+    psi, lam = np.ascontiguousarray(kernel.rotate_in(psi, 0)), adjoint.rotate_in(lam, 0)
+    spare = np.empty_like(psi)
+    paired, spare_paired = psi[..., :lam.shape[-1]], spare[..., :lam.shape[-1]]
     rows = _block_rows()
     for steps, lam_ops in step_blocks(adjoint, field):
         n = len(lam_ops)
@@ -265,25 +291,35 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
         block = slice(steps.start, steps.stop)
         updated = []
         for i, (e, w) in enumerate(zip(field[block].tolist(), weight[block].tolist())):
-            value, coupled = pairing(i, psi)
+            value, coupled = pairing(i, paired)
             e_new = e - w * value
             updated.append(e_new)
-            psi = kernel.fresh_step(psi, e_new, coupled)
+            kernel.fresh_step(psi, e_new, coupled, out=spare)
+            psi, spare, paired, spare_paired = spare, psi, spare_paired, paired
         new_field[block] = updated
     return new_field, kernel.rotate_out(psi, 2 * (len(field) - 1))
 
 
 def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, measure,
-                    initial_field, trace, callback):
+                    initial_field, trace, callback, multipliers=None):
     """Iteration driver: stopping rules, trace recording, fault detection.
 
-    Each iteration sweeps the multipliers backward from `targets` under the
-    `adjoint` kernel, then runs `_forward_update` from `initials` under
-    `kernel`.  Iteration 0 in the trace is the evaluation of the starting
-    field; the monotonic sweeps are iterations 1..max_iterations.  A
-    starting field that already meets the fidelity goal, by its evaluation
-    or by the last fidelity of the trace it continues, returns without any
-    sweep.
+    Each iteration obtains the multipliers at t = 0, then runs
+    `_forward_update` from `initials` under `kernel`.  Without
+    `multipliers`, they come from a backward sweep of `targets` under the
+    `adjoint` kernel.  With it, `initials` holds the trajectories in its
+    first targets.shape[-1] columns and completes them to a basis, and
+    `multipliers(finals)` gives them from the final states of the last
+    forward update or evaluation, which hold the propagator U of the
+    current field: the closed gate optimizer's lambda(0) = U^dag targets
+    (module docstring).  A resumed trace has no evaluation of its starting
+    field, so there one forward `sweep` of `initials` gives the first
+    final states.  `measure` reads the trajectories alone.
+
+    Iteration 0 in the trace is the evaluation of the starting field; the
+    monotonic sweeps are iterations 1..max_iterations.  A starting field
+    that already meets the fidelity goal, by its evaluation or by the last
+    fidelity of the trace it continues, returns without any sweep.
     """
     if initial_field is not None:
         if len(initial_field.samples) != config.n_steps + 1:
@@ -297,8 +333,11 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     trace = trace if trace is not None else OctTrace()
     trace.status = "running"
     stall = 0
+    n_traj = targets.shape[-1]
+    finals = None
     if not len(trace):
-        objective, fid = measure(sweep(kernel, initials, field))
+        finals = sweep(kernel, initials, field)
+        objective, fid = measure(finals[..., :n_traj])
         trace.append(0, objective, fid, ControlField(field, config.dt).fluence())
     if trace.fidelities[-1] >= config.fidelity_goal:
         trace.status = "converged"
@@ -307,7 +346,12 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     trace.backward_s, trace.forward_s = [], []
     for it in range(start, config.max_iterations + start):
         t0 = time.perf_counter()
-        lam = sweep(adjoint, targets, field, backward=True)
+        if multipliers is None:
+            lam = sweep(adjoint, targets, field, backward=True)
+        else:
+            if finals is None:
+                finals = sweep(kernel, initials, field)
+            lam = multipliers(finals)
         t1 = time.perf_counter()
         field, finals = _forward_update(kernel, adjoint, weight, initials, lam, field,
                                         bracket)
@@ -315,7 +359,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
         if not np.all(np.isfinite(field)):
             trace.status = "aborted: non-finite field"
             raise NumericalError("field update produced non-finite samples")
-        objective, fid = measure(finals)
+        objective, fid = measure(finals[..., :n_traj])
         prev = trace.objectives[-1]
         if not _no_decrease(prev, objective):
             trace.status = f"aborted: objective decreased at iteration {it}"
@@ -348,10 +392,13 @@ def _closed_bracket(mu, functional):
     <lam|psi> = <y_lam|y_psi> and <lam|mu_I psi> = <y_lam|mu y_psi> =
     <mu y_lam|y_psi> with the static, real symmetric dipole mu.  Per block,
     one copy and one real product of mu with the real view give both bras
-    of every step, unconjugated: the pairing conjugates them.  P pairs
-    them with psi trajectory by trajectory in one `np.vecdot`, then couples
-    the overlaps by one `np.vdot`; F takes one phase-coherent sum over its
-    trajectories, the gate's N, by one `np.vdot` per bra."""
+    of every step, unconjugated: the pairing conjugates them.  psi is the
+    forward update's view of the trajectory columns of its states, which
+    the closed gate optimizer completes to a basis.  P pairs the bras with
+    psi trajectory by trajectory in one `np.vecdot`, then couples the
+    overlaps by one `np.vdot`; F takes one phase-coherent sum over its
+    trajectories, the gate's N, by one `np.vdot` per bra (which copies the
+    strided view of N of the D columns, 0.4 us per step at D = 8)."""
     rows = _block_rows()
 
     def bracket(lams):
@@ -381,11 +428,21 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
 
     Returns (ControlField, OctTrace).  The trace records the functional's
     main objective, the gate fidelity of the projected propagator, and the
-    field fluence for every iteration, plus a final status string.
+    field fluence for every iteration, plus a final status string.  Each
+    iteration's multipliers are U^dag targets, U the propagator of the
+    field that the previous forward update stepped with its trajectories.
     """
     init, targ = targets.trajectories(basis.n_states, config.functional == "P")
     n_gate = targets.n
+    d, n_traj = init.shape
     frame = InteractionFrame(basis, config.dt)
+    # the trajectories, then the basis states they leave out: the final
+    # states hold U e_j for every j, the gate's in the first n_gate columns
+    states = np.concatenate((init, np.eye(d, dtype=complex)[:, n_gate:]), axis=1)
+    basis_columns = np.r_[:n_gate, n_traj:n_traj + d - n_gate]
+
+    def multipliers(finals):
+        return finals[:, basis_columns].conj().T @ targ   # lambda(0) = U^dag targets
 
     def measure(finals):
         overlaps = np.einsum("dj,dj->j", targ.conj(), finals)
@@ -395,9 +452,9 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
             objective = float(abs(np.sum(overlaps[:n_gate])) ** 2)
         return objective, fidelity(targets.gate, finals[:n_gate, :n_gate])
 
-    return _run_iterations(basis, config, frame, frame, init, targ,
+    return _run_iterations(basis, config, frame, frame, states, targ,
                            _closed_bracket(frame.mu, config.functional),
-                           measure, initial_field, trace, callback)
+                           measure, initial_field, trace, callback, multipliers)
 
 
 def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig,

@@ -35,12 +35,13 @@ crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
 All three kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them (`step(y, op, backward, out=)` writes
 the stepped y into out, which must not be y), `fresh_step` under a sample
-the optimizer has just corrected, and `rotate_in`/`rotate_out` between x
-and y.  Every product they take once per step has 2-D operands and is one
-`np.dot`, which calls BLAS directly, where the `np.matmul` ufunc resolves
-its loop on every call (a closed D = 8 step into out, 1.15 -> 0.96 us
-with one OpenBLAS thread on a 2-vCPU x86-64 host); so out must be
-C-contiguous and of the result's dtype, or `np.dot` raises ValueError.
+the optimizer has just corrected (`out=` likewise), and
+`rotate_in`/`rotate_out` between x and y.  Every product they take once
+per step has 2-D operands and is one `np.dot`, which calls BLAS
+directly, where the `np.matmul` ufunc resolves its loop on every call (a
+closed D = 8 step into out, 1.15 -> 0.96 us with one OpenBLAS thread on
+a 2-vCPU x86-64 host); so out must be C-contiguous and of the result's
+dtype, or `np.dot` raises ValueError.
 Products that broadcast over a stack stay `np.matmul`.  The two
 step-matrix kernels share the methods (`_StepMatrices`): the powers of e
 are real, so step operators are one real product with the cached C_k,
@@ -57,14 +58,17 @@ It writes the operators of every block of a sweep into one buffer
 hands a freed block-sized array back to the kernel, so a fresh one per
 block would fault in again every BLOCK_STEPS steps (362 against 98 minor
 faults per 80-step paper-size optimizer sweep).  Only the endpoint
-S_0 ... S_{n-1} y of a backward sweep without snapshots is read (the
+S_0 ... S_{n-1} y of a backward sweep without snapshots is read (an
 optimizer's multipliers), so at up to TREE_MAX_DIM states the closed
-kernel takes it as a product tree: the step matrices of a chunk of up to
-TREE_STEPS steps come from one `operators` call, `_composite` multiplies
-them pairwise, level by level, one stacked np.matmul per level, and the
-chunk's product steps the columns once.  At D = 8 that trades one BLAS
-call of about 1 us per step for about 0.3 us of stacked products, and it
-rounds differently from stepping (5e-14 relative over 10,000 steps).
+kernel takes it as a product tree.  The closed gate optimizer takes its
+multipliers from the forward propagator instead (`oct`), so the tree
+serves the state preparation optimizer's one-column desk sweep.  The
+step matrices of a chunk of up to TREE_STEPS steps come from one
+`operators` call, `_composite` multiplies them pairwise, level by level,
+one stacked np.matmul per level, and the chunk's product steps the
+columns once.  At D = 8 that trades one BLAS call of about 1 us per step
+for about 0.3 us of stacked products, and it rounds differently from
+stepping (5e-14 relative over 10,000 steps).
 Every other sweep steps its state.  Forward sweeps do, so that
 `evolution_operator` reads, bit for bit, the gate of the `ClosedPulseMap`
 that `simulate` builds with snapshots.  The Lindblad kernels do: the
@@ -138,7 +142,10 @@ TREE_MAX_DIM = 12  # largest D whose closed backward sweeps without snapshots
                    # ms), D/2 + 1 columns: D = 8 3.1-3.3 / 1.2-1.3, 12 3.6-3.8
                    # / 1.5-1.9, 16 4.5-5.0 / 2.6-3.2, 24 6.2 / 7.3, 32 9.7 /
                    # 14.1; one column: D = 8 1.9 / 1.2, 12 2.1 / 1.6-1.9, 16
-                   # 2.3-2.4 / 2.6-3.2.
+                   # 2.3-2.4 / 2.6-3.2.  Only the state preparation
+                   # optimizer sweeps backward now: a desk prep iteration
+                   # (one column, 10,000 steps) takes 51.5-51.8 ms with the
+                   # tree, 5.8 of them the sweep, and 55.6 ms stepping (9.7).
 TREE_STEPS = 256   # steps per chunk of a product-tree sweep: D/2 + 1 columns
                    # at D = 8 / 12 took 1.3 / 1.7 ms per 2,000 steps with
                    # chunks of 128, 1.3 / 1.5 with 256, 1.5 / 2.1 with 512
@@ -261,17 +268,17 @@ class _StepMatrices:
         np.dot(powers, c, out=out.reshape(len(out), -1).view(float))
         return out
 
-    def fresh_step(self, y, e, coupled):
+    def fresh_step(self, y, e, coupled, out=None):
         """One forward step of y under the held field e, a Python float
-        (coupled unused): the step operator from its powers, written into
-        the kernel's one-step buffer, then `step`."""
+        (coupled unused), into out if given: the step operator from its
+        powers, written into the kernel's one-step buffer, then `step`."""
         if self._fresh is None:
             c = self._coefficients_of(False)
             flat = np.empty(c.shape[1])
             self._fresh = c, flat, self._as_operators(flat)
         c, flat, s = self._fresh
         np.dot(np.array((1.0, e, e * e, e ** 3, e ** 4)), c, out=flat)
-        return self.step(y, s)
+        return self.step(y, s, out=out)
 
     def rotate_in(self, x, half_idx):
         """The rotating variable y of x at t = half_idx dt / 2."""
@@ -391,11 +398,12 @@ class Lindblad:
         generators kdag, then the frame rotation, into out if given."""
         return self._rk4(y, kdag, backward, self.rhs(y, kdag[0]), out)
 
-    def fresh_step(self, y, e, y_mu):
-        """One forward step of y under the held field e; at s = 0, mu_I = mu,
-        so the first stage rate comes from the known product y_mu = y mu."""
+    def fresh_step(self, y, e, y_mu, out=None):
+        """One forward step of y under the held field e, into out if given;
+        at s = 0, mu_I = mu, so the first stage rate comes from the known
+        product y_mu = y mu."""
         k1 = self._rate(y, y * self._half_rates + (1j * e) * y_mu)
-        return self._rk4(y, self.operators([e])[0], False, k1)
+        return self._rk4(y, self.operators([e])[0], False, k1, out)
 
     def _rk4(self, y, kdag, backward, k1, out=None):
         h = -self.frame.dt if backward else self.frame.dt

@@ -245,24 +245,25 @@ class TestClosedSweep:
             assert np.abs(c0 - want).max() <= 1e-15
 
 
+@pytest.fixture
+def composites(monkeypatch):
+    """The number of steps of each chunk product the sweeps take."""
+    calls = []
+    composite = propagator._composite
+
+    def counted(ops, spare):
+        calls.append(len(ops))
+        return composite(ops, spare)
+
+    monkeypatch.setattr(propagator, "_composite", counted)
+    return calls
+
+
 class TestProductTree:
     """A closed backward sweep without snapshots at D <= TREE_MAX_DIM
     applies one product per chunk of TREE_STEPS steps, multiplied as a
     tree; it equals stepping the columns up to rounding.  Every other
     sweep still steps its state, bit for bit as `stepped_sweep` does."""
-
-    @pytest.fixture
-    def composites(self, monkeypatch):
-        """The number of chunk products the sweeps take."""
-        calls = []
-        composite = propagator._composite
-
-        def counted(ops, spare):
-            calls.append(len(ops))
-            return composite(ops, spare)
-
-        monkeypatch.setattr(propagator, "_composite", counted)
-        return calls
 
     @pytest.mark.parametrize("columns", [5, 4, 1], ids=["P", "F", "prep"])
     def test_backward_sweep_matches_column_stepping(self, desk_basis, composites, columns):
@@ -311,6 +312,47 @@ class TestProductTree:
         assert sweep(frame, x, field.samples, backward=True).tobytes() == \
             stepped_sweep(frame, x, field.samples, backward=True).tobytes()
         assert composites == []
+
+
+class TestAdjointIdentity:
+    """The closed backward RK4 step matrix is the adjoint of the forward
+    one, so the multipliers at t = 0 of a backward sweep from targets are
+    U^dag targets, U the forward propagator of the same field: what the
+    closed gate optimizer uses in place of its backward sweep."""
+
+    @pytest.fixture(params=[8, 32], ids=["D8", "D32"])
+    def case(self, request):
+        """(basis, field, targets): desk over 10,000 steps of 2 ns, paper
+        over 2,000 of 0.96 ns, with D/2 + 1 target columns."""
+        d = request.param
+        if d == 8:
+            basis = request.getfixturevalue("desk_basis")
+            field = short_guess(basis, steps=10_000, t_pulse_us=20.0)
+        else:
+            basis = request.getfixturevalue("paper_basis")
+            field = short_guess(basis, steps=2000, t_pulse_us=1.92)
+        return basis, field, random_columns(d, d // 2 + 1, seed=31)
+
+    def test_backward_step_matrix_is_the_forward_adjoint(self, case):
+        basis, field, _ = case
+        frame = InteractionFrame(basis, field.dt)
+        e = np.array([0.0, 8e-12, -1.5e-11, 3e-11, np.abs(field.samples).max()])
+        forward, backward = frame.operators(e), frame.operators(e, backward=True)
+        for s_f, s_b in zip(forward, backward):
+            assert_relative(s_b, s_f.conj().T, rtol=1e-15)
+
+    def test_propagator_adjoint_is_the_backward_sweep(self, case, composites):
+        """By the product tree (D = 8) and by stepping the columns."""
+        basis, field, targets = case
+        d = basis.n_states
+        frame = InteractionFrame(basis, field.dt)
+        u = sweep(frame, np.eye(d, dtype=complex), field.samples)
+        got = u.conj().T @ targets
+        assert np.abs(got - targets).max() > 1e-2   # the field moves the multipliers
+        assert_relative(got, stepped_sweep(frame, targets, field.samples, backward=True),
+                        rtol=1e-13)
+        assert_relative(got, sweep(frame, targets, field.samples, backward=True), rtol=1e-13)
+        assert bool(composites) == (d <= TREE_MAX_DIM)
 
 
 class TestEvolutionOperator:
@@ -688,7 +730,8 @@ def matmul_kernel(kernel):
 class TestKernelContract:
     """What `_forward_update` asks of every kernel, at desk and at paper
     size: step(y, op, out=buf) returns buf, holding bit for bit what
-    step(y, op) gives, and fresh_step(y, e, ...) is step(y, operators([e])[0])
+    step(y, op) gives, as fresh_step(y, e, ..., out=buf) does fresh_step
+    without out, and fresh_step(y, e, ...) is step(y, operators([e])[0])
     under one field after another, so a reused one-step buffer is
     overwritten, never stale.  The superoperator is built at D = 32 too,
     above the dimension `lindblad_kernel` gives it."""
@@ -733,6 +776,14 @@ class TestKernelContract:
         for e in self.FIELDS:
             assert_relative(kernel.fresh_step(y, e, coupled),
                             kernel.step(y, kernel.operators([e])[0]), rtol=1e-15)
+
+    def test_fresh_step_into_out(self, case):
+        kernel, y, coupled = case
+        for e in self.FIELDS:
+            buf = np.empty_like(y)
+            got = kernel.fresh_step(y, e, coupled, out=buf)
+            assert got is buf
+            assert got.tobytes() == kernel.fresh_step(y, e, coupled).tobytes()
 
     def test_products_match_the_matmul_expressions(self, case):
         """Old-vs-new pin of the per-step products, one `np.dot` each, against
