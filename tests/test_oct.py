@@ -126,42 +126,53 @@ class TestOptimizeGate:
         assert len(trace) == 5  # initial evaluation + 4 sweeps
 
     @pytest.mark.parametrize("functional, alpha0", [("P", 5e14), ("F", 2e15)])
-    @pytest.mark.parametrize("size", ["desk", "paper"])
-    def test_reported_fidelity_is_measured_fidelity(self, request, size, functional, alpha0):
+    def test_reported_fidelity_is_measured_fidelity(
+        self, desk_basis, desk_gate, functional, alpha0
+    ):
         """The fidelity the optimizer reports for the field it returns is
-        the fidelity evolution_operator measures for that field: desk on a
-        2,000-step pulse, paper (D = 32, N = 16) on a 200-step one."""
-        basis, gate = (request.getfixturevalue(f"{size}_{name}") for name in ("basis", "gate"))
-        dt = 2e-9 if size == "desk" else 0.96e-9
-        cfg = small_config(t_pulse=(2000 if size == "desk" else 200) * dt / TIME_AU_S,
-                           dt=dt / TIME_AU_S, functional=functional, alpha0=alpha0,
-                           max_iterations=3)
-        field, trace = optimize_gate(basis, TargetSet(gate.entries), cfg)
-        measured = fidelity(gate, evolution_operator(field, basis, gate.entries.shape[0]))
+        the fidelity evolution_operator measures for that field."""
+        cfg = small_config(
+            t_pulse=4e-6 / TIME_AU_S, functional=functional, alpha0=alpha0,
+            max_iterations=3,
+        )
+        field, trace = optimize_gate(desk_basis, TargetSet(desk_gate.entries), cfg)
+        measured = fidelity(desk_gate, evolution_operator(field, desk_basis, 4))
         assert abs(trace.final_fidelity - measured) <= 1e-12
 
     @pytest.mark.parametrize("functional, alpha0", [("P", 5e14), ("F", 2e15)])
-    def test_resume_continues_trace(self, desk_basis, desk_gate, functional, alpha0):
+    def test_reported_fidelity_is_measured_fidelity_at_paper_size(
+        self, paper_basis, paper_gate, functional, alpha0
+    ):
+        """The same at paper size (D = 32, N = 16) on a 200-step pulse."""
+        dt = 0.96e-9 / TIME_AU_S
+        cfg = small_config(t_pulse=200 * dt, dt=dt, functional=functional,
+                           alpha0=alpha0, max_iterations=3)
+        field, trace = optimize_gate(paper_basis, TargetSet(paper_gate.entries), cfg)
+        measured = fidelity(paper_gate, evolution_operator(field, paper_basis, 16))
+        assert abs(trace.final_fidelity - measured) <= 1e-12
+
+    def test_resume_continues_trace(self, desk_basis, desk_gate):
         """A resumed run gives the field and trace of an uninterrupted one
-        up to rounding.  It has no evaluation of its starting field, so its
-        first multipliers come from a forward sweep of that field, not from
-        the last forward update."""
+        up to rounding, for both functionals.  It has no evaluation of its
+        starting field, so its first multipliers come from a forward sweep
+        of that field, not from the last forward update."""
         targets = TargetSet(desk_gate.entries)
-        config = functools.partial(small_config, functional=functional, alpha0=alpha0)
-        whole_field, whole = optimize_gate(desk_basis, targets, config(max_iterations=4))
-        f1, t1 = optimize_gate(desk_basis, targets, config(max_iterations=2))
-        field, trace = optimize_gate(desk_basis, targets, config(max_iterations=2),
-                                     initial_field=f1, trace=t1)
-        assert trace.iterations == whole.iterations == [0, 1, 2, 3, 4]
-        assert trace.status == whole.status
-        assert trace.is_monotonic()
-        for got, want in ((field.samples, whole_field.samples),
-                          (trace.objectives, whole.objectives),
-                          (trace.fidelities, whole.fidelities),
-                          (trace.fluences, whole.fluences)):
-            got, want = np.asarray(got), np.asarray(want)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.abs(field.samples - f1.samples).max() > 1e-3 * np.abs(f1.samples).max()
+        for functional, alpha0 in (("P", 5e14), ("F", 2e15)):
+            config = functools.partial(small_config, functional=functional, alpha0=alpha0)
+            whole_field, whole = optimize_gate(desk_basis, targets, config(max_iterations=4))
+            f1, t1 = optimize_gate(desk_basis, targets, config(max_iterations=2))
+            field, trace = optimize_gate(desk_basis, targets, config(max_iterations=2),
+                                         initial_field=f1, trace=t1)
+            assert trace.iterations == whole.iterations == [0, 1, 2, 3, 4]
+            assert trace.status == whole.status
+            assert trace.is_monotonic()
+            for got, want in ((field.samples, whole_field.samples),
+                              (trace.objectives, whole.objectives),
+                              (trace.fidelities, whole.fidelities),
+                              (trace.fluences, whole.fluences)):
+                got, want = np.asarray(got), np.asarray(want)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(field.samples - f1.samples).max() > 1e-3 * np.abs(f1.samples).max()
 
     def test_records_phase_seconds_of_its_sweeps(self, desk_basis, desk_gate, tmp_path):
         """Wall seconds of every iteration's t = 0 multipliers (here one
