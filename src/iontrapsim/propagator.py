@@ -57,25 +57,10 @@ It writes the operators of every block of a sweep into one buffer
 (`operators(..., out=)`), whose pages fault in once per sweep: glibc
 hands a freed block-sized array back to the kernel, so a fresh one per
 block would fault in again every BLOCK_STEPS steps (362 against 98 minor
-faults per 80-step paper-size optimizer sweep).  Only the endpoint
-S_0 ... S_{n-1} y of a backward sweep without snapshots is read (an
-optimizer's multipliers), so at up to TREE_MAX_DIM states the closed
-kernel takes it as a product tree.  The closed gate optimizer takes its
-multipliers from the forward propagator instead (`oct`), so the tree
-serves the state preparation optimizer's one-column desk sweep.  The
-step matrices of a chunk of up to TREE_STEPS steps come from one
-`operators` call, `_composite` multiplies them pairwise, level by level,
-one stacked np.matmul per level, and the chunk's product steps the
-columns once.  At D = 8 that trades one BLAS call of about 1 us per step
-for about 0.3 us of stacked products, and it rounds differently from
-stepping (5e-14 relative over 10,000 steps).
-Every other sweep steps its state.  Forward sweeps do, so that
+faults per 80-step paper-size optimizer sweep).  Every sweep steps its
+state one step operator at a time; forward sweeps must, so that
 `evolution_operator` reads, bit for bit, the gate of the `ClosedPulseMap`
-that `simulate` builds with snapshots.  The Lindblad kernels do: the
-superoperator's increment form c + c @ s keeps the identity's rounding
-from building up, and a 64 x 64 product costs 13 times the flops of
-stepping 5 rows.  Paper size does, where the tree takes twice the flops
-of stepping the columns and BLAS-bound products lose.
+that `simulate` builds with snapshots.
 
 Pulse maps.  Every pulse of a train replays the same waveform in the
 rotating frame, so `simulate` and the fidelity trace build each pulse's
@@ -136,19 +121,6 @@ SUPEROPERATOR_MAX_DIM = 16   # largest D that `lindblad_kernel` steps as a
                    # 324-414 us; 64-unit map stacks: D = 16 750 / 275 us, 20
                    # 1,200 / 690 us.  The C_k take 5 ms per direction at
                    # D = 12, 17 ms at 16 and 44-56 ms at 20.
-TREE_MAX_DIM = 12  # largest D whose closed backward sweeps without snapshots
-                   # `sweep` takes as a product tree.  Per 2,000-step sweep on
-                   # a 2-vCPU host with one OpenBLAS thread (stepping / tree,
-                   # ms), D/2 + 1 columns: D = 8 3.1-3.3 / 1.2-1.3, 12 3.6-3.8
-                   # / 1.5-1.9, 16 4.5-5.0 / 2.6-3.2, 24 6.2 / 7.3, 32 9.7 /
-                   # 14.1; one column: D = 8 1.9 / 1.2, 12 2.1 / 1.6-1.9, 16
-                   # 2.3-2.4 / 2.6-3.2.  Only the state preparation
-                   # optimizer sweeps backward now: a desk prep iteration
-                   # (one column, 10,000 steps) takes 51.5-51.8 ms with the
-                   # tree, 5.8 of them the sweep, and 55.6 ms stepping (9.7).
-TREE_STEPS = 256   # steps per chunk of a product-tree sweep: D/2 + 1 columns
-                   # at D = 8 / 12 took 1.3 / 1.7 ms per 2,000 steps with
-                   # chunks of 128, 1.3 / 1.5 with 256, 1.5 / 2.1 with 512
 
 
 @dataclass
@@ -528,8 +500,8 @@ def lindblad_kernel(frame: InteractionFrame, diss: DissipationModel, adjoint: bo
     return lindblad
 
 
-def step_blocks(kernel, field, backward=False, block_steps=BLOCK_STEPS):
-    """(steps, ops) for every block of up to block_steps steps of the sample
+def step_blocks(kernel, field, backward=False):
+    """(steps, ops) for every block of up to BLOCK_STEPS steps of the sample
     array `field`, in sweep order: ops[i] is the step operator of sample
     steps[i], and blocks and steps run from the last step to the first if
     backward.  The last sample closes the record without driving.
@@ -539,10 +511,10 @@ def step_blocks(kernel, field, backward=False, block_steps=BLOCK_STEPS):
     buffer is the first block's own array, or, backward, that of the first
     full block after the partial last one."""
     drive = field[:-1]
-    blocks = range(0, len(drive), block_steps)
+    blocks = range(0, len(drive), BLOCK_STEPS)
     buffer = None
     for a in reversed(blocks) if backward else blocks:
-        e = drive[a:a + block_steps]
+        e = drive[a:a + BLOCK_STEPS]
         if buffer is None or len(buffer) < len(e):
             ops = buffer = kernel.operators(e, backward)
         else:
@@ -558,18 +530,10 @@ def sweep(kernel, x, field, backward=False, store_every=0, out=None):
     for the rows (..., D^2) of the `hermitian_coordinates` of Hermitian
     matrices.  The sweep runs in the kernel's rotating variable y.  With
     `out`, slot 0 holds x and slot k the state after k store_every steps,
-    rotated back to x like the result.  A closed backward sweep without
-    `out` of up to TREE_MAX_DIM states steps x by the product of each chunk
-    of TREE_STEPS steps instead (module docstring)."""
+    rotated back to x like the result.  Every sweep steps its state, one
+    step operator at a time."""
     n_steps = len(field) - 1
     y = kernel.rotate_in(x, 2 * n_steps if backward else 0)
-    if backward and out is None and isinstance(kernel, InteractionFrame) \
-            and len(kernel.energies) <= TREE_MAX_DIM:
-        d = len(kernel.energies)
-        spare = np.empty(((min(n_steps, TREE_STEPS) + 1) // 2, d, d), dtype=complex)
-        for _, ops in step_blocks(kernel, field, True, TREE_STEPS):
-            y = kernel.step(y, _composite(ops, spare))
-        return kernel.rotate_out(y, 0)
     if out is not None:
         out[0] = x
     step = kernel.step
@@ -582,23 +546,6 @@ def sweep(kernel, x, field, backward=False, store_every=0, out=None):
                 if done % store_every == 0:
                     out[done // store_every] = kernel.rotate_out(y, 2 * t)
     return kernel.rotate_out(y, 0 if backward else 2 * n_steps)
-
-
-def _composite(ops, spare):
-    """The one step matrix ops[m-1] @ ... @ ops[0] of the steps ops, in
-    the order they apply, by pairs level by level: one stacked np.matmul
-    per level, an odd last matrix carried up as it is.  The levels
-    alternate between spare, of at least (m + 1) // 2 matrices, and ops,
-    which they overwrite."""
-    a, b = ops, spare
-    while len(a) > 1:
-        k = len(a) // 2
-        np.matmul(a[1:2 * k:2], a[0:2 * k:2], out=b[:k])
-        if len(a) % 2:
-            b[k] = a[-1]
-            k += 1
-        a, b = b[:k], a
-    return a[0]
 
 
 def _check_norm(final, initial):

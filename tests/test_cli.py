@@ -143,9 +143,9 @@ class TestCliCommands:
         assert main(["trap", "--tier", "desk", "--out", out2]) == 0
         assert sorted(os.listdir(out1)) == ["basis.json", "z_matrix.csv"]
         for name in ("basis.json", "z_matrix.csv"):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
-            assert b1 == b2
+            with open(os.path.join(out1, name), "rb") as f1, \
+                    open(os.path.join(out2, name), "rb") as f2:
+                assert f1.read() == f2.read()
         assert "MHz" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tier", ["desk", "paper"])

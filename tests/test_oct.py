@@ -227,6 +227,20 @@ class TestOptimizeStatePrep:
         assert trace.is_monotonic()
         assert trace.fidelities[-1] > 0.5  # fast single-target convergence
 
+    def test_reported_fidelity_is_measured_fidelity(self, desk_basis, desk_grid):
+        """The population the optimizer reports for the field it returns is
+        |<target|psi(T)>|^2 of the ground state under that field, on a
+        2,000-step pulse."""
+        target = encode(gaussian_packet(desk_grid, 1.0, -0.75), desk_grid)
+        cfg = small_config(t_pulse=4e-6 / TIME_AU_S, max_iterations=3)
+        field, trace = optimize_state_prep(desk_basis, target, cfg)
+        assert len(trace) == 4
+        ground = np.zeros(desk_basis.n_states, dtype=complex)
+        ground[0] = 1.0
+        final = propagator.ClosedPulseMap(field, desk_basis).apply(ground)
+        measured = abs(np.vdot(target, final[:len(target)])) ** 2
+        assert abs(trace.final_fidelity - measured) <= 1e-12
+
     def test_refuses_the_f_functional(self, desk_basis, desk_grid):
         """One target has one functional: F is refused, not run as P."""
         target = encode(gaussian_packet(desk_grid, 1.0, -0.75), desk_grid)

@@ -12,13 +12,11 @@ from iontrapsim import (
     evolution_operator,
     make_guess_field,
 )
-from iontrapsim import propagator, solve_trap
 from iontrapsim.oct import OctConfig
-from iontrapsim.propagator import (BLOCK_STEPS, TREE_MAX_DIM, TREE_STEPS, ClosedPulseMap,
-                                   InteractionFrame, Lindblad, LindbladPulseMap,
-                                   LindbladSuperoperator, commutator_coordinates,
-                                   hermitian_coordinates, hermitian_matrices, lindblad_kernel,
-                                   step_blocks, sweep)
+from iontrapsim.propagator import (BLOCK_STEPS, ClosedPulseMap, InteractionFrame, Lindblad,
+                                   LindbladPulseMap, LindbladSuperoperator,
+                                   commutator_coordinates, hermitian_coordinates,
+                                   hermitian_matrices, lindblad_kernel, step_blocks, sweep)
 from iontrapsim.units import TIME_AU_S
 
 from conftest import held_sample_propagator
@@ -88,16 +86,6 @@ def matrix_sweep(kernel, x, samples):
     """`sweep` of a Lindblad kernel on Hermitian matrices x, through their
     coordinate rows."""
     return hermitian_matrices(sweep(kernel, coordinate_rows(x), samples).reshape(x.shape))
-
-
-def stepped_sweep(kernel, x, samples, backward=False):
-    """`sweep` without snapshots as the column path takes it: every step
-    operator of `step_blocks` applied to the state in turn."""
-    y = kernel.rotate_in(x, 2 * (len(samples) - 1) if backward else 0)
-    for _, ops in step_blocks(kernel, samples, backward):
-        for op in ops:
-            y = kernel.step(y, op, backward)
-    return kernel.rotate_out(y, 0 if backward else 2 * (len(samples) - 1))
 
 
 def assert_relative(got, want, rtol=1e-12):
@@ -245,75 +233,6 @@ class TestClosedSweep:
             assert np.abs(c0 - want).max() <= 1e-15
 
 
-@pytest.fixture
-def composites(monkeypatch):
-    """The number of steps of each chunk product the sweeps take."""
-    calls = []
-    composite = propagator._composite
-
-    def counted(ops, spare):
-        calls.append(len(ops))
-        return composite(ops, spare)
-
-    monkeypatch.setattr(propagator, "_composite", counted)
-    return calls
-
-
-class TestProductTree:
-    """A closed backward sweep without snapshots at D <= TREE_MAX_DIM
-    applies one product per chunk of TREE_STEPS steps, multiplied as a
-    tree; it equals stepping the columns up to rounding.  Every other
-    sweep still steps its state, bit for bit as `stepped_sweep` does."""
-
-    @pytest.mark.parametrize("columns", [5, 4, 1], ids=["P", "F", "prep"])
-    def test_backward_sweep_matches_column_stepping(self, desk_basis, composites, columns):
-        """The optimizer's multiplier counts at desk: N + 1, N and 1."""
-        field = short_guess(desk_basis)
-        frame = InteractionFrame(desk_basis, field.dt)
-        x = random_columns(8, columns, seed=21)
-        got = sweep(frame, x, field.samples, backward=True)
-        assert len(composites) == -(-2000 // TREE_STEPS)
-        assert_relative(got, stepped_sweep(frame, x, field.samples, backward=True), rtol=1e-13)
-
-    @pytest.mark.parametrize("steps", [1, 37, TREE_STEPS, 2 * TREE_STEPS + 37],
-                             ids=["one", "partial", "one-chunk", "chunks-and-partial"])
-    def test_chunk_edges(self, desk_basis, composites, steps):
-        """Random held samples with e mu dt up to 0.1."""
-        samples = np.r_[np.random.default_rng(5).uniform(-1.5e-11, 1.5e-11, steps), 0.0]
-        frame = InteractionFrame(desk_basis, 2e-9 / TIME_AU_S)
-        x = random_columns(8, 5, seed=22)
-        got = sweep(frame, x, samples, backward=True)
-        want = stepped_sweep(frame, x, samples, backward=True)
-        assert composites == [min(TREE_STEPS, steps - a) for a in range(0, steps, TREE_STEPS)][::-1]
-        assert_relative(got, want, rtol=1e-13)
-        assert np.abs(want - x).max() > 1e-3   # the field moves the columns
-
-    def test_forward_and_superoperator_sweeps_step(self, desk_basis, composites):
-        field = short_guess(desk_basis, steps=300, t_pulse_us=0.6)
-        frame = InteractionFrame(desk_basis, field.dt)
-        x = random_columns(8, 5, seed=23)
-        assert sweep(frame, x, field.samples).tobytes() == \
-            stepped_sweep(frame, x, field.samples).tobytes()
-        superop = lindblad_kernel(frame, build_dissipation(desk_basis, 1e-17), adjoint=True)
-        assert isinstance(superop, LindbladSuperoperator)
-        rows = coordinate_rows(TestLindbladSuperoperator.hermitian_stack(24))
-        assert sweep(superop, rows, field.samples, backward=True).tobytes() == \
-            stepped_sweep(superop, rows, field.samples, backward=True).tobytes()
-        assert composites == []
-
-    @pytest.mark.parametrize("dim", [TREE_MAX_DIM + 1, 32])
-    def test_closed_backward_sweep_steps_above_tree_max_dim(self, composites, paper_basis,
-                                                            dim):
-        basis = paper_basis if dim == 32 else solve_trap(
-            TrapParams(primitive_size=50, dynamical_size=dim, computational_size=4))
-        field = short_guess(basis, steps=300, t_pulse_us=0.3)
-        frame = InteractionFrame(basis, field.dt)
-        x = random_columns(dim, dim // 2 + 1, seed=25)
-        assert sweep(frame, x, field.samples, backward=True).tobytes() == \
-            stepped_sweep(frame, x, field.samples, backward=True).tobytes()
-        assert composites == []
-
-
 class TestAdjointIdentity:
     """The closed backward RK4 step matrix is the adjoint of the forward
     one, so the multipliers at t = 0 of a backward sweep from targets are
@@ -341,18 +260,14 @@ class TestAdjointIdentity:
         for s_f, s_b in zip(forward, backward):
             assert_relative(s_b, s_f.conj().T, rtol=1e-15)
 
-    def test_propagator_adjoint_is_the_backward_sweep(self, case, composites):
-        """By the product tree (D = 8) and by stepping the columns."""
+    def test_propagator_adjoint_is_the_backward_sweep(self, case):
         basis, field, targets = case
         d = basis.n_states
         frame = InteractionFrame(basis, field.dt)
         u = sweep(frame, np.eye(d, dtype=complex), field.samples)
         got = u.conj().T @ targets
         assert np.abs(got - targets).max() > 1e-2   # the field moves the multipliers
-        assert_relative(got, stepped_sweep(frame, targets, field.samples, backward=True),
-                        rtol=1e-13)
         assert_relative(got, sweep(frame, targets, field.samples, backward=True), rtol=1e-13)
-        assert bool(composites) == (d <= TREE_MAX_DIM)
 
 
 class TestEvolutionOperator:

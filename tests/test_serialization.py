@@ -108,8 +108,8 @@ def test_meta_embedded(tmp_path):
     field = ControlField(np.zeros(4), dt=1.0)
     path = str(tmp_path / "f.csv")
     save_field(field, path, {"config_hash": "cafe01"})
-    text = open(path).read()
-    assert "# config_hash=cafe01" in text
+    with open(path) as f:
+        assert "# config_hash=cafe01" in f.read()
 
 
 def test_deterministic_bytes(tmp_path, small_basis):
@@ -117,7 +117,8 @@ def test_deterministic_bytes(tmp_path, small_basis):
     save_eigenbasis(small_basis, p1, {"config_hash": "x"})
     save_eigenbasis(small_basis, p2, {"config_hash": "x"})
     for name in ("basis.json", "z_matrix.csv"):
-        assert open(f"{p1}/{name}", "rb").read() == open(f"{p2}/{name}", "rb").read()
+        with open(f"{p1}/{name}", "rb") as f1, open(f"{p2}/{name}", "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 def test_spectrum_file(tmp_path):
@@ -127,7 +128,8 @@ def test_spectrum_file(tmp_path):
     spec = spectrum(field)
     path = str(tmp_path / "s.csv")
     save_spectrum(spec, path)
-    lines = open(path).read().strip().splitlines()
+    with open(path) as f:
+        lines = f.read().strip().splitlines()
     assert lines[0] == "frequency_hz,power"
     assert len(lines) == 1 + len(spec.power)
 
