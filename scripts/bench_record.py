@@ -19,8 +19,13 @@ at least nine in ten pairs, its median is better than the parent's by
 more than the distance between the parent's quartiles, and no more
 operations fail than at the parent.  Every other metric is a regression
 when the change's median is worse than the parent's by more than the
-metric's bound in BENCHMARK.json, a share of the parent's median.  The
-record's own verdict sums them up.
+metric's bound in BENCHMARK.json, a share of the parent's median.  It is
+unresolved when it is no regression but the runs of either side spread
+wider than the bound (the distance between their quartiles, as a share
+of the parent's median), unless every run of the change is better than
+every run of the parent: such a spread cannot tell a change within the
+bound from one beyond it.  Otherwise it is within bound.  The record's
+own verdict sums them up and names every unresolved metric.
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
         --title "what the change does" --claim "paper-oct sweep_ms" \\
@@ -94,8 +99,10 @@ def summary(parent, change, better):
 def verdict(entry, metric, claimed, more_failures):
     """The verdict on one metric's summary: "claim met" or "claim not met"
     for the claimed metric, and for any other "regression" when its median
-    is worse than the parent's by more than the metric's bound, else
-    "within bound"."""
+    is worse than the parent's by more than the metric's bound,
+    "unresolved" when either side's quartiles lie further apart than the
+    bound and some run of the change is no better than some run of the
+    parent, else "within bound"."""
     sign = 1 if metric["better"] == "lower" else -1
     if claimed:
         q1, q3 = entry["parent_quartiles"]
@@ -104,7 +111,13 @@ def verdict(entry, metric, claimed, more_failures):
                and not more_failures)
         return "claim met" if met else "claim not met"
     worse = sign * (entry["change_median"] / entry["parent_median"] - 1.0)
-    return "regression" if worse > metric["bound"] else "within bound"
+    if worse > metric["bound"]:
+        return "regression"
+    spread = max(q3 - q1 for q1, q3 in (entry["parent_quartiles"], entry["change_quartiles"]))
+    all_better = max(sign * v for v in entry["change"]) < min(sign * v for v in entry["parent"])
+    if spread > metric["bound"] * entry["parent_median"] and not all_better:
+        return "unresolved"
+    return "within bound"
 
 
 def workload_entry(parent_runs, change_runs, metrics, claimed=None):
@@ -149,9 +162,12 @@ def build(args):
         raise SystemExit(f"claim {args.claim!r} is not '<workload> <metric>' of the run "
                          "records and BENCHMARK.json")
     claim = workloads[claimed_workload]["metrics"][claimed_metric]["verdict"]
-    regressions = [f"{name} {metric}" for name, entry in workloads.items()
-                   for metric, result in entry["metrics"].items()
-                   if result["verdict"] == "regression"]
+
+    def named(verdict):
+        return [f"{name} {metric}" for name, entry in workloads.items()
+                for metric, result in entry["metrics"].items() if result["verdict"] == verdict]
+
+    regressions, unresolved = named("regression"), named("unresolved")
     environments = [run["environment"] for runs in (parent, change)
                     for by_seed in runs.values() for run in by_seed.values()]
     threads = {env["thread_env"]["OPENBLAS_NUM_THREADS"] for env in environments}
@@ -165,7 +181,8 @@ def build(args):
         "host": "; ".join(sorted({host(env) for env in environments})),
         "pairs": PAIRS,
         "verdict": f"{claim}; " + (f"regression on {', '.join(regressions)}" if regressions
-                                   else "no other metric worse than its bound"),
+                                   else "no other metric worse than its bound")
+                   + (f"; unresolved: {', '.join(unresolved)}" if unresolved else ""),
         "workloads": workloads,
     }
     if args.note:

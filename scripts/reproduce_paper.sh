@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Full-scale reproduction: 16 computational states, 96 us pulses sampled at
 # 960 ps, fidelity goal 0.99999.  A closed-system gate-synthesis iteration
-# takes about 2.1 s (P) or 1.9 s (F) on a shared 2-vCPU host with one
-# OpenBLAS thread (2,000-step iterations scaled to 100,000 steps), so the
-# 1,500-iteration budget is about 0.9 h (one recorded P run reached
-# F >= 0.999 in 383 iterations, 29 min).  The dissipative re-optimization
+# takes 2.2-2.3 s (P and F alike) on a shared 2-vCPU host with one
+# OpenBLAS thread (fastest of 2,000-step iterations scaled to 100,000
+# steps; 1.6-1.7 s while the host runs fast), so the 1,500-iteration
+# budget is about 1 h.  One recorded P run reached F >= 0.999 in 383
+# iterations in 29 min, when an iteration took 4.5 s; today those
+# iterations take about 14 min.  The dissipative re-optimization
 # (density matrices, 17 trajectories) runs for days.  Every optimization
 # saves its own <stem>_field.csv and <stem>_trace.csv every few iterations
 # (--checkpoint-every), so an interrupted run resumes by appending

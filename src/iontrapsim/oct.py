@@ -59,17 +59,25 @@ which would need the whole D^2 map of the Lindblad pulse.
 The forward update is sequential in time, since the corrected sample of
 step n depends on the states at t_n, but the multipliers ride along under
 the old field.  So `_forward_update` works a block of `propagator.BLOCK_STEPS`
-steps at a time: it steps the multipliers through the block first, each
-step written by the adjoint kernel straight into the next row of the
-block (`step(..., out=)`), and the bracket prepares everything that does
-not depend on the states for the whole block at once (for the closed
+steps at a time: one call of the adjoint kernel (`step_rows`) steps the
+multipliers through the block, each step written straight into the next
+row of the block, and the bracket prepares everything that does not
+depend on the states for the whole block at once (for the closed
 functionals, the plain bras lam and mu lam of every step, which the
-pairing conjugates).  A step then pairs the states with its bras,
-corrects its sample, and takes one step of the states under it.  The
-multipliers of every block go into one array per forward update, and each
-bracket writes its bras into one array per optimizer run (`_block_rows`),
-as `step_blocks` does the step operators: at paper size a fresh array per
-block would fault its pages in again every BLOCK_STEPS steps.
+pairing conjugates).  Each bracket serves one kernel: `_closed_bracket`
+the `InteractionFrame`, `_coordinate_bracket` the
+`LindbladSuperoperator` and `_matrix_bracket` the per-matrix `Lindblad`.
+Per block it returns `advance`, and a step is one call of it: it pairs
+the states with the step's bras, corrects the sample and steps the
+states under the corrected sample into the spare buffer.  At desk size a
+step costs Python calls more than flops, so merging the pairing, the
+correction and the step into one call is what makes it cheaper; the
+numpy calls, their operands and their order are those of separate calls,
+so every number stays bit for bit.  The multipliers of every block go
+into one array per forward update, and each bracket writes its bras into
+one array per optimizer run (`_block_rows`), as `step_blocks` does the
+step operators: at paper size a fresh array per block would fault its
+pages in again every BLOCK_STEPS steps.
 """
 
 import time
@@ -267,41 +275,36 @@ def _block_rows():
 def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     """Forward sweep with immediate update; the multipliers lam ride along
     under the old field.  Both start at t = 0 and move to the kernels'
-    rotating variable there.  Per block of n steps, the multipliers are
-    stepped through the block first, row i into row i + 1 of n + 1 rows,
-    and `bracket` of the first n rows returns `pairing(i, psi)`: the
-    bracket at step i of the block and its dipole product, which
-    `kernel.fresh_step` reuses.  Row n starts the next block.
+    rotating variable there.  Per block of n steps, one `step_rows` call of
+    the adjoint kernel steps the multipliers through the block, row i into
+    row i + 1 of n + 1 rows, and `bracket` of the first n rows and the two
+    state buffers returns `advance(i, e, w)`, the whole of step i of the
+    block: it pairs the states with the step's bras, corrects the sample e
+    to e - w * value, steps the states from buffer i % 2 into the other
+    under the corrected sample, and returns that.  Row n starts the next
+    block, and a block of odd n leaves the states in the second buffer.
 
     The states may hold more columns than lam, the closed gate
     optimizer's completion of its trajectories to a basis: the pairing
     reads the first lam.shape[-1], and the rest ride along under the new
-    field.  The states step between two C-contiguous buffers (`step`'s
-    out), each paired through a view of its first columns made once.
+    field.  The two state buffers are C-contiguous (`step`'s out).
     Returns (new field samples, final states)."""
     new_field = field.copy()
     psi, lam = np.ascontiguousarray(kernel.rotate_in(psi, 0)), adjoint.rotate_in(lam, 0)
-    spare = np.empty_like(psi)
-    paired, spare_paired = psi[..., :lam.shape[-1]], spare[..., :lam.shape[-1]]
+    states = psi, np.empty_like(psi)
     rows = _block_rows()
     for steps, lam_ops in step_blocks(adjoint, field):
         n = len(lam_ops)
         lams = rows(n + 1, lam.shape, lam.dtype)
         lams[0] = lam
-        for i, op in enumerate(lam_ops):
-            adjoint.step(lams[i], op, out=lams[i + 1])
+        adjoint.step_rows(lams, lam_ops)
         lam = lams[n]
-        pairing = bracket(lams[:n])
         block = slice(steps.start, steps.stop)
-        updated = []
-        for i, (e, w) in enumerate(zip(field[block].tolist(), weight[block].tolist())):
-            value, coupled = pairing(i, paired)
-            e_new = e - w * value
-            updated.append(e_new)
-            kernel.fresh_step(psi, e_new, coupled, out=spare)
-            psi, spare, paired, spare_paired = spare, psi, spare_paired, paired
-        new_field[block] = updated
-    return new_field, kernel.rotate_out(psi, 2 * (len(field) - 1))
+        new_field[block] = list(map(bracket(lams[:n], states), range(n),
+                                    field[block].tolist(), weight[block].tolist()))
+        if n % 2:
+            states = states[::-1]
+    return new_field, kernel.rotate_out(states[0], 2 * (len(field) - 1))
 
 
 def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, measure,
@@ -391,36 +394,54 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     return ControlField(field, config.dt), trace
 
 
-def _closed_bracket(mu, functional):
-    """Update bracket of the closed functionals.  In the rotating variable,
-    <lam|psi> = <y_lam|y_psi> and <lam|mu_I psi> = <y_lam|mu y_psi> =
-    <mu y_lam|y_psi> with the static, real symmetric dipole mu.  Per block,
-    one copy and one real product of mu with the real view give both bras
-    of every step, unconjugated: the pairing conjugates them.  psi is the
-    forward update's view of the trajectory columns of its states, which
-    the closed gate optimizer completes to a basis.  P pairs the bras with
-    psi trajectory by trajectory in one `np.vecdot`, then couples the
-    overlaps by one `np.vdot`; F takes one phase-coherent sum over its
-    trajectories, the gate's N, by one `np.vdot` per bra (which copies the
-    strided view of N of the D columns, 0.4 us per step at D = 8)."""
+def _closed_bracket(frame, functional):
+    """Update bracket of the closed functionals for the `InteractionFrame`
+    kernel frame.  In the rotating variable, <lam|psi> = <y_lam|y_psi> and
+    <lam|mu_I psi> = <y_lam|mu y_psi> = <mu y_lam|y_psi> with the static,
+    real symmetric dipole mu.  Per block, one copy and one real product of
+    mu with the real view give both bras of every step, unconjugated: the
+    pairing conjugates them.  It reads a view of the first lam.shape[-1]
+    columns of the states, which the closed gate optimizer completes to a
+    basis.  P pairs the bras with them trajectory by trajectory in one
+    `np.vecdot`, then couples the overlaps by one `np.vdot`; F takes one
+    phase-coherent sum over its trajectories, the gate's N, by one
+    `np.vdot` per bra (which copies the strided view of N of the D
+    columns, 0.4 us per step at D = 8).  The step matrix of the corrected
+    sample e is the product of its powers, written into a 5-vector the
+    bracket owns, with the C_k, into the kernel's one-step buffer."""
+    mu = frame.mu
+    c, flat, s = frame.one_step_buffer()
+    powers = np.ones(5)
+    coherent = functional == "F"
     rows = _block_rows()
 
-    def bracket(lams):
+    def bracket(lams, states):
         pairs = rows(len(lams), (2,) + lams.shape[1:], complex)
         pairs[:, 0] = lams
         np.matmul(mu, lams.view(float), out=pairs[:, 1].view(float))
-        if functional == "F":
-            def pairing(i, psi):
-                overlap = np.vdot(pairs[i, 0], psi)
-                return float((overlap.conjugate() * np.vdot(pairs[i, 1], psi)).imag), None
-        else:
-            red = np.empty((2, lams.shape[-1]), complex)
-            overlaps, dipole_overlaps = red
+        paired = [psi[..., :lams.shape[-1]] for psi in states]
+        red = np.empty((2, lams.shape[-1]), complex)
+        overlaps, dipole_overlaps = red
 
-            def pairing(i, psi):
+        def advance(i, e, w):
+            j = i & 1
+            psi = paired[j]
+            if coherent:
+                overlap = np.vdot(pairs[i, 0], psi)
+                value = (overlap.conjugate() * np.vdot(pairs[i, 1], psi)).imag
+            else:
                 np.vecdot(pairs[i], psi, axis=-2, out=red)
-                return np.vdot(overlaps, dipole_overlaps).imag, None
-        return pairing
+                value = np.vdot(overlaps, dipole_overlaps).imag
+            e -= w * float(value)
+            powers[1] = e
+            powers[2] = e * e
+            powers[3] = e ** 3
+            powers[4] = e ** 4
+            np.dot(powers, c, out=flat)
+            np.dot(s, states[j], out=states[1 - j])
+            return e
+
+        return advance
 
     return bracket
 
@@ -457,7 +478,7 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
         return objective, fidelity(targets.gate, finals[:n_gate, :n_gate])
 
     return _run_iterations(basis, config, frame, frame, states, targ,
-                           _closed_bracket(frame.mu, config.functional),
+                           _closed_bracket(frame, config.functional),
                            measure, initial_field, trace, callback, multipliers)
 
 
@@ -489,7 +510,7 @@ def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig
         return overlap2, overlap2
 
     return _run_iterations(basis, config, frame, frame, init, targ,
-                           _closed_bracket(frame.mu, "P"), measure,
+                           _closed_bracket(frame, "P"), measure,
                            initial_field, trace, callback)
 
 
@@ -525,9 +546,9 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     n_gate = targets.n
     kernel = lindblad_kernel(frame, diss)
     if isinstance(kernel, Lindblad):
-        bracket = _matrix_bracket(frame.mu)
+        bracket = _matrix_bracket(kernel)
     else:
-        bracket = _coordinate_bracket(frame.mu)
+        bracket = _coordinate_bracket(kernel)
     target_bras = eta_final * population_form(d)
 
     def measure(rho):
@@ -538,32 +559,38 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
                            rho0, eta_final, bracket, measure, initial_field, trace, callback)
 
 
-def _matrix_bracket(mu):
+def _matrix_bracket(lindblad):
     """Update bracket of the dissipative P functional for the per-matrix
-    `Lindblad` kernels.  In y = P^* x P, Tr(eta [mu_I, rho]) =
+    `Lindblad` kernel.  In y = P^* x P, Tr(eta [mu_I, rho]) =
     Tr(y_eta [mu, y_rho]) with the static dipole; for Hermitian y_rho,
     [mu, y_rho] = a^dag - a with a = y_rho mu, so the pairing is
-    -2i Im Tr(y_eta a)."""
+    -2i Im Tr(y_eta a).  The step under the corrected sample is
+    `Lindblad.fresh_step`, which reuses a."""
+    mu = lindblad.frame.mu
     d = len(mu)
     rows = _block_rows()
 
-    def bracket(etas):
+    def bracket(etas, states):
         etas_c = np.conjugate(etas, out=rows(len(etas), etas.shape[1:], complex))
 
-        def pairing(i, rho):
+        def advance(i, e, w):
+            j = i & 1
+            rho = states[j]
             rho_mu = np.dot(rho.reshape(-1, d), mu).reshape(rho.shape)
             pair = np.einsum("tde,tde->t", etas_c[i], rho_mu).imag
-            return -float(np.sum(pair)), rho_mu
+            e -= w * -float(np.sum(pair))
+            lindblad.fresh_step(rho, e, rho_mu, out=states[1 - j])
+            return e
 
-        return pairing
+        return advance
 
     return bracket
 
 
-def _coordinate_bracket(mu):
+def _coordinate_bracket(superop):
     """Update bracket of the dissipative P functional for the
-    `LindbladSuperoperator` kernels, whose states are rows of Hermitian
-    coordinates (`propagator.hermitian_coordinates`).
+    `LindbladSuperoperator` kernel superop, whose states are rows of
+    Hermitian coordinates (`propagator.hermitian_coordinates`).
 
     Tr(X Y) of Hermitian X and Y is sum_u w_u c_u(X) c_u(Y), w the
     population form.  With c(i [mu, y]) = c(y) @ B
@@ -572,16 +599,30 @@ def _coordinate_bracket(mu):
     c(eta) @ W @ c(rho), W = w[:, None] * B^T / 2 (Palao & Kosloff, PRA 68,
     062308 (2003)).  Per block, one product gives the bras
     c(eta) @ W of every step, and a step pairs them with rho by one
-    multiply-and-sum."""
+    multiply-and-sum, then steps rho by the step increment of the
+    corrected sample, made as `_closed_bracket` makes its step matrix."""
+    mu = superop.lindblad.frame.mu
     form = population_form(len(mu))[:, None] * commutator_coordinates(mu).T / 2
+    c, flat, s = superop.one_step_buffer()
+    powers = np.ones(5)
     rows = _block_rows()
 
-    def bracket(etas):
+    def bracket(etas, states):
         bras = np.matmul(etas, form, out=rows(len(etas), etas.shape[1:], float))
 
-        def pairing(i, rho):
-            return -float(np.vdot(bras[i], rho)), None
+        def advance(i, e, w):
+            j = i & 1
+            rho, out = states[j], states[1 - j]
+            e -= w * -float(np.vdot(bras[i], rho))
+            powers[1] = e
+            powers[2] = e * e
+            powers[3] = e ** 3
+            powers[4] = e ** 4
+            np.dot(powers, c, out=flat)
+            np.dot(rho, s, out=out)
+            out += rho
+            return e
 
-        return pairing
+        return advance
 
     return bracket

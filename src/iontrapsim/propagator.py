@@ -34,8 +34,9 @@ crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
 
 All three kernels offer the same methods: `operators` for a block of held
 samples, `step` with one of them (`step(y, op, backward, out=)` writes
-the stepped y into out, which must not be y), `fresh_step` under a sample
-the optimizer has just corrected (`out=` likewise), and
+the stepped y into out, which must not be y), `step_rows(rows, ops)`,
+which steps rows[i] forward into rows[i + 1] with ops[i] for a whole
+block in one call (the optimizer's multipliers), and
 `rotate_in`/`rotate_out` between x and y.  Every product they take once
 per step has 2-D operands and is one `np.dot`, which calls BLAS
 directly, where the `np.matmul` ufunc resolves its loop on every call (a
@@ -44,10 +45,14 @@ a 2-vCPU x86-64 host); so out must be C-contiguous and of the result's
 dtype, or `np.dot` raises ValueError.
 Products that broadcast over a stack stay `np.matmul`.  The two
 step-matrix kernels share the methods (`_StepMatrices`): the powers of e
-are real, so step operators are one real product with the cached C_k,
-and `fresh_step` writes its one operator into a buffer the kernel owns.
-That buffer makes a kernel non-reentrant: one kernel must not serve two
-forward updates at once, from two threads say.
+are real, so step operators are one real product with the cached C_k.
+The step under a sample the optimizer has just corrected is taken by the
+optimizer's update bracket (`oct`), in the same call that pairs and
+corrects: for these two kernels it writes the one operator into a buffer
+the kernel owns (`one_step_buffer`) and steps with it, and for the
+per-matrix kernel it calls `Lindblad.fresh_step`, which reuses the
+bracket's product y mu.  That buffer makes a kernel non-reentrant: one
+kernel must not serve two forward updates at once, from two threads say.
 Density matrices enter and leave both Lindblad kernels as the rows
 (..., D^2) of their `hermitian_coordinates`, which the superoperator turns
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
@@ -220,7 +225,7 @@ class _StepMatrices:
 
     def __init__(self):
         self._coefficients = {}
-        self._fresh = None   # forward C_k, the one-step buffer and its operator view
+        self._one_step = None   # forward C_k, the one-step buffer and its operator view
 
     def _coefficients_of(self, backward: bool) -> np.ndarray:
         c = self._coefficients.get(backward)
@@ -240,17 +245,17 @@ class _StepMatrices:
         np.dot(powers, c, out=out.reshape(len(out), -1).view(float))
         return out
 
-    def fresh_step(self, y, e, coupled, out=None):
-        """One forward step of y under the held field e, a Python float
-        (coupled unused), into out if given: the step operator from its
-        powers, written into the kernel's one-step buffer, then `step`."""
-        if self._fresh is None:
+    def one_step_buffer(self):
+        """(C, flat, s): the forward C_k (5, size), the kernel's one-step
+        buffer and its operator view.  np.dot(powers, C, out=flat) makes s
+        the forward step operator of the held field whose powers 1, e, e^2,
+        e^3, e^4 are given, as the optimizer's forward update does once per
+        step.  Built on the first call; every call returns the same buffer."""
+        if self._one_step is None:
             c = self._coefficients_of(False)
             flat = np.empty(c.shape[1])
-            self._fresh = c, flat, self._as_operators(flat)
-        c, flat, s = self._fresh
-        np.dot(np.array((1.0, e, e * e, e ** 3, e ** 4)), c, out=flat)
-        return self.step(y, s, out=out)
+            self._one_step = c, flat, self._as_operators(flat)
+        return self._one_step
 
     def rotate_in(self, x, half_idx):
         """The rotating variable y of x at t = half_idx dt / 2."""
@@ -318,6 +323,12 @@ class InteractionFrame(_StepMatrices):
         given."""
         return np.dot(s, y, out=out)
 
+    def step_rows(self, rows, ops):
+        """Step rows[i] forward into rows[i + 1] with the step matrix ops[i],
+        for every i of ops, as `step` into out does."""
+        for i, s in enumerate(ops):
+            np.dot(s, rows[i], out=rows[i + 1])
+
     def rotate_out(self, y, half_idx):
         """x = exp(i E t) y at t = half_idx dt / 2."""
         return self.phases(half_idx)[:, None] * y
@@ -369,6 +380,12 @@ class Lindblad:
         """One RK4 step of y over dt (-dt if backward) with the stage
         generators kdag, then the frame rotation, into out if given."""
         return self._rk4(y, kdag, backward, self.rhs(y, kdag[0]), out)
+
+    def step_rows(self, rows, kdags):
+        """Step rows[i] forward into rows[i + 1] with the stage generators
+        kdags[i], for every i of kdags."""
+        for i, kdag in enumerate(kdags):
+            self.step(rows[i], kdag, out=rows[i + 1])
 
     def fresh_step(self, y, e, y_mu, out=None):
         """One forward step of y under the held field e, into out if given;
@@ -482,6 +499,14 @@ class LindbladSuperoperator(_StepMatrices):
         np.dot(y, s, out=out)
         out += y
         return out
+
+    def step_rows(self, rows, ops):
+        """Step rows[i] forward into rows[i + 1] with the step increment
+        ops[i], for every i of ops, as `step` into out does."""
+        for i, s in enumerate(ops):
+            y, out = rows[i], rows[i + 1]
+            np.dot(y, s, out=out)
+            out += y
 
     def rotate_out(self, c, half_idx):
         """The coordinate rows of x = P y P^* at t = half_idx dt / 2 from

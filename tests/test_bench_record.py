@@ -36,13 +36,18 @@ def metrics(sweep_ms, check_ms=1.8):
     return {"setup_s": 0.07, "sweep_ms": sweep_ms, "check_ms": check_ms, "peak_rss_mb": 47.0}
 
 
-def ten_pairs(tmp_path, parent_sweeps, change_sweeps, change_check_ms=1.8):
-    """The record of ten desk-gate pairs claiming sweep_ms."""
+def ten_pairs(tmp_path, parent_sweeps, change_sweeps, change_check_ms=1.8,
+              parent_check_ms=1.8):
+    """The record of ten desk-gate pairs claiming sweep_ms; a check_ms is
+    one value for every run or one per run."""
     seeds = range(1, 11)
-    parent = fake_checkout(tmp_path / "parent", [("desk-gate", s, metrics(v))
-                                                 for s, v in zip(seeds, parent_sweeps)])
-    change = fake_checkout(tmp_path / "change", [("desk-gate", s, metrics(v, change_check_ms))
-                                                 for s, v in zip(seeds, change_sweeps)])
+
+    def runs(sweeps, check_ms):
+        checks = check_ms if isinstance(check_ms, list) else [check_ms] * 10
+        return [("desk-gate", s, metrics(v, c)) for s, v, c in zip(seeds, sweeps, checks)]
+
+    parent = fake_checkout(tmp_path / "parent", runs(parent_sweeps, parent_check_ms))
+    change = fake_checkout(tmp_path / "change", runs(change_sweeps, change_check_ms))
     out = tmp_path / "BENCH.json"
     bench_record.main(["--parent", parent, "--change", change, "--title", "t",
                        "--claim", "desk-gate sweep_ms", "--out", str(out)])
@@ -123,6 +128,33 @@ def test_regression_beyond_the_bound(tmp_path):
     check = record["workloads"]["desk-gate"]["metrics"]["check_ms"]
     assert check["relative_change"] == 0.3 and check["verdict"] == "regression"
     assert record["verdict"] == "claim met; regression on desk-gate check_ms"
+
+
+# check_ms runs whose quartiles lie 30 % of their median apart
+NOISY_CHECKS = [1.4, 2.2, 1.5, 2.1, 1.8, 1.3, 2.3, 1.6, 2.0, 1.9]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(tmp_path):
+    """check_ms's bound is 0.25 of the parent's median.  Its runs spread
+    wider than that on both sides, so a median within the bound tells
+    nothing: the metric is unresolved, not within bound."""
+    change = [1.22, 1.21, 1.23, 1.22, 1.20, 1.20, 1.22, 1.21, 1.23, 1.22]
+    record = ten_pairs(tmp_path, PARENT_SWEEPS, change, change_check_ms=NOISY_CHECKS[::-1],
+                       parent_check_ms=NOISY_CHECKS)
+    check = record["workloads"]["desk-gate"]["metrics"]["check_ms"]
+    assert check["relative_change"] == 0.0 and check["verdict"] == "unresolved"
+    assert record["verdict"] == ("claim met; no other metric worse than its bound; "
+                                 "unresolved: desk-gate check_ms")
+
+
+def test_a_noisy_metric_whose_change_runs_all_beat_the_parent_is_within_bound(tmp_path):
+    change = [1.22, 1.21, 1.23, 1.22, 1.20, 1.20, 1.22, 1.21, 1.23, 1.22]
+    faster = [v / 2 for v in NOISY_CHECKS]
+    assert max(faster) < min(NOISY_CHECKS)
+    record = ten_pairs(tmp_path, PARENT_SWEEPS, change, change_check_ms=faster,
+                       parent_check_ms=NOISY_CHECKS)
+    assert record["workloads"]["desk-gate"]["metrics"]["check_ms"]["verdict"] == "within bound"
+    assert record["verdict"] == "claim met; no other metric worse than its bound"
 
 
 def test_refuses_a_claim_on_no_recorded_metric(tmp_path):

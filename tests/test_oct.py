@@ -20,7 +20,8 @@ from iontrapsim import (
 )
 from iontrapsim import propagator
 from iontrapsim.analysis import map_fidelity_trace
-from iontrapsim.oct import _block_rows, _closed_bracket, switch_envelope
+from iontrapsim.oct import (_block_rows, _closed_bracket, _coordinate_bracket, _matrix_bracket,
+                           switch_envelope)
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
 
@@ -338,23 +339,35 @@ def test_block_rows_reuse_one_array():
     assert np.shares_memory(rows(16, (3, 2), complex), longer)
 
 
+DT = 2e-9 / TIME_AU_S
+
+
 @pytest.mark.parametrize("functional", ["P", "F"])
 @pytest.mark.parametrize("d, n", [(8, 5), (32, 17)], ids=["desk", "paper"])
-def test_closed_pairing_matches_the_conjugated_sum(functional, d, n):
-    """The closed bracket pairs plain bras with psi by `np.vecdot` and
-    `np.vdot` (P) or two `np.vdot` (F).  Over 200 random stacks it agrees
-    with the conjugated bras multiplied by psi and summed by
-    `np.add.reduce`, which sums in another order, to 1e-13 relative to the
-    magnitude of the terms summed: the imaginary part of a sum of many
-    complex products cancels, so it can be far smaller than its terms."""
+def test_closed_pairing_matches_the_conjugated_sum(request, functional, d, n):
+    """The closed bracket's `advance(i, e, w)` pairs plain bras with the
+    states by `np.vecdot` and `np.vdot` (P) or two `np.vdot` (F) and
+    corrects e to e - w * value, so with e = 0 and w = -1 it returns the
+    value.  Over 200 random stacks that agrees with the conjugated bras
+    multiplied by psi and summed by `np.add.reduce`, which sums in another
+    order, to 1e-13 relative to the magnitude of the terms summed: the
+    imaginary part of a sum of many complex products cancels, so it can be
+    far smaller than its terms.  The states carry three columns more than
+    the bras, as the closed gate optimizer's completion to a basis does,
+    and the pairing reads the first n."""
+    basis = request.getfixturevalue("desk_basis" if d == 8 else "paper_basis")
+    assert basis.n_states == d
     rng = np.random.default_rng(23)
-    mu = rng.normal(size=(d, d))
-    mu += mu.T
-    lams, psis = rng.normal(size=(2, 200, d, n)) + 1j * rng.normal(size=(2, 200, d, n))
-    pairing = _closed_bracket(mu, functional)(lams)
+    mu = basis.dipole
+    lams = rng.normal(size=(200, d, n)) + 1j * rng.normal(size=(200, d, n))
+    psis = rng.normal(size=(200, d, n + 3)) + 1j * rng.normal(size=(200, d, n + 3))
+    states = np.empty((2, d, n + 3), complex)
+    advance = _closed_bracket(propagator.InteractionFrame(basis, DT), functional)(lams, states)
     bras = np.conjugate(lams)
     pairs = np.stack([bras, np.matmul(mu, bras.view(float)).view(complex)], axis=1)
     for i, psi in enumerate(psis):
+        states[i % 2] = psi
+        psi = psi[:, :n]
         sizes = np.add.reduce(np.abs(pairs[i]) * np.abs(psi), axis=1)
         if functional == "F":
             overlap, coupling = np.add.reduce(pairs[i] * psi, axis=(1, 2))
@@ -364,6 +377,41 @@ def test_closed_pairing_matches_the_conjugated_sum(functional, d, n):
             overlaps, couplings = np.add.reduce(pairs[i] * psi, axis=1)
             want = float(np.vdot(overlaps, couplings).imag)
             size = sizes[0] @ sizes[1]
-        value, coupled = pairing(i, psi)
-        assert coupled is None
-        assert abs(value - want) <= 1e-13 * size
+        assert abs(advance(i, 0.0, -1.0) - want) <= 1e-13 * size
+
+
+@pytest.mark.parametrize("bracket", ["coordinate", "matrix"])
+def test_dissipative_pairing_matches_the_commutator_trace(desk_basis, bracket):
+    """The dissipative brackets' `advance(i, e, w)` with e = 0 and w = -1
+    returns the value sum_t Im Tr(eta_t [mu, rho_t]) / 2 that they pair
+    the multipliers eta with the states rho by: the coordinate bracket as
+    a bilinear form on Hermitian coordinates, the matrix bracket from
+    rho mu.  Over 200 random Hermitian stacks it agrees with that trace
+    formed on the matrices and summed by `np.add.reduce` to 1e-13 relative
+    to the magnitude of the terms summed."""
+    d = desk_basis.n_states
+    rng = np.random.default_rng(29)
+    gamma = rng.uniform(0.0, 2e-9, size=(d, d))
+    np.fill_diagonal(gamma, 0.0)
+    lindblad = propagator.Lindblad(propagator.InteractionFrame(desk_basis, DT),
+                                   propagator.DissipationModel(1.0, gamma, 0.0))
+    x = rng.normal(size=(2, 200, 5, d, d)) + 1j * rng.normal(size=(2, 200, 5, d, d))
+    etas, rhos = x + x.conj().swapaxes(-1, -2)
+    if bracket == "coordinate":
+        def rows(y):
+            return propagator.hermitian_coordinates(y).reshape(y.shape[:-2] + (-1,))
+        make = _coordinate_bracket(propagator.LindbladSuperoperator(lindblad))
+    else:
+        def rows(y):
+            return y
+        make = _matrix_bracket(lindblad)
+    states = np.empty((2,) + rows(rhos[0]).shape, rows(rhos[0]).dtype)
+    advance = make(rows(etas), states)
+    mu, abs_mu = desk_basis.dipole, np.abs(desk_basis.dipole)
+    for i, (eta, rho) in enumerate(zip(etas, rhos)):
+        states[i % 2] = rows(rho)
+        terms = eta.swapaxes(-1, -2) * (mu @ rho - rho @ mu)
+        want = float(np.add.reduce(terms, axis=None).imag) / 2
+        size = np.add.reduce(np.abs(eta).swapaxes(-1, -2)
+                             * (abs_mu @ np.abs(rho) + np.abs(rho) @ abs_mu), axis=None) / 2
+        assert abs(advance(i, 0.0, -1.0) - want) <= 1e-13 * size

@@ -12,7 +12,7 @@ from iontrapsim import (
     evolution_operator,
     make_guess_field,
 )
-from iontrapsim.oct import OctConfig
+from iontrapsim.oct import OctConfig, _closed_bracket, _coordinate_bracket, _matrix_bracket
 from iontrapsim.propagator import (BLOCK_STEPS, ClosedPulseMap, InteractionFrame, Lindblad,
                                    LindbladPulseMap, LindbladSuperoperator,
                                    commutator_coordinates, hermitian_coordinates,
@@ -515,12 +515,29 @@ class TestLindbladSuperoperator:
             got = superop.rotate_out(superop.step(
                 superop.rotate_in(x, 6), superop.operators([e], backward)[0], backward), 6)
             assert_relative(got, want)
-            if not backward:
-                y = lindblad.rotate_in(x, 0)
-                want = lindblad.fresh_step(y, e, (y.reshape(-1, 8) @ desk_basis.dipole)
-                                           .reshape(y.shape))
-                got = superop.fresh_step(superop.rotate_in(x, 0), e, None)
-                assert_relative(superop.rotate_out(got, 0), lindblad.rotate_out(want, 0))
+        if not backward:
+            self.assert_advances_agree(lindblad, superop, x)
+
+    def assert_advances_agree(self, lindblad, superop, x):
+        """One forward-update step of the stack x, paired with the
+        multipliers eta, by the coordinate bracket of the superoperator and
+        the matrix bracket of the per-matrix kernel under one field after
+        another: the corrected samples and the stepped states agree at
+        1e-12 relative."""
+        eta = coordinate_rows(self.hermitian_stack(5))
+        runs = []
+        for bracket, kernel in ((_matrix_bracket(lindblad), lindblad),
+                                (_coordinate_bracket(superop), superop)):
+            y = kernel.rotate_in(x, 0)
+            states = np.stack([y, np.full_like(y, np.nan)])
+            runs.append((bracket(kernel.rotate_in(eta, 0)[None], states), states))
+        (matrix, matrix_states), (coordinate, states) = runs
+        scale = 1e-12 / matrix(0, 0.0, -1.0)
+        for e in self.FIELDS:
+            want_e, got_e = matrix(0, e, scale), coordinate(0, e, scale)
+            assert abs(got_e - want_e) <= 1e-12 * abs(want_e) and got_e != e
+            assert_relative(superop.rotate_out(states[1], 0),
+                            lindblad.rotate_out(matrix_states[1], 0))
 
     @pytest.mark.parametrize("adjoint, backward", [(False, False), (True, True)])
     def test_sweep_with_partial_block(self, desk_basis, diss, adjoint, backward):
@@ -618,7 +635,8 @@ def matmul_kernel(kernel):
             k4 = rhs(y + h * k3, kdag[2])
             return (y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) * kernel._rotations[backward]
 
-        def fresh_step(y, e, y_mu):
+        def fresh_step(y, e):
+            y_mu = (y.reshape(-1, d) @ kernel.frame.mu).reshape(y.shape)
             k1 = rate(y, y * kernel._half_rates + (1j * e) * y_mu)
             return step(y, kernel.operators([e])[0], False, k1)
 
@@ -635,7 +653,7 @@ def matmul_kernel(kernel):
         def step(y, s, backward=False):
             return y + y @ s
 
-    def fresh_step(y, e, coupled):
+    def fresh_step(y, e):
         powers = np.array((1.0, e, e * e, e ** 3, e ** 4))
         return step(y, kernel._as_operators(powers @ kernel._coefficients_of(False)))
 
@@ -643,11 +661,14 @@ def matmul_kernel(kernel):
 
 
 class TestKernelContract:
-    """What `_forward_update` asks of every kernel, at desk and at paper
-    size: step(y, op, out=buf) returns buf, holding bit for bit what
-    step(y, op) gives, as fresh_step(y, e, ..., out=buf) does fresh_step
-    without out, and fresh_step(y, e, ...) is step(y, operators([e])[0])
-    under one field after another, so a reused one-step buffer is
+    """What `_forward_update` asks of every kernel and of the update
+    bracket that serves it (`oct`), at desk and at paper size:
+    step(y, op, out=buf) returns buf, holding bit for bit what step(y, op)
+    gives; `step_rows` steps row i into row i + 1 as `step` into out does;
+    and the bracket's `advance` steps the states into the spare buffer as
+    step(y, operators([e])[0]) does under the corrected sample e it
+    returns, under one field after another, so the reused one-step buffer
+    of the kernel, the bracket's own buffers and the spare states are
     overwritten, never stale.  The superoperator is built at D = 32 too,
     above the dimension `lindblad_kernel` gives it."""
 
@@ -660,11 +681,11 @@ class TestKernelContract:
 
     @pytest.fixture(scope="class", params=["closed", "superoperator", "per-matrix"])
     def case(self, request, basis):
-        """(kernel, y, the third argument of its fresh_step for y)."""
+        """(kernel, y, the update bracket of `oct` that serves kernel)."""
         d = basis.n_states
         frame = InteractionFrame(basis, self.DT)
         if request.param == "closed":
-            return frame, random_columns(d, 5, seed=11), None
+            return frame, random_columns(d, 5, seed=11), _closed_bracket(frame, "P")
         rng = np.random.default_rng(12)
         gamma = rng.uniform(0.0, 2e-9, size=(d, d))
         np.fill_diagonal(gamma, 0.0)
@@ -672,9 +693,20 @@ class TestKernelContract:
         x = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
         x = coordinate_rows(x + x.conj().swapaxes(-1, -2))
         if request.param == "superoperator":
-            return LindbladSuperoperator(lindblad), x, None
-        y = lindblad.rotate_in(x, 0)
-        return lindblad, y, (y.reshape(-1, d) @ basis.dipole).reshape(y.shape)
+            superop = LindbladSuperoperator(lindblad)
+            return superop, x, _coordinate_bracket(superop)
+        return lindblad, lindblad.rotate_in(x, 0), _matrix_bracket(lindblad)
+
+    @staticmethod
+    def advance(case):
+        """(advance, states, w): step 0 of a one-step block of the case's
+        bracket, paired with multipliers 2 y, which steps states[0] = y
+        into states[1], filled with NaN, and a weight w that moves every
+        sample by 1e-12 against the pairing."""
+        kernel, y, bracket = case
+        states = np.stack([y, np.full_like(y, np.nan)])
+        advance = bracket(2 * y[None], states)
+        return advance, states, 1e-12 / advance(0, 0.0, -1.0)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_step_into_out(self, case, backward):
@@ -686,19 +718,32 @@ class TestKernelContract:
             assert got is buf
             assert got.tobytes() == kernel.step(y, op, backward).tobytes()
 
+    def test_step_rows(self, case):
+        kernel, y, _ = case
+        ops = kernel.operators(self.FIELDS)
+        rows = np.stack([y] * (len(ops) + 1))
+        kernel.step_rows(rows, ops)
+        for i, op in enumerate(ops):
+            want = kernel.step(rows[i], op, out=np.empty_like(y))
+            assert rows[i + 1].tobytes() == want.tobytes()
+
     def test_successive_fresh_steps(self, case):
-        kernel, y, coupled = case
+        kernel, y, _ = case
+        advance, states, w = self.advance(case)
         for e in self.FIELDS:
-            assert_relative(kernel.fresh_step(y, e, coupled),
-                            kernel.step(y, kernel.operators([e])[0]), rtol=1e-15)
+            e_new = advance(0, e, w)
+            assert abs(e_new - (e - 1e-12)) <= 1e-24
+            assert_relative(states[1], kernel.step(y, kernel.operators([e_new])[0]), rtol=1e-15)
 
     def test_fresh_step_into_out(self, case):
-        kernel, y, coupled = case
+        """Successive fields through the same buffers step as a fresh
+        bracket on fresh buffers does, bit for bit."""
+        advance, states, w = self.advance(case)
         for e in self.FIELDS:
-            buf = np.empty_like(y)
-            got = kernel.fresh_step(y, e, coupled, out=buf)
-            assert got is buf
-            assert got.tobytes() == kernel.fresh_step(y, e, coupled).tobytes()
+            got = advance(0, e, w)
+            fresh, fresh_states, _ = self.advance(case)
+            assert got == fresh(0, e, w)
+            assert states[1].tobytes() == fresh_states[1].tobytes()
 
     def test_products_match_the_matmul_expressions(self, case):
         """Old-vs-new pin of the per-step products, one `np.dot` each, against
@@ -707,7 +752,7 @@ class TestKernelContract:
         directions, and successive fresh steps, to 1e-15 relative.  With
         numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-vCPU x86-64 host every
         result is also bit-identical."""
-        kernel, y, coupled = case
+        kernel, y, _ = case
         operators, step, fresh_step = matmul_kernel(kernel)
         for backward in (False, True):
             want_ops = operators(self.FIELDS, backward)
@@ -719,6 +764,7 @@ class TestKernelContract:
                 assert_relative(kernel.step(y, op, backward), want, rtol=1e-15)
                 got = kernel.step(y, op, backward, out=np.empty_like(want))
                 assert_relative(got, want, rtol=1e-15)
+        advance, states, w = self.advance(case)
         for e in self.FIELDS:
-            assert_relative(kernel.fresh_step(y, e, coupled), fresh_step(y, e, coupled),
-                            rtol=1e-15)
+            e_new = advance(0, e, w)
+            assert_relative(states[1], fresh_step(y, e_new), rtol=1e-15)
