@@ -33,9 +33,12 @@ All three optimizers run one iteration driver, `_run_iterations`: the
 multipliers at t = 0, one `_forward_update` and the evaluation sweep.
 Each optimizer supplies only its kernels (the closed `InteractionFrame`
 twice, or the `propagator.lindblad_kernel` of a Lindblad generator and of
-its adjoint), its trajectories, its update bracket and its measure.  The
-driver records the wall time of obtaining the multipliers and of each
-forward update on the `OctTrace`.
+its adjoint), its trajectories, its update bracket, its measure and its
+`multipliers(field, finals)`, which gives the multipliers at t = 0 of
+the current field: U^dag targets for the closed gate optimizer, a
+backward `sweep` of the targets for the others.  The driver records the
+wall time of each multipliers call and of each forward update on the
+`OctTrace`.
 
 The closed gate optimizer sweeps no multipliers backward.  In the
 rotating variable the backward RK4 step matrix of a held sample is the
@@ -64,9 +67,10 @@ multipliers through the block, each step written straight into the next
 row of the block, and the bracket prepares everything that does not
 depend on the states for the whole block at once (for the closed
 functionals, the plain bras lam and mu lam of every step, which the
-pairing conjugates).  Each bracket serves one kernel: `_closed_bracket`
-the `InteractionFrame`, `_coordinate_bracket` the
-`LindbladSuperoperator` and `_matrix_bracket` the per-matrix `Lindblad`.
+pairing conjugates; for the per-matrix Lindblad kernel, eta mu).  Each
+bracket serves one kernel: `_closed_bracket` the `InteractionFrame`,
+`_coordinate_bracket` the `LindbladSuperoperator` and `_matrix_bracket`
+the per-matrix `Lindblad`.
 Per block it returns `advance`, and a step is one call of it: it pairs
 the states with the step's bras, corrects the sample and steps the
 states under the corrected sample into the spare buffer.  At desk size a
@@ -174,13 +178,13 @@ class TargetSet:
 class OctTrace:
     """Per-iteration convergence record.
 
-    `backward_s` and `forward_s` hold the wall seconds of obtaining the
-    multipliers at t = 0 and of the forward update of every iteration
-    swept by the last optimizer call on this trace: for the closed gate
-    optimizer one product with the propagator of the last forward update
-    (after a forward sweep of the starting field on a resumed trace), for
-    the others the backward sweep.  They stay in memory, so artifacts do
-    not depend on timing."""
+    `backward_s` and `forward_s` hold the wall seconds of the optimizer's
+    multipliers call, which gives the multipliers at t = 0, and of the
+    forward update of every iteration swept by the last optimizer call on
+    this trace: for the closed gate optimizer one product with the
+    propagator of the last forward update (after a forward sweep of the
+    starting field on a resumed trace), for the others the backward sweep.
+    They stay in memory, so artifacts do not depend on timing."""
 
     iterations: list = dataclass_field(default_factory=list)
     objectives: list = dataclass_field(default_factory=list)
@@ -287,7 +291,8 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     The states may hold more columns than lam, the closed gate
     optimizer's completion of its trajectories to a basis: the pairing
     reads the first lam.shape[-1], and the rest ride along under the new
-    field.  The two state buffers are C-contiguous (`step`'s out).
+    field.  The two state buffers are C-contiguous, as the `np.dot` that
+    steps into them needs.
     Returns (new field samples, final states)."""
     new_field = field.copy()
     psi, lam = np.ascontiguousarray(kernel.rotate_in(psi, 0)), adjoint.rotate_in(lam, 0)
@@ -307,21 +312,16 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     return new_field, kernel.rotate_out(states[0], 2 * (len(field) - 1))
 
 
-def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, measure,
-                    initial_field, trace, callback, multipliers=None):
+def _run_iterations(basis, config, kernel, adjoint, initials, bracket, measure, multipliers,
+                    initial_field, trace, callback):
     """Iteration driver: stopping rules, trace recording, fault detection.
 
-    Each iteration obtains the multipliers at t = 0, then runs
-    `_forward_update` from `initials` under `kernel`.  Without
-    `multipliers`, they come from a backward sweep of `targets` under the
-    `adjoint` kernel.  With it, `initials` holds the trajectories in its
-    first targets.shape[-1] columns and completes them to a basis, and
-    `multipliers(finals)` gives them from the final states of the last
-    forward update or evaluation, which hold the propagator U of the
-    current field: the closed gate optimizer's lambda(0) = U^dag targets
-    (module docstring).  A resumed trace has no evaluation of its starting
-    field, so there one forward `sweep` of `initials` gives the first
-    final states.  `measure` reads the trajectories alone.
+    Each iteration obtains the multipliers at t = 0 by
+    `multipliers(field, finals)`, then runs `_forward_update` from
+    `initials` under `kernel`, with the multipliers under `adjoint`.
+    finals are the final states of the last forward update or evaluation
+    of the current field, None on a resumed trace before its first forward
+    update.  `measure(finals)` gives the objective and the fidelity.
 
     Iteration 0 in the trace is the evaluation of the starting field; the
     monotonic sweeps are iterations 1..max_iterations.  A starting field
@@ -340,11 +340,10 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     trace = trace if trace is not None else OctTrace()
     trace.status = "running"
     stall = 0
-    n_traj = targets.shape[-1]
     finals = None
     if not len(trace):
         finals = sweep(kernel, initials, field)
-        objective, fid = measure(finals[..., :n_traj])
+        objective, fid = measure(finals)
         trace.append(0, objective, fid, ControlField(field, config.dt).fluence())
     if trace.fidelities[-1] >= config.fidelity_goal:
         trace.status = "converged"
@@ -353,12 +352,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
     trace.backward_s, trace.forward_s = [], []
     for it in range(start, config.max_iterations + start):
         t0 = time.perf_counter()
-        if multipliers is None:
-            lam = sweep(adjoint, targets, field, backward=True)
-        else:
-            if finals is None:
-                finals = sweep(kernel, initials, field)
-            lam = multipliers(finals)
+        lam = multipliers(field, finals)
         t1 = time.perf_counter()
         field, finals = _forward_update(kernel, adjoint, weight, initials, lam, field,
                                         bracket)
@@ -366,7 +360,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, targets, bracket, 
         if not np.all(np.isfinite(field)):
             trace.status = "aborted: non-finite field"
             raise NumericalError("field update produced non-finite samples")
-        objective, fid = measure(finals[..., :n_traj])
+        objective, fid = measure(finals)
         prev = trace.objectives[-1]
         if not _no_decrease(prev, objective):
             trace.status = f"aborted: objective decreased at iteration {it}"
@@ -466,10 +460,13 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
     states = np.concatenate((init, np.eye(d, dtype=complex)[:, n_gate:]), axis=1)
     basis_columns = np.r_[:n_gate, n_traj:n_traj + d - n_gate]
 
-    def multipliers(finals):
+    def multipliers(field, finals):
+        if finals is None:   # a resumed trace: no evaluation of its starting field
+            finals = sweep(frame, states, field)
         return finals[:, basis_columns].conj().T @ targ   # lambda(0) = U^dag targets
 
     def measure(finals):
+        finals = finals[:, :n_traj]
         overlaps = np.einsum("dj,dj->j", targ.conj(), finals)
         if config.functional == "P":
             objective = float(np.sum(np.abs(overlaps) ** 2))
@@ -477,9 +474,9 @@ def optimize_gate(basis: EigenBasis, targets: TargetSet, config: OctConfig,
             objective = float(abs(np.sum(overlaps[:n_gate])) ** 2)
         return objective, fidelity(targets.gate, finals[:n_gate, :n_gate])
 
-    return _run_iterations(basis, config, frame, frame, states, targ,
-                           _closed_bracket(frame, config.functional),
-                           measure, initial_field, trace, callback, multipliers)
+    return _run_iterations(basis, config, frame, frame, states,
+                           _closed_bracket(frame, config.functional), measure, multipliers,
+                           initial_field, trace, callback)
 
 
 def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig,
@@ -505,13 +502,15 @@ def optimize_state_prep(basis: EigenBasis, target: np.ndarray, config: OctConfig
     targ[: len(c), 0] = c
     frame = InteractionFrame(basis, config.dt)
 
+    def multipliers(field, finals):
+        return sweep(frame, targ, field, backward=True)
+
     def measure(finals):
         overlap2 = float(abs(np.vdot(targ[:, 0], finals[:, 0])) ** 2)
         return overlap2, overlap2
 
-    return _run_iterations(basis, config, frame, frame, init, targ,
-                           _closed_bracket(frame, "P"), measure,
-                           initial_field, trace, callback)
+    return _run_iterations(basis, config, frame, frame, init, _closed_bracket(frame, "P"),
+                           measure, multipliers, initial_field, trace, callback)
 
 
 # ---------------------------------------------------------------------------
@@ -545,41 +544,46 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
         for v in (init_vecs, targ_vecs))
     n_gate = targets.n
     kernel = lindblad_kernel(frame, diss)
+    adjoint = lindblad_kernel(frame, diss, adjoint=True)
     if isinstance(kernel, Lindblad):
         bracket = _matrix_bracket(kernel)
     else:
         bracket = _coordinate_bracket(kernel)
     target_bras = eta_final * population_form(d)
 
+    def multipliers(field, finals):
+        return sweep(adjoint, eta_final, field, backward=True)
+
     def measure(rho):
         pops = np.einsum("tu,tu->t", target_bras, rho)
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
-    return _run_iterations(basis, config, kernel, lindblad_kernel(frame, diss, adjoint=True),
-                           rho0, eta_final, bracket, measure, initial_field, trace, callback)
+    return _run_iterations(basis, config, kernel, adjoint, rho0, bracket, measure, multipliers,
+                           initial_field, trace, callback)
 
 
 def _matrix_bracket(lindblad):
     """Update bracket of the dissipative P functional for the per-matrix
     `Lindblad` kernel.  In y = P^* x P, Tr(eta [mu_I, rho]) =
-    Tr(y_eta [mu, y_rho]) with the static dipole; for Hermitian y_rho,
-    [mu, y_rho] = a^dag - a with a = y_rho mu, so the pairing is
-    -2i Im Tr(y_eta a).  The step under the corrected sample is
-    `Lindblad.fresh_step`, which reuses a."""
+    Tr(y_eta [mu, y_rho]) with the static dipole, and for Hermitian y_rho
+    and y_eta that is -2i Im Tr(y_eta y_rho mu) = -2i Im Tr(mu y_eta y_rho)
+    by the cyclic property of the trace.  Per block, one stacked product
+    gives the bras y_eta mu of every step, and a step pairs them with rho
+    by one `np.vdot`, which conjugates them, then takes `Lindblad.step`
+    under the corrected sample."""
     mu = lindblad.frame.mu
     d = len(mu)
     rows = _block_rows()
 
     def bracket(etas, states):
-        etas_c = np.conjugate(etas, out=rows(len(etas), etas.shape[1:], complex))
+        bras = rows(len(etas), etas.shape[1:], complex)
+        np.dot(etas.reshape(-1, d), mu, out=bras.reshape(-1, d))
 
         def advance(i, e, w):
             j = i & 1
             rho = states[j]
-            rho_mu = np.dot(rho.reshape(-1, d), mu).reshape(rho.shape)
-            pair = np.einsum("tde,tde->t", etas_c[i], rho_mu).imag
-            e -= w * -float(np.sum(pair))
-            lindblad.fresh_step(rho, e, rho_mu, out=states[1 - j])
+            e -= w * -float(np.vdot(bras[i], rho).imag)
+            lindblad.step(rho, lindblad.operators([e])[0], out=states[1 - j])
             return e
 
         return advance

@@ -33,26 +33,27 @@ crossover (D = 8: 10 us per step of the optimizer's 5-matrix stack against
 57 us per matrix), and the per-matrix kernel above it, at paper size too.
 
 All three kernels offer the same methods: `operators` for a block of held
-samples, `step` with one of them (`step(y, op, backward, out=)` writes
-the stepped y into out, which must not be y), `step_rows(rows, ops)`,
+samples, `step(y, op, backward)` with one of them, `step_rows(rows, ops)`,
 which steps rows[i] forward into rows[i + 1] with ops[i] for a whole
 block in one call (the optimizer's multipliers), and
-`rotate_in`/`rotate_out` between x and y.  Every product they take once
-per step has 2-D operands and is one `np.dot`, which calls BLAS
-directly, where the `np.matmul` ufunc resolves its loop on every call (a
-closed D = 8 step into out, 1.15 -> 0.96 us with one OpenBLAS thread on
-a 2-vCPU x86-64 host); so out must be C-contiguous and of the result's
-dtype, or `np.dot` raises ValueError.
-Products that broadcast over a stack stay `np.matmul`.  The two
-step-matrix kernels share the methods (`_StepMatrices`): the powers of e
-are real, so step operators are one real product with the cached C_k.
-The step under a sample the optimizer has just corrected is taken by the
-optimizer's update bracket (`oct`), in the same call that pairs and
-corrects: for these two kernels it writes the one operator into a buffer
-the kernel owns (`one_step_buffer`) and steps with it, and for the
-per-matrix kernel it calls `Lindblad.fresh_step`, which reuses the
-bracket's product y mu.  That buffer makes a kernel non-reentrant: one
-kernel must not serve two forward updates at once, from two threads say.
+`rotate_in`/`rotate_out` between x and y.  Every
+product they take once per step has 2-D operands and is one `np.dot`,
+which calls BLAS directly, where the `np.matmul` ufunc resolves its loop
+on every call (a closed D = 8 step into a buffer, 1.15 -> 0.96 us with
+one OpenBLAS thread on a 2-vCPU x86-64 host); so a buffer it writes into
+must be C-contiguous and of the result's dtype, or `np.dot` raises
+ValueError.  Products that broadcast over a stack stay `np.matmul`.  The
+two step-matrix kernels share the methods (`_StepMatrices`): the powers
+of e are real, so step operators are one real product with the cached
+C_k.  Only the per-matrix `Lindblad.step` also writes into out= (not y),
+for its `step_rows` and the optimizer.  The step under a sample the
+optimizer has just corrected is taken by the optimizer's update bracket
+(`oct`), in the same call that pairs and corrects: for the step-matrix
+kernels it writes the one operator into a buffer the kernel owns
+(`one_step_buffer`) and steps into the spare states with it, and for the
+per-matrix kernel it calls `Lindblad.step` into them.  That buffer makes
+a kernel non-reentrant: one kernel must not serve two forward updates
+at once, from two threads say.
 Density matrices enter and leave both Lindblad kernels as the rows
 (..., D^2) of their `hermitian_coordinates`, which the superoperator turns
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
@@ -117,7 +118,7 @@ BLOCK_STEPS = 16   # steps per block of precomputed step operators, and of
                    # of a paper-size optimize), 145 KB of closed multipliers
                    # (BLOCK_STEPS + 1 rows) and 272 KB of bras, and 768 KB of
                    # per-matrix Lindblad operators with 4.5 MB of multipliers
-                   # and 4.25 MB of their conjugates; at D = 8, 512 KB of
+                   # and 4.25 MB of their bras eta mu; at D = 8, 512 KB of
                    # 64 x 64 Lindblad step matrices
 SUPEROPERATOR_MAX_DIM = 16   # largest D that `lindblad_kernel` steps as a
                    # `LindbladSuperoperator`.  Per step on a 2-vCPU host with
@@ -318,14 +319,13 @@ class InteractionFrame(_StepMatrices):
         d = len(self.energies)
         return sums.view(complex).reshape(sums.shape[:-1] + (d, d))
 
-    def step(self, y, s, backward=False, out=None):
-        """One step of the columns y with the step matrix s, into out if
-        given."""
-        return np.dot(s, y, out=out)
+    def step(self, y, s, backward=False):
+        """One step of the columns y with the step matrix s."""
+        return np.dot(s, y)
 
     def step_rows(self, rows, ops):
         """Step rows[i] forward into rows[i + 1] with the step matrix ops[i],
-        for every i of ops, as `step` into out does."""
+        for every i of ops, as `step` does."""
         for i, s in enumerate(ops):
             np.dot(s, rows[i], out=rows[i + 1])
 
@@ -365,43 +365,30 @@ class Lindblad:
     def rhs(self, y, kdag):
         """dy/dt of a Hermitian stack y at one stage generator kdag."""
         d = y.shape[-1]
-        return self._rate(y, np.dot(y.reshape(-1, d), kdag).reshape(y.shape))
-
-    def _rate(self, y, c):
-        """dy/dt of a Hermitian stack y from its product c = y K^dag."""
+        c = np.dot(y.reshape(-1, d), kdag).reshape(y.shape)
         dy = -c   # a new C-contiguous array, so the flattened diagonal is a view
         dy -= c.conj().swapaxes(-1, -2)
-        d2 = y.shape[-1] ** 2
-        dy.reshape(-1, d2)[:, self._diag] += np.dot(y.reshape(-1, d2)[:, self._diag].real,
-                                                    self._transfer)
+        dy.reshape(-1, d * d)[:, self._diag] += np.dot(y.reshape(-1, d * d)[:, self._diag].real,
+                                                       self._transfer)
         return dy
 
     def step(self, y, kdag, backward=False, out=None):
         """One RK4 step of y over dt (-dt if backward) with the stage
         generators kdag, then the frame rotation, into out if given."""
-        return self._rk4(y, kdag, backward, self.rhs(y, kdag[0]), out)
-
-    def step_rows(self, rows, kdags):
-        """Step rows[i] forward into rows[i + 1] with the stage generators
-        kdags[i], for every i of kdags."""
-        for i, kdag in enumerate(kdags):
-            self.step(rows[i], kdag, out=rows[i + 1])
-
-    def fresh_step(self, y, e, y_mu, out=None):
-        """One forward step of y under the held field e, into out if given;
-        at s = 0, mu_I = mu, so the first stage rate comes from the known
-        product y_mu = y mu."""
-        k1 = self._rate(y, y * self._half_rates + (1j * e) * y_mu)
-        return self._rk4(y, self.operators([e])[0], False, k1, out)
-
-    def _rk4(self, y, kdag, backward, k1, out=None):
         h = -self.frame.dt if backward else self.frame.dt
+        k1 = self.rhs(y, kdag[0])
         k2 = self.rhs(y + 0.5 * h * k1, kdag[1])
         k3 = self.rhs(y + 0.5 * h * k2, kdag[1])
         k4 = self.rhs(y + h * k3, kdag[2])
         out = np.add(y, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), out=out)
         out *= self._rotations[backward]
         return out
+
+    def step_rows(self, rows, kdags):
+        """Step rows[i] forward into rows[i + 1] with the stage generators
+        kdags[i], for every i of kdags."""
+        for i, kdag in enumerate(kdags):
+            self.step(rows[i], kdag, out=rows[i + 1])
 
     def rotate_in(self, c, half_idx):
         """y = P^* x P at t = half_idx dt / 2 from the coordinate rows c
@@ -491,18 +478,13 @@ class LindbladSuperoperator(_StepMatrices):
         d2 = self.dim * self.dim
         return sums.reshape(sums.shape[:-1] + (d2, d2))
 
-    def step(self, y, s, backward=False, out=None):
-        """One step of the coordinate rows y with the step increment s, into
-        out if given (not y itself)."""
-        if out is None:
-            return y + np.dot(y, s)
-        np.dot(y, s, out=out)
-        out += y
-        return out
+    def step(self, y, s, backward=False):
+        """One step of the coordinate rows y with the step increment s."""
+        return y + np.dot(y, s)
 
     def step_rows(self, rows, ops):
         """Step rows[i] forward into rows[i + 1] with the step increment
-        ops[i], for every i of ops, as `step` into out does."""
+        ops[i], for every i of ops, as `step` does."""
         for i, s in enumerate(ops):
             y, out = rows[i], rows[i + 1]
             np.dot(y, s, out=out)

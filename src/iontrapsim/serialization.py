@@ -238,7 +238,9 @@ def load_field(path: str) -> ControlField:
         raise ValidationError(f"field file {path} has fewer than two (t_au, e_au) samples")
     t, e = data[:, 0], data[:, 1].copy()
     dts = np.diff(t)
-    if np.abs(dts - dts[0]).max() > 1e-9 * abs(dts[0]):
+    if not 0 < dts[0] < np.inf:
+        raise ValidationError(f"field file {path} has times t_au that do not increase")
+    if np.abs(dts - dts[0]).max() > 1e-9 * dts[0]:
         raise ValidationError(f"field file {path} is not uniformly sampled")
     return ControlField(e, float(dts[0]))
 

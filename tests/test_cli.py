@@ -728,6 +728,14 @@ def _keep_meta_only(lines):
     lines[:] = [line for line in lines if line.startswith("#")]
 
 
+def _set_times(time_of_row):
+    """Rewrite the t_au cell of every data row i to time_of_row(i)."""
+    def edit(lines):
+        for line_no in range(3, len(lines)):
+            _replace_cell(line_no, 0, repr(time_of_row(line_no - 3)))(lines)
+    return edit
+
+
 def _truncate(n_chars):
     def edit(lines):
         lines[:] = ["\n".join(lines)[:n_chars]]
@@ -751,6 +759,14 @@ MALFORMED = {
                    r"gate_p_field\.csv, line 5: 3 cells, the header has 4"),
     "missing_header": ("gate_p_field.csv", _keep_meta_only,
                        r"gate_p_field\.csv has no header line"),
+    "constant_times": ("gate_p_field.csv", _set_times(lambda i: 40.0),
+                       r"gate_p_field\.csv has times t_au that do not increase"),
+    "falling_times": ("gate_p_field.csv", _set_times(lambda i: 400.0 - 40.0 * i),
+                      r"gate_p_field\.csv has times t_au that do not increase"),
+    "uneven_times": ("gate_p_field.csv", _replace_cell(4, 0, "41.0"),
+                     r"gate_p_field\.csv is not uniformly sampled"),
+    "single_sample": ("gate_p_field.csv", lambda lines: lines.__delitem__(slice(4, None)),
+                      r"gate_p_field\.csv has fewer than two \(t_au, e_au\) samples"),
     "short_gate": ("gate.csv", lambda lines: lines.pop(), r"gate\.csv does not hold"),
     "gate_index_out_of_range": ("gate.csv", _replace_cell(-1, 1, "4"), r"gate\.csv does not hold"),
     "gate_duplicate_pair": ("gate.csv", _replace_cell(-1, 1, "2"), r"gate\.csv does not hold"),

@@ -18,12 +18,16 @@ from iontrapsim import (
     evolution_operator,
     gaussian_packet,
 )
-from iontrapsim import propagator
+from iontrapsim import ConvergenceError, NumericalError, propagator
 from iontrapsim.analysis import map_fidelity_trace
-from iontrapsim.oct import (_block_rows, _closed_bracket, _coordinate_bracket, _matrix_bracket,
+from iontrapsim.oct import (STALL_IMPROVEMENT, OctTrace, _block_rows, _closed_bracket,
+                           _coordinate_bracket, _matrix_bracket, _run_iterations,
                            switch_envelope)
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
+
+
+DT = 2e-9 / TIME_AU_S
 
 
 def small_config(**overrides):
@@ -326,6 +330,75 @@ class TestDissipativeOptimizer:
         assert want_trace.objectives[-1] > want_trace.objectives[0] + 1e-3
 
 
+class TestIterationDriver:
+    """The stopping and fault rules of `_run_iterations`, driven through a
+    desk `InteractionFrame` on a 20-step pulse with stub `multipliers` and
+    a stub `measure` that reads out a scripted objective, at fidelity 0.5."""
+
+    @staticmethod
+    def run(basis, objectives, lam=0.0, trace=None, **config):
+        """(field, trace, finals) of `_run_iterations`, finals what every
+        multipliers call received.  Every entry of the multipliers is lam;
+        with lam = 0 the field stays as it is."""
+        cfg = small_config(t_pulse=20 * DT, dt=DT, **config)
+        frame = propagator.InteractionFrame(basis, cfg.dt)
+        initials = np.eye(basis.n_states, dtype=complex)[:, :1]
+        objectives, finals = iter(objectives), []
+
+        def multipliers(field, final):
+            finals.append(final)
+            return np.full_like(initials, lam)
+
+        def measure(final):
+            return next(objectives), 0.5
+
+        field, trace = _run_iterations(basis, cfg, frame, frame, initials,
+                                       _closed_bracket(frame, "P"), measure, multipliers,
+                                       None, trace, None)
+        return field, trace, finals
+
+    def test_stalls_after_stall_iterations_without_gain(self, desk_basis, monkeypatch):
+        """Every iteration whose objective gains less than STALL_IMPROVEMENT
+        relative counts toward the stall, a larger gain starts it anew, and
+        STALL_ITERATIONS in a row stop the run as stalled."""
+        monkeypatch.setattr("iontrapsim.oct.STALL_ITERATIONS", 3)
+        gain = STALL_IMPROVEMENT
+        objectives = [1.0, 1.0, 1.0 + 0.5 * gain, 2.0, 2.0, 2.0 + gain, 2.0 + gain]
+        _, trace, _ = self.run(desk_basis, objectives, max_iterations=10)
+        assert trace.status == "stalled"
+        assert trace.iterations == list(range(7))
+        assert trace.objectives == objectives
+
+    def test_decreasing_objective_raises(self, desk_basis):
+        """An objective that falls by more than MONOTONE_SLACK aborts the
+        run with ConvergenceError, and the trace says where."""
+        trace = OctTrace()
+        with pytest.raises(ConvergenceError, match=r"from 1\.0 to 0\.5 at iteration 2"):
+            self.run(desk_basis, [0.5, 1.0, 0.5], trace=trace, max_iterations=10)
+        assert trace.status == "aborted: objective decreased at iteration 2"
+        assert trace.iterations == [0, 1]
+
+    def test_non_finite_field_raises(self, desk_basis):
+        """Multipliers that make the corrected samples NaN abort the run
+        with NumericalError before the field is measured."""
+        trace = OctTrace()
+        with pytest.raises(NumericalError, match="non-finite samples"):
+            self.run(desk_basis, [0.5], lam=np.nan, trace=trace)
+        assert trace.status == "aborted: non-finite field"
+        assert trace.iterations == [0]
+
+    def test_multipliers_see_the_final_states(self, desk_basis):
+        """multipliers(field, finals) gets the final states of the
+        evaluation and of every forward update, and None only on a resumed
+        trace, before its first forward update."""
+        _, trace, finals = self.run(desk_basis, [0.5, 0.6, 0.7], max_iterations=2)
+        assert trace.iterations == [0, 1, 2]
+        assert len(finals) == 2 and all(f.shape == (desk_basis.n_states, 1) for f in finals)
+        _, trace, finals = self.run(desk_basis, [0.8, 0.9], trace=trace, max_iterations=2)
+        assert trace.iterations == [0, 1, 2, 3, 4]
+        assert finals[0] is None and finals[1].shape == (desk_basis.n_states, 1)
+
+
 def test_block_rows_reuse_one_array():
     """The forward update and the brackets write every block into one
     array: a block of no more rows than the array holds is a view of it,
@@ -337,9 +410,6 @@ def test_block_rows_reuse_one_array():
     longer = rows(20, (3, 2), complex)
     assert longer.shape == (20, 3, 2) and not np.shares_memory(first, longer)
     assert np.shares_memory(rows(16, (3, 2), complex), longer)
-
-
-DT = 2e-9 / TIME_AU_S
 
 
 @pytest.mark.parametrize("functional", ["P", "F"])
@@ -386,9 +456,9 @@ def test_dissipative_pairing_matches_the_commutator_trace(desk_basis, bracket):
     returns the value sum_t Im Tr(eta_t [mu, rho_t]) / 2 that they pair
     the multipliers eta with the states rho by: the coordinate bracket as
     a bilinear form on Hermitian coordinates, the matrix bracket from
-    rho mu.  Over 200 random Hermitian stacks it agrees with that trace
-    formed on the matrices and summed by `np.add.reduce` to 1e-13 relative
-    to the magnitude of the terms summed."""
+    the bras eta mu.  Over 200 random Hermitian stacks it agrees with that
+    trace formed on the matrices and summed by `np.add.reduce` to 1e-13
+    relative to the magnitude of the terms summed."""
     d = desk_basis.n_states
     rng = np.random.default_rng(29)
     gamma = rng.uniform(0.0, 2e-9, size=(d, d))

@@ -613,32 +613,31 @@ def matmul_kernel(kernel):
     """(operators, step, fresh_step) of kernel by the `np.matmul`
     expressions its per-step `np.dot` products replaced: powers @ C,
     s @ y, y + y @ s, and the per-matrix RK4 over the rates from y @ K^dag
-    and the population transfer, with its rotation.  The per-matrix
-    operators take no product."""
+    and the population transfer, with its rotation.  fresh_step(y, e) is
+    the step under the held field e: for the step-matrix kernels by the
+    operator the update bracket builds from the powers of e, for the
+    per-matrix kernel by its operators.  The per-matrix operators take no
+    product."""
     if isinstance(kernel, Lindblad):
         d = len(kernel.frame.energies)
 
-        def rate(y, c):
+        def rhs(y, kdag):
+            c = (y.reshape(-1, d) @ kdag).reshape(y.shape)
             dy = -c - c.conj().swapaxes(-1, -2)
             diag = y.reshape(-1, d * d)[:, ::d + 1].real
             dy.reshape(-1, d * d)[:, ::d + 1] += diag @ kernel._transfer
             return dy
 
-        def rhs(y, kdag):
-            return rate(y, (y.reshape(-1, d) @ kdag).reshape(y.shape))
-
-        def step(y, kdag, backward=False, k1=None):
+        def step(y, kdag, backward=False):
             h = -kernel.frame.dt if backward else kernel.frame.dt
-            k1 = rhs(y, kdag[0]) if k1 is None else k1
+            k1 = rhs(y, kdag[0])
             k2 = rhs(y + 0.5 * h * k1, kdag[1])
             k3 = rhs(y + 0.5 * h * k2, kdag[1])
             k4 = rhs(y + h * k3, kdag[2])
             return (y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)) * kernel._rotations[backward]
 
         def fresh_step(y, e):
-            y_mu = (y.reshape(-1, d) @ kernel.frame.mu).reshape(y.shape)
-            k1 = rate(y, y * kernel._half_rates + (1j * e) * y_mu)
-            return step(y, kernel.operators([e])[0], False, k1)
+            return step(y, kernel.operators([e])[0])
 
         return kernel.operators, step, fresh_step
 
@@ -662,15 +661,18 @@ def matmul_kernel(kernel):
 
 class TestKernelContract:
     """What `_forward_update` asks of every kernel and of the update
-    bracket that serves it (`oct`), at desk and at paper size:
-    step(y, op, out=buf) returns buf, holding bit for bit what step(y, op)
-    gives; `step_rows` steps row i into row i + 1 as `step` into out does;
+    bracket that serves it (`oct`), at desk and at paper size: `step_rows`
+    steps row i into row i + 1 bit for bit as step(rows[i], ops[i]) does,
     and the bracket's `advance` steps the states into the spare buffer as
     step(y, operators([e])[0]) does under the corrected sample e it
     returns, under one field after another, so the reused one-step buffer
     of the kernel, the bracket's own buffers and the spare states are
-    overwritten, never stale.  The superoperator is built at D = 32 too,
-    above the dimension `lindblad_kernel` gives it."""
+    overwritten, never stale.  Those are the into-buffer paths of the two
+    step-matrix kernels, whose `step` returns a new array.  The per-matrix
+    `step` also writes into out, as its `step_rows` and its bracket call
+    it: step(y, op, out=buf) returns buf, holding bit for bit what
+    step(y, op) gives.  The superoperator is built at D = 32 too, above the
+    dimension `lindblad_kernel` gives it."""
 
     DT = 2e-9 / TIME_AU_S
     FIELDS = (0.0, 8e-12, -1.5e-11)
@@ -709,6 +711,8 @@ class TestKernelContract:
         return advance, states, 1e-12 / advance(0, 0.0, -1.0)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("basis", [8, 32], ids=["D8", "D32"], indirect=True)
+    @pytest.mark.parametrize("case", ["per-matrix"], indirect=True)
     def test_step_into_out(self, case, backward):
         kernel, y, _ = case
         for e in self.FIELDS:
@@ -724,8 +728,7 @@ class TestKernelContract:
         rows = np.stack([y] * (len(ops) + 1))
         kernel.step_rows(rows, ops)
         for i, op in enumerate(ops):
-            want = kernel.step(rows[i], op, out=np.empty_like(y))
-            assert rows[i + 1].tobytes() == want.tobytes()
+            assert rows[i + 1].tobytes() == kernel.step(rows[i], op).tobytes()
 
     def test_successive_fresh_steps(self, case):
         kernel, y, _ = case
@@ -748,8 +751,9 @@ class TestKernelContract:
     def test_products_match_the_matmul_expressions(self, case):
         """Old-vs-new pin of the per-step products, one `np.dot` each, against
         the `np.matmul` expressions they replaced (`matmul_kernel`):
-        operators with and without out, step with and without out in both
-        directions, and successive fresh steps, to 1e-15 relative.  With
+        operators with and without out, step in both directions (its out
+        path is `test_step_into_out`), and successive fresh steps, to 1e-15
+        relative.  With
         numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-vCPU x86-64 host every
         result is also bit-identical."""
         kernel, y, _ = case
@@ -762,8 +766,6 @@ class TestKernelContract:
             for op in want_ops:
                 want = step(y, op, backward)
                 assert_relative(kernel.step(y, op, backward), want, rtol=1e-15)
-                got = kernel.step(y, op, backward, out=np.empty_like(want))
-                assert_relative(got, want, rtol=1e-15)
         advance, states, w = self.advance(case)
         for e in self.FIELDS:
             e_new = advance(0, e, w)
