@@ -30,7 +30,6 @@ class Spectrum:
 
     frequencies_hz: np.ndarray
     power: np.ndarray
-    raw_power: np.ndarray
 
     def peak_frequencies(self, rel_threshold: float = 0.01) -> np.ndarray:
         """Frequencies of local maxima above rel_threshold * max power."""
@@ -46,9 +45,7 @@ def spectrum(field: ControlField) -> Spectrum:
     dt_s = field.dt * TIME_AU_S
     freqs = np.fft.rfftfreq(len(field.samples), d=dt_s)
     peak = power.max()
-    if peak <= 0:
-        return Spectrum(freqs, power, power.copy())
-    return Spectrum(freqs, power / peak, power)
+    return Spectrum(freqs, power / peak if peak > 0 else power)
 
 
 def _dst1(y: np.ndarray) -> np.ndarray:
@@ -84,18 +81,15 @@ def bandpass_filter(field: ControlField, keep_band) -> ControlField:
     return ControlField(out, field.dt)
 
 
-def mean_position_ion(state, basis: EigenBasis, t: float = 0.0) -> float:
+def mean_position_ion(state, basis: EigenBasis) -> float:
     """<z> in a.u. of an amplitude vector or a density matrix in the
-    eigenbasis, with interaction-picture phases restored at time t."""
+    eigenbasis, read as given (an interaction-picture state as at t = 0)."""
     state = np.asarray(state)
     dim = state.shape[0]
     z = basis.z_matrix[:dim, :dim]
-    phase = np.exp(-1j * basis.energies[:dim] * t)
     if state.ndim == 2:
-        rho = phase[:, None] * state * phase.conj()[None, :]
-        return float(np.trace(rho @ z).real)
-    c = phase * state
-    return float((c.conj() @ z @ c).real)
+        return float(np.trace(state @ z).real)
+    return float((state.conj() @ z @ state).real)
 
 
 def mean_position_sim(populations: np.ndarray, grid: Grid) -> float:

@@ -169,9 +169,8 @@ class ControlField:
 
 @dataclass
 class DissipationModel:
-    """Phenomenological heating model: rates gamma_jk = kappa |mu_jk|."""
+    """Phenomenological heating model: rates gamma_jk = kappa |mu_jk|, kappa folded in."""
 
-    kappa: float
     gamma: np.ndarray            # (D, D) rate matrix, gamma[j, k] for the jump |j><k|
     mean_rate: float             # arithmetic mean over the averaging pair set
 
@@ -213,7 +212,7 @@ def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> Dissipa
     n = basis.n_qubits
     in_window = (pairs[:, 0] < n) & (pairs[:, 1] < n)
     mean_rate = float(rates[in_window].mean()) if in_window.any() else 0.0
-    return DissipationModel(kappa, gamma, mean_rate)
+    return DissipationModel(gamma, mean_rate)
 
 
 class _StepMatrices:

@@ -54,16 +54,15 @@ class TestSpectrum:
         for pk in peaks:
             assert np.abs(trans - pk).min() <= bin_width
 
-    def test_parseval(self):
+    def test_power_is_rfft_power_over_its_peak(self):
         field = sinusoid_field(2.5e6)
-        spec = spectrum(field)
-        # Parseval: sum |E|^2 = (2 sum_onesided - dc - nyquist) / n
-        n = len(field.samples)
-        onesided = spec.raw_power
-        total = 2 * onesided.sum() - onesided[0]
-        if n % 2 == 0:
-            total -= onesided[-1]
-        assert total / n == pytest.approx(np.sum(field.samples**2), rel=1e-10)
+        power = np.abs(np.fft.rfft(field.samples)) ** 2
+        np.testing.assert_allclose(spectrum(field).power, power / power.max(),
+                                   rtol=0, atol=1e-15)
+
+    def test_zero_field_has_zero_power(self):
+        power = spectrum(ControlField(np.zeros(101), 1.0)).power
+        assert power.shape == (51,) and np.all(power == 0.0)
 
 
 class TestBandpass:
@@ -123,8 +122,8 @@ class TestMeanPositionIon:
         rng = np.random.default_rng(5)
         c = rng.normal(size=32) + 1j * rng.normal(size=32)
         c /= np.linalg.norm(c)
-        z_vec = mean_position_ion(c, paper_basis, t=1.3e7)
-        z_rho = mean_position_ion(np.outer(c, c.conj()), paper_basis, t=1.3e7)
+        z_vec = mean_position_ion(c, paper_basis)
+        z_rho = mean_position_ion(np.outer(c, c.conj()), paper_basis)
         assert z_vec == pytest.approx(z_rho, abs=1e-10)
 
     def test_encoded_packet_regression(self, paper_basis, paper_grid):

@@ -464,7 +464,7 @@ def test_dissipative_pairing_matches_the_commutator_trace(desk_basis, bracket):
     gamma = rng.uniform(0.0, 2e-9, size=(d, d))
     np.fill_diagonal(gamma, 0.0)
     lindblad = propagator.Lindblad(propagator.InteractionFrame(desk_basis, DT),
-                                   propagator.DissipationModel(1.0, gamma, 0.0))
+                                   propagator.DissipationModel(gamma, 0.0))
     x = rng.normal(size=(2, 200, 5, d, d)) + 1j * rng.normal(size=(2, 200, 5, d, d))
     etas, rhos = x + x.conj().swapaxes(-1, -2)
     if bracket == "coordinate":

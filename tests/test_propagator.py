@@ -396,7 +396,7 @@ class TestLindblad:
         rng = np.random.default_rng(5)
         gamma = rng.uniform(0.0, 100.0, size=(8, 8))
         np.fill_diagonal(gamma, 0.0)
-        diss = DissipationModel(1.0, gamma, 0.0)
+        diss = DissipationModel(gamma, 0.0)
         frame = InteractionFrame(desk_basis, 1e3)
         lindblad = Lindblad(frame, diss)
         adjoint = Lindblad(frame, diss, adjoint=True)
@@ -495,7 +495,7 @@ class TestLindbladSuperoperator:
         rng = np.random.default_rng(7)
         gamma = rng.uniform(0.0, 2e-9, size=(8, 8))
         np.fill_diagonal(gamma, 0.0)
-        return DissipationModel(1.0, gamma, 0.0)
+        return DissipationModel(gamma, 0.0)
 
     @staticmethod
     def hermitian_stack(seed, n=5):
@@ -691,7 +691,7 @@ class TestKernelContract:
         rng = np.random.default_rng(12)
         gamma = rng.uniform(0.0, 2e-9, size=(d, d))
         np.fill_diagonal(gamma, 0.0)
-        lindblad = Lindblad(frame, DissipationModel(1.0, gamma, 0.0), adjoint=True)
+        lindblad = Lindblad(frame, DissipationModel(gamma, 0.0), adjoint=True)
         x = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
         x = coordinate_rows(x + x.conj().swapaxes(-1, -2))
         if request.param == "superoperator":
