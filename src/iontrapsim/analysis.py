@@ -26,7 +26,7 @@ from .units import TIME_AU_S
 
 @dataclass
 class Spectrum:
-    """One-sided power spectrum |S(nu)|^2, normalized to unit peak."""
+    """One-sided power spectrum |S(nu)|^2 over its peak (zero for a zero field)."""
 
     frequencies_hz: np.ndarray
     power: np.ndarray
