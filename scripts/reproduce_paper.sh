@@ -1,22 +1,36 @@
 #!/usr/bin/env bash
 # Full-scale reproduction: 16 computational states, 96 us pulses sampled at
-# 960 ps, fidelity goal 0.99999.  A closed-system gate-synthesis iteration
-# takes 2.2-2.3 s (P and F alike) on a shared 2-vCPU host with one
-# OpenBLAS thread (fastest of 2,000-step iterations scaled to 100,000
-# steps; 1.6-1.7 s while the host runs fast), so the 1,500-iteration
-# budget is about 1 h.  One recorded P run reached F >= 0.999 in 383
-# iterations in 29 min, when an iteration took 4.5 s; today those
-# iterations take about 14 min.  The dissipative re-optimization
+# 960 ps, fidelity goal 0.99999.  In the committed P record
+# (records/paper/gate_p_trace.csv; shared 2-vCPU host, one OpenBLAS
+# thread) a closed-system gate-synthesis iteration took 2.41 s, and the
+# 1,500-iteration budget ran out after 60.4 min at F = 0.99996448 (F
+# passed 0.999 at iteration 383).  The dissipative re-optimization
 # (density matrices, 17 trajectories) runs for days.  Every optimization
 # saves its own <stem>_field.csv and <stem>_trace.csv every few iterations
 # (--checkpoint-every), so an interrupted run resumes by appending
 # --resume "$OUT/<stem>_field.csv", which also continues its trace.
+#
+# An optimize that stops short of its goal (budget spent or stalled) exits
+# 4 after saving its field and trace, and the script goes on with that
+# field.  Exit 4 also reports an objective that decreased, after which
+# only the last checkpoint is on disk.  Exits 2 (configuration) and 3
+# (numerical failure) stop the script.
 #
 # Usage: scripts/reproduce_paper.sh [OUTDIR]
 
 set -euo pipefail
 OUT=${1:-runs/paper}
 ACK=--acknowledge-long-run
+
+iontrapsim() {
+    local status=0
+    command iontrapsim "$@" || status=$?
+    if [[ $1 == optimize && $status == 4 ]]; then
+        echo "reproduce_paper.sh: optimize did not reach its goal (exit 4); continuing" >&2
+        return 0
+    fi
+    return "$status"
+}
 
 iontrapsim trap --tier paper $ACK --out "$OUT"
 iontrapsim gate --tier paper $ACK --out "$OUT"

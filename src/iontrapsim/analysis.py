@@ -23,18 +23,23 @@ from .propagator import (ControlField, DissipationModel, LindbladPulseMap, hermi
 from .trap import EigenBasis
 from .units import TIME_AU_S
 
+PEAK_THRESHOLD = 0.01   # least power of a reported spectral peak, over the peak power
+
 
 @dataclass
 class Spectrum:
-    """One-sided power spectrum |S(nu)|^2 over its peak (zero for a zero field)."""
+    """One-sided power spectrum |S(nu)|^2 over its peak (zero for a zero
+    field); `peak_frequencies` lists its local maxima of at least
+    PEAK_THRESHOLD."""
 
     frequencies_hz: np.ndarray
     power: np.ndarray
 
-    def peak_frequencies(self, rel_threshold: float = 0.01) -> np.ndarray:
-        """Frequencies of local maxima above rel_threshold * max power."""
+    def peak_frequencies(self) -> np.ndarray:
+        """Frequencies of local maxima of at least PEAK_THRESHOLD of the
+        maximum power."""
         p = self.power
-        keep = (p[1:-1] >= p[:-2]) & (p[1:-1] > p[2:]) & (p[1:-1] >= rel_threshold)
+        keep = (p[1:-1] >= p[:-2]) & (p[1:-1] > p[2:]) & (p[1:-1] >= PEAK_THRESHOLD)
         return self.frequencies_hz[1:-1][keep]
 
 

@@ -16,7 +16,7 @@ from . import analysis, serialization
 from .config import RunConfig, load_config
 from .encoder import encode
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid
+from .gridsim import SimSystem, elementary_gate, gaussian_packet, make_grid, unitarity_defect
 from .oct import TargetSet, fidelity, optimize_gate, optimize_gate_dissipative, \
     optimize_state_prep
 from .propagator import ClosedPulseMap, LindbladPulseMap, build_dissipation, check_kappa, \
@@ -59,8 +59,8 @@ def cmd_trap(args) -> int:
     cfg = _load_run_config(args)
     basis = solve_trap(cfg.trap)
     paths = serialization.save_eigenbasis(basis, cfg.outdir, _meta(cfg))
-    nu_mhz = basis.omega / (2 * np.pi * TIME_AU_S) / 1e6
-    print(f"trap: omega = {basis.omega:.6e} a.u. ({nu_mhz:.4f} MHz harmonic)")
+    nu_mhz = basis.params.omega / (2 * np.pi * TIME_AU_S) / 1e6
+    print(f"trap: omega = {basis.params.omega:.6e} a.u. ({nu_mhz:.4f} MHz harmonic)")
     for j, k, freq, dip in transition_table(basis, (1,), min(4, basis.n_qubits)):
         print(f"  {j}->{k}: {freq / 1e6:.4f} MHz, mu = {dip:.2f} a.u.")
     print(f"wrote {', '.join(sorted(paths.values()))}")
@@ -76,7 +76,7 @@ def cmd_gate(args) -> int:
     print(
         f"gate: N = {gate.n}, delta_t = {gate.delta_t:.6g} a.u., K = {gate.k_substeps}"
     )
-    print(f"unitarity: max |U^dag U - I| = {gate.unitarity_defect():.3e}")
+    print(f"unitarity: max |U^dag U - I| = {unitarity_defect(gate.entries):.3e}")
     print(f"wrote {path_csv}, {path_json}")
     return EXIT_OK
 
@@ -179,7 +179,7 @@ def cmd_simulate(args) -> int:
     fid = fidelity(gate, closed_map.gate(gate.n))
     print(f"simulate: gate field realizes F = {fid:.6f}")
     # bounds the norm drift each pulse of the trains below adds and keeps
-    print(f"closed pulse map: max |U^dag U - I| = {closed_map.unitarity_drift():.3e}")
+    print(f"closed pulse map: max |U^dag U - I| = {unitarity_defect(closed_map.final):.3e}")
 
     # closed run for every configured packet; the first one keeps the
     # unsuffixed file names and feeds the dissipative sweep
@@ -251,7 +251,7 @@ def cmd_analyze(args) -> int:
     out_spec = os.path.join(cfg.outdir, f"{stem}_spectrum.csv")
     serialization.save_spectrum(spec, out_spec, meta)
     peaks = spec.peak_frequencies()
-    print(f"spectrum: {len(peaks)} peaks above 1% of maximum")
+    print(f"spectrum: {len(peaks)} peaks above {analysis.PEAK_THRESHOLD:.0%} of maximum")
     for p in peaks:
         print(f"  {p / 1e6:.4f} MHz")
     print(f"wrote {out_spec}")

@@ -139,9 +139,6 @@ class GateMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def unitarity_defect(self) -> float:
-        return unitarity_defect(self.entries)
-
 
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I| of a square matrix."""

@@ -29,7 +29,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ValidationError
-from .gridsim import GateMatrix, Grid
+from .gridsim import GateMatrix, Grid, unitarity_defect
 from .oct import OctTrace
 from .propagator import ControlField
 from .trap import EigenBasis, TrapParams
@@ -128,14 +128,15 @@ def _read_table(path):
 
 def save_eigenbasis(basis: EigenBasis, outdir: str, meta=None) -> dict:
     """basis.json plus the CSV matrix `z_matrix`; returns the written
-    paths.  The dipole is not written: it is charge x z_matrix."""
+    paths.  The dipole is not written: `EigenBasis` derives it as
+    charge x z_matrix."""
     paths = {
         "json": os.path.join(outdir, "basis.json"),
         "z_matrix": os.path.join(outdir, "z_matrix.csv"),
     }
     payload = {
         "params": asdict(basis.params),
-        "omega_au": basis.omega,
+        "omega_au": basis.params.omega,
         "energies_au": [float(e) for e in basis.energies],
     }
     payload.update(meta or {})
@@ -173,12 +174,7 @@ def load_eigenbasis(outdir: str) -> EigenBasis:
     # the writer symmetrizes z exactly, and the dynamics assume it
     if not np.array_equal(z_matrix, z_matrix.T):
         raise ValidationError(f"{path} holds a matrix that is not exactly symmetric")
-    return EigenBasis(
-        params=params,
-        energies=energies,
-        z_matrix=z_matrix,
-        dipole=params.charge * z_matrix,
-    )
+    return EigenBasis(params=params, energies=energies, z_matrix=z_matrix)
 
 
 # --------------------------------------------------------------------- gate
@@ -189,7 +185,7 @@ def save_gate(gate: GateMatrix, path_csv: str, path_json: str, meta=None):
         "delta_t_au": gate.delta_t,
         "k_substeps": gate.k_substeps,
         "potential": gate.label,
-        "unitarity_defect": gate.unitarity_defect(),
+        "unitarity_defect": unitarity_defect(gate.entries),
     }
     header.update(meta or {})
     _write_json(path_json, header)

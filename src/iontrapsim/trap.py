@@ -62,19 +62,19 @@ class EigenBasis:
     z_matrix : (D, D) array
         Position matrix elements <j|z|k> in a.u.
     dipole : (D, D) array
-        Dipole matrix mu_jk = q <j|z|k> in a.u.
-    omega : float
-        Harmonic angular frequency sqrt(q*k/m) in a.u.
+        Dipole matrix mu_jk = q <j|z|k> in a.u., derived from z_matrix
+        and params.charge, not passed in.
+
+    All three arrays are read-only.
     """
 
     params: TrapParams
     energies: np.ndarray
     z_matrix: np.ndarray
-    dipole: np.ndarray
-    omega: float = field(init=False)
+    dipole: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.omega = self.params.omega
+        self.dipole = self.params.charge * self.z_matrix
         for arr in (self.energies, self.z_matrix, self.dipole):
             arr.setflags(write=False)
 
@@ -133,14 +133,7 @@ def solve_trap(params: TrapParams) -> EigenBasis:
     z_prim = np.sqrt(alpha2) * ladder_position_matrix(m_size)
     z_matrix = vectors.T @ z_prim @ vectors
     z_matrix = 0.5 * (z_matrix + z_matrix.T)
-    dipole = params.charge * z_matrix
-
-    return EigenBasis(
-        params=params,
-        energies=energies,
-        z_matrix=z_matrix,
-        dipole=dipole.copy(),
-    )
+    return EigenBasis(params=params, energies=energies, z_matrix=z_matrix)
 
 
 def check_deltas(deltas) -> list:

@@ -44,6 +44,7 @@ from iontrapsim import (
     spectrum,
     transition_table,
 )
+from iontrapsim.gridsim import unitarity_defect
 from iontrapsim.propagator import ClosedPulseMap, ControlField, LindbladPulseMap
 from iontrapsim.units import TIME_AU_S
 
@@ -59,7 +60,7 @@ def report(name: str, passed: bool, detail: str):
 # -------------------------------------------------------------- trap physics
 
 def test_trap_frequency_and_dipole(harmonic_basis):
-    nu = harmonic_basis.omega / (2 * np.pi * TIME_AU_S)
+    nu = harmonic_basis.params.omega / (2 * np.pi * TIME_AU_S)
     freq_ok = abs(nu - 2.77e6) / 2.77e6 < 1e-3
     p = harmonic_basis.params
     mu_exact = p.charge * np.sqrt(1.0 / (2 * p.mass * p.omega))
@@ -93,7 +94,7 @@ def test_trap_perturbation_oracle_1pct(paper_basis):
 # --------------------------------------------------------- gate construction
 
 def test_gate_construction(paper_gate, paper_grid):
-    unitarity = paper_gate.unitarity_defect()
+    unitarity = unitarity_defect(paper_gate.entries)
     pk = gaussian_packet(paper_grid, 1.0, -0.75)
     traj = classic_propagate(pk, paper_gate, 10)
     residual = periodicity_residual([np.abs(p) ** 2 * paper_grid.delta_x for p in traj])
@@ -305,7 +306,7 @@ def test_converged_spectrum_alignment(desk_basis, desk_converged):
     for functional in ("P", "F"):
         field, _ = desk_converged[functional]
         spec = spectrum(field)
-        peaks = spec.peak_frequencies(0.01)
+        peaks = spec.peak_frequencies()
         bin_width = float(spec.frequencies_hz[1] - spec.frequencies_hz[0])
         worst = max(np.abs(peaks - t).min() / bin_width for t in trans)
         passed &= worst <= 1.0
@@ -318,7 +319,7 @@ def test_guess_field_line_count(paper_basis):
     cfg = OctConfig(t_pulse=96e-6 / TIME_AU_S, dt=960e-12 / TIME_AU_S, alpha0=1e15)
     field = make_guess_field(paper_basis, cfg)
     spec = spectrum(field)
-    peaks = spec.peak_frequencies(0.01)
+    peaks = spec.peak_frequencies()
     trans = np.array([r[2] for r in transition_table(paper_basis, (1, 3), 16)])
     bin_width = float(spec.frequencies_hz[1] - spec.frequencies_hz[0])
     aligned = all(np.abs(trans - p).min() <= bin_width for p in peaks)

@@ -37,7 +37,7 @@ class TestSpectrum:
     def test_pure_sinusoid_peak_location(self):
         nu = 3.2e6
         spec = spectrum(sinusoid_field(nu))
-        peaks = spec.peak_frequencies(0.5)
+        peaks = spec.peak_frequencies()
         assert len(peaks) == 1
         assert abs(peaks[0] - nu) <= float(spec.frequencies_hz[1] - spec.frequencies_hz[0])
 
@@ -45,7 +45,7 @@ class TestSpectrum:
         cfg = OctConfig(t_pulse=96e-6 / TIME_AU_S, dt=960e-12 / TIME_AU_S, alpha0=1e15)
         field = make_guess_field(paper_basis, cfg)
         spec = spectrum(field)
-        peaks = spec.peak_frequencies(0.01)
+        peaks = spec.peak_frequencies()
         assert len(peaks) == 28
         from iontrapsim import transition_table
 

@@ -4,6 +4,7 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -134,6 +135,29 @@ class TestConfigParsing:
             args = parser.parse_args(argv[1:])
             cfg = _load_run_config(args)
             assert (cfg.tier, cfg.outdir) == ("paper", "runs/p"), argv
+
+    @pytest.mark.parametrize("status, ran", [(4, 9), (2, 3), (3, 3)])
+    def test_paper_script_runs_on_past_an_optimize_exit_4(self, tmp_path, status, ran):
+        """With a stub `iontrapsim` first on PATH that logs its argv and
+        exits `status` for `optimize`, the paper script runs all nine
+        commands past an exit 4 (an optimize short of its goal) and stops
+        with the status of the first optimize that exits 2 or 3."""
+        stub = tmp_path / "bin" / "iontrapsim"
+        stub.parent.mkdir()
+        stub.write_text('#!/bin/sh\necho "$@" >> "$STUB_LOG"\n'
+                        f'[ "$1" = optimize ] && exit {status}\nexit 0\n')
+        stub.chmod(0o755)
+        log = tmp_path / "argv.log"
+        env = dict(os.environ, PATH=f"{stub.parent}{os.pathsep}{os.environ['PATH']}",
+                   STUB_LOG=str(log))
+        result = subprocess.run(
+            ["bash", os.path.join(REPO, "scripts", "reproduce_paper.sh"), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        stages = ["trap", "gate", "optimize", "optimize", "optimize", "simulate", "analyze",
+                  "analyze", "optimize"]
+        assert [line.split()[0] for line in log.read_text().splitlines()] == stages[:ran]
+        assert result.returncode == (0 if status == 4 else status), result.stderr
 
 
 class TestCliCommands:

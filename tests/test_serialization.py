@@ -51,6 +51,20 @@ def test_eigenbasis_directory_with_vectors_file_loads(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(basis, name))
 
 
+@pytest.mark.parametrize("charge", [1.0, 2.0])
+def test_loaded_dipole_is_charge_times_position(tmp_path, charge):
+    """The loaded basis derives its dipole from the loaded z_matrix, bit
+    for bit, read-only, and equal to the saved basis's."""
+    basis = solve_trap(TrapParams(charge=charge, primitive_size=40, dynamical_size=6,
+                                  computational_size=4))
+    save_eigenbasis(basis, str(tmp_path))
+    back = load_eigenbasis(str(tmp_path))
+    assert np.array_equal(back.dipole, charge * back.z_matrix)
+    assert np.array_equal(back.dipole, basis.dipole)
+    with pytest.raises(ValueError, match="read-only"):
+        back.dipole[0, 1] = 0.0
+
+
 def test_eigenbasis_energy_count_checked(tmp_path, small_basis):
     save_eigenbasis(small_basis, str(tmp_path))
     path = tmp_path / "basis.json"

@@ -18,13 +18,13 @@ def pt_oracle(params: TrapParams, n: np.ndarray) -> np.ndarray:
 class TestHarmonicLimit:
     def test_frequency_matches_analytic(self, harmonic_basis):
         omega = np.sqrt(harmonic_basis.params.k / harmonic_basis.params.mass)
-        assert harmonic_basis.omega == pytest.approx(omega, rel=1e-14)
+        assert harmonic_basis.params.omega == pytest.approx(omega, rel=1e-14)
         nu_mhz = omega / (2 * np.pi * TIME_AU_S) / 1e6
         assert nu_mhz == pytest.approx(2.77, rel=1e-3)
 
     def test_equidistant_spectrum(self, harmonic_basis):
         gaps = np.diff(harmonic_basis.energies)
-        assert np.abs(gaps / harmonic_basis.omega - 1.0).max() < 1e-10
+        assert np.abs(gaps / harmonic_basis.params.omega - 1.0).max() < 1e-10
 
     def test_dipole_ladder(self, harmonic_basis):
         p = harmonic_basis.params
@@ -70,6 +70,16 @@ class TestAnharmonicTrap:
     def test_matrices_symmetric(self, paper_basis):
         assert np.abs(paper_basis.z_matrix - paper_basis.z_matrix.T).max() < 1e-12
         assert np.abs(paper_basis.dipole - paper_basis.dipole.T).max() < 1e-12
+
+    @pytest.mark.parametrize("charge", [1.0, 2.0])
+    def test_dipole_is_charge_times_position(self, charge):
+        """The basis derives its dipole from z_matrix, bit for bit, and
+        keeps it read-only like its other arrays."""
+        basis = solve_trap(TrapParams(charge=charge, primitive_size=40, dynamical_size=6,
+                                      computational_size=4))
+        assert np.array_equal(basis.dipole, charge * basis.z_matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            basis.dipole[0, 1] = 0.0
 
     def test_perturbation_oracle_ground_state(self, paper_basis):
         # first-order theory holds at the bottom of the well; the quartic
