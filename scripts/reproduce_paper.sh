@@ -12,9 +12,9 @@
 #
 # An optimize that stops short of its goal (budget spent or stalled) exits
 # 4 after saving its field and trace, and the script goes on with that
-# field.  Exit 4 also reports an objective that decreased, after which
-# only the last checkpoint is on disk.  Exits 2 (configuration) and 3
-# (numerical failure) stop the script.
+# field.  Exits 2 (configuration) and 3 (numerical failure, an objective
+# that decreased included, after which only the last checkpoint is on
+# disk) stop the script.
 #
 # Usage: scripts/reproduce_paper.sh [OUTDIR]
 

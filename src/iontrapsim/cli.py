@@ -3,7 +3,9 @@
 Each stage reads the run configuration (tier preset, optionally overlaid
 by an INI file), writes its artifacts into the output directory with the
 config hash embedded, and prints a short report.  Exit codes: 0 success,
-2 configuration/validation error, 3 numerical failure, 4 non-convergence.
+2 configuration/validation error, 3 numerical failure (an optimization
+whose objective decreased included), 4 an optimization that stopped short
+of its goal.
 """
 
 import argparse
@@ -353,8 +355,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ConvergenceError as exc:
+        # nothing is saved after the last checkpoint, so no later stage
+        # may go on with its field, as one may after exit 4
         print(f"optimization fault: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -10,4 +10,4 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative optimization failed to reach its goal within budget."""
+    """A monotonic optimization whose objective decreased (or became NaN)."""

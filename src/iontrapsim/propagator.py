@@ -36,18 +36,28 @@ All three kernels offer the same methods: `operators` for a block of held
 samples, `step(y, op, backward)` with one of them, `step_rows(rows, ops)`,
 which steps rows[i] forward into rows[i + 1] with ops[i] for a whole
 block in one call (the optimizer's multipliers), and
-`rotate_in`/`rotate_out` between x and y.  Every
-product they take once per step has 2-D operands and is one `np.dot`,
-which calls BLAS directly, where the `np.matmul` ufunc resolves its loop
-on every call (a closed D = 8 step into a buffer, 1.15 -> 0.96 us with
-one OpenBLAS thread on a 2-vCPU x86-64 host); so a buffer it writes into
-must be C-contiguous and of the result's dtype, or `np.dot` raises
-ValueError.  Products that broadcast over a stack stay `np.matmul`.  The
-two step-matrix kernels share the methods (`_StepMatrices`): the powers
-of e are real, so step operators are one real product with the cached
-C_k.  Only the per-matrix `Lindblad.step` also writes into out= (not y),
-for its `step_rows` and the optimizer.  The step under a sample the
-optimizer has just corrected is taken by the optimizer's update bracket
+`rotate_in`/`rotate_out` between x and y.  At t = 0 the frame is the
+identity, and a rotation there returns a copy of its input, never the
+input itself: the optimizer's forward update steps into the states it
+rotates in.  The conjugation tables of the Lindblad kernels are built
+once per half index and kept read-only, since every optimizer iteration
+asks again for those at the ends of the pulse.  Every product they take
+once per step has 2-D operands and is one `np.dot`, which calls BLAS
+directly, where the `np.matmul` ufunc resolves its loop on every call (a
+closed D = 8 step into a buffer, 1.15 -> 0.96 us with one OpenBLAS
+thread on a 2-vCPU x86-64 host); so a buffer it writes into must be
+C-contiguous and of the result's dtype, or `np.dot` raises ValueError.
+Products that broadcast over a stack stay `np.matmul`.  The two
+step-matrix kernels share the methods (`_StepMatrices`): the powers of e
+are real, so step operators are one real product with the cached C_k,
+once per block.  That product is one `np.matmul`, which gives the same
+bits as `np.dot` and builds the wide blocks faster: 16 steps of 64 x 64
+superoperator increments, (16, 5) by (5, 4096), in 29 against 40 us, and
+a paper closed block (5, 2048) in 17 against 24 us, though a desk closed
+block (5, 128) takes 1.8 against 1.3 us (into the buffer, the same host
+and thread).  Only the per-matrix `Lindblad.step` also writes into out=
+(not y), for its `step_rows` and the optimizer.  The step under a sample
+the optimizer has just corrected is taken by the optimizer's update bracket
 (`oct`), in the same call that pairs and corrects: for the step-matrix
 kernels it writes the one operator into a buffer the kernel owns
 (`one_step_buffer`) and steps into the spare states with it, and for the
@@ -241,8 +251,8 @@ class _StepMatrices:
         powers = np.asarray(e, dtype=float)[:, None] ** self._POWERS
         c = self._coefficients_of(backward)
         if out is None:
-            return self._as_operators(np.dot(powers, c))
-        np.dot(powers, c, out=out.reshape(len(out), -1).view(float))
+            return self._as_operators(np.matmul(powers, c))
+        np.matmul(powers, c, out=out.reshape(len(out), -1).view(float))
         return out
 
     def one_step_buffer(self):
@@ -276,18 +286,25 @@ class InteractionFrame(_StepMatrices):
         self.mu = basis.dipole
         self.dt = dt
         self._stages = {}
+        self._conjugations = {}
 
     def phases(self, half_idx) -> np.ndarray:
         """exp(i E t) at t = half_idx dt / 2, one row per half-step index."""
         t = np.asarray(half_idx) * (self.dt / 2.0)
         return np.exp(1j * np.multiply.outer(t, self.energies))
 
-    def conjugation(self, half_idx) -> np.ndarray:
+    def conjugation(self, half_idx: int) -> np.ndarray:
         """exp(i (E_j - E_k) t) at t = half_idx dt / 2, so that P x P^* is
         x times it elementwise.  It is Hermitian in floating point, and so
-        keeps a Hermitian x exactly Hermitian."""
-        w = np.subtract.outer(self.energies, self.energies)
-        return np.exp(1j * (half_idx * (self.dt / 2.0)) * w)
+        keeps a Hermitian x exactly Hermitian.  Built once per half index
+        and kept read-only: every optimizer iteration asks again for the
+        tables at the ends of the pulse."""
+        w = self._conjugations.get(half_idx)
+        if w is None:
+            diff = np.subtract.outer(self.energies, self.energies)
+            w = self._conjugations[half_idx] = np.exp(1j * (half_idx * (self.dt / 2.0)) * diff)
+            w.flags.writeable = False
+        return w
 
     def stage_dipoles(self, backward: bool = False) -> np.ndarray:
         """mu_I(0), mu_I(h/2), mu_I(h) as a (3, D, D) array, h = -dt if
@@ -304,12 +321,13 @@ class InteractionFrame(_StepMatrices):
         h = -self.dt if backward else self.dt
         m0, mh, m1 = 1j * h * self.stage_dipoles(backward)
         mh2 = mh @ mh
+        m1_mh2 = m1 @ mh2
         b = np.array([
             np.eye(len(self.energies)),
             (m0 + 4 * mh + m1) / 6,
             (mh @ m0 + mh2 + m1 @ mh) / 6,
-            (mh2 @ m0 + m1 @ mh2) / 12,
-            m1 @ mh2 @ m0 / 24,
+            (mh2 @ m0 + m1_mh2) / 12,
+            m1_mh2 @ m0 / 24,
         ])
         p_end = self.phases(-2 if backward else 2)
         return (p_end.conj()[:, None] * b).reshape(5, -1).view(float)
@@ -329,7 +347,9 @@ class InteractionFrame(_StepMatrices):
             np.dot(s, rows[i], out=rows[i + 1])
 
     def rotate_out(self, y, half_idx):
-        """x = exp(i E t) y at t = half_idx dt / 2."""
+        """x = exp(i E t) y at t = half_idx dt / 2; a copy of y at t = 0."""
+        if half_idx == 0:
+            return y.copy()
         return self.phases(half_idx)[:, None] * y
 
 
@@ -391,14 +411,20 @@ class Lindblad:
 
     def rotate_in(self, c, half_idx):
         """y = P^* x P at t = half_idx dt / 2 from the coordinate rows c
-        (..., D^2) of x, so y is Hermitian, as the one-product rate needs."""
+        (..., D^2) of x, so y is Hermitian, as the one-product rate needs;
+        at t = 0 just the matrices of c."""
         d = len(self.frame.energies)
         x = hermitian_matrices(c.reshape(c.shape[:-1] + (d, d)))
-        return x * self.frame.conjugation(-half_idx)
+        if half_idx != 0:
+            x *= self.frame.conjugation(-half_idx)
+        return x
 
     def rotate_out(self, y, half_idx):
-        """The coordinate rows of x = P y P^* at t = half_idx dt / 2."""
-        x = hermitian_coordinates(y * self.frame.conjugation(half_idx))
+        """The coordinate rows of x = P y P^* at t = half_idx dt / 2; at
+        t = 0 just the coordinates of y."""
+        if half_idx != 0:
+            y = y * self.frame.conjugation(half_idx)
+        x = hermitian_coordinates(y)
         return x.reshape(x.shape[:-2] + (-1,))
 
 
@@ -491,7 +517,9 @@ class LindbladSuperoperator(_StepMatrices):
 
     def rotate_out(self, c, half_idx):
         """The coordinate rows of x = P y P^* at t = half_idx dt / 2 from
-        those of y."""
+        those of y; a copy of c at t = 0."""
+        if half_idx == 0:
+            return c.copy()
         x = c.reshape(c.shape[:-1] + (self.dim, self.dim))
         return turn_coordinates(x, self.lindblad.frame.conjugation(half_idx)).reshape(c.shape)
 

@@ -1,10 +1,14 @@
 """`scripts/artifact_diff.py` on its short pipeline: a rerun compares
 identical, a one-ulp edit of one cell is reported at its size relative to
-its column's peak, and a file that disappears is refused."""
+its column's peak, a file that disappears is refused, and the pipeline
+imports no numpy submodule the benchmark's peak RSS would count."""
 
 import importlib.util
+import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,3 +73,33 @@ def test_deleted_file_is_refused(runs, tmp_path, capsys):
     report = capsys.readouterr().out.splitlines()
     assert f"gate.json: gone (only in {a})" in report
     assert report[-1].endswith("FAILED")
+
+
+# Run in a fresh interpreter: the modules numpy loads on `import numpy`,
+# then those loaded after the script's short pipeline ran as __main__.
+_IMPORTS = """
+import json, runpy, sys
+import numpy
+before = sorted(sys.modules)
+sys.argv = [sys.argv[1], "run", sys.argv[2], "--short"]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "before": before, "after": sorted(sys.modules)}))
+"""
+
+
+def test_short_pipeline_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
+    """The desk pipeline loads neither numpy.ma (1.3 MB; `np.unique` imports
+    it on its first call) nor numpy.random, both counted by perfbench's
+    `peak_rss_mb`, beyond what `import numpy` itself loads (numpy 2.4
+    loads neither)."""
+    script = os.path.join(ROOT, "scripts", "artifact_diff.py")
+    result = subprocess.run([sys.executable, "-c", _IMPORTS, script, str(tmp_path / "o")],
+                            capture_output=True, text=True, check=True)
+    modules = json.loads(result.stdout.splitlines()[-1])
+    assert modules["code"] == 0, result.stderr
+    loaded = set(modules["after"]) - set(modules["before"])
+    assert "iontrapsim.cli" in loaded
+    assert not {"numpy.ma", "numpy.random"} & loaded

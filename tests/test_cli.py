@@ -374,6 +374,22 @@ class TestCliCommands:
         assert os.path.exists(os.path.join(out, "gate_p_trace.csv"))
         assert not [name for name in os.listdir(out) if "checkpoint" in name]
 
+    def test_decreased_objective_exits_3(self, tmp_path, capsys, monkeypatch):
+        """An objective that decreased is a numerical failure, not a run
+        short of its goal: exit 3 with its `optimization fault:` line, and
+        no field or trace beyond the last checkpoint (none here)."""
+        from iontrapsim import oct as ioct
+
+        monkeypatch.setattr(ioct, "_no_decrease", lambda before, after: False)
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 0.2 us\ndt = 2 ns\n")
+        out = tmp_path / "d"
+        code = main(["optimize", "--config", str(ini), "--tier", "desk", "--out", str(out),
+                     "--max-iterations", "2"])
+        assert code == 3
+        assert "optimization fault: objective decreased" in capsys.readouterr().err
+        assert not (out / "gate_p_field.csv").exists()
+
     def test_checkpoint_every_counts_iterations(self, tmp_path, capsys, monkeypatch):
         """`--checkpoint-every 2` saves the run's own record after
         iterations 2, 4, ..., its trace marked running, and once more at

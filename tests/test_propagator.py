@@ -13,11 +13,13 @@ from iontrapsim import (
     make_guess_field,
 )
 from iontrapsim.gridsim import unitarity_defect
-from iontrapsim.oct import OctConfig, _closed_bracket, _coordinate_bracket, _matrix_bracket
+from iontrapsim.oct import OctConfig, _closed_bracket, _coordinate_bracket, _forward_update, \
+    _matrix_bracket
 from iontrapsim.propagator import (BLOCK_STEPS, ClosedPulseMap, InteractionFrame, Lindblad,
                                    LindbladPulseMap, LindbladSuperoperator,
                                    commutator_coordinates, hermitian_coordinates,
-                                   hermitian_matrices, lindblad_kernel, step_blocks, sweep)
+                                   hermitian_matrices, lindblad_kernel, step_blocks, sweep,
+                                   turn_coordinates)
 from iontrapsim.units import TIME_AU_S
 
 from conftest import held_sample_propagator
@@ -555,6 +557,91 @@ class TestLindbladSuperoperator:
                           Lindblad)
 
 
+class TestRotationAtZero:
+    """At t = 0 every kernel's frame rotation is a copy of its input, equal
+    bit for bit to the rotation by the t = 0 tables, whose entries are
+    exactly 1, and sharing no memory with it: `_forward_update` steps into
+    the states it rotates in, so a rotation that returned its input would
+    overwrite the optimizer's initial states.  The conjugation tables are
+    built once per half index and read-only."""
+
+    DT = 2e-9 / TIME_AU_S
+
+    @pytest.fixture(scope="class")
+    def frame(self, desk_basis):
+        return InteractionFrame(desk_basis, self.DT)
+
+    @pytest.fixture(scope="class")
+    def lindblad(self, frame, desk_basis):
+        return Lindblad(frame, build_dissipation(desk_basis, 1e-17))
+
+    @staticmethod
+    def coordinates(seed):
+        return coordinate_rows(TestLindbladSuperoperator.hermitian_stack(seed))
+
+    @staticmethod
+    def assert_copy(got, want, x):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)
+
+    def test_closed(self, frame):
+        x = random_columns(8, 5, seed=21)
+        want = frame.phases(0)[:, None] * x
+        self.assert_copy(frame.rotate_in(x, 0), want, x)
+        self.assert_copy(frame.rotate_out(x, 0), want, x)
+
+    def test_superoperator(self, frame, lindblad):
+        superop = LindbladSuperoperator(lindblad)
+        c = self.coordinates(22)
+        want = turn_coordinates(c.reshape(5, 8, 8), frame.conjugation(0)).reshape(c.shape)
+        self.assert_copy(superop.rotate_in(c, 0), want, c)
+        self.assert_copy(superop.rotate_out(c, 0), want, c)
+
+    def test_per_matrix(self, frame, lindblad):
+        c = self.coordinates(23)
+        table = frame.conjugation(0)
+        want_y = hermitian_matrices(c.reshape(5, 8, 8)) * table
+        self.assert_copy(lindblad.rotate_in(c, 0), want_y, c)
+        y = TestLindbladSuperoperator.hermitian_stack(24)
+        want_c = hermitian_coordinates(y * table).reshape(5, -1)
+        self.assert_copy(lindblad.rotate_out(y, 0), want_c, y)
+
+    @pytest.mark.parametrize("half_idx", [0, 2, -2, 40, -40])
+    def test_conjugation_tables_are_cached_read_only(self, frame, half_idx):
+        table = frame.conjugation(half_idx)
+        assert frame.conjugation(half_idx) is table
+        w = np.subtract.outer(frame.energies, frame.energies)
+        assert table.tobytes() == np.exp(1j * (half_idx * (frame.dt / 2.0)) * w).tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["closed", "superoperator", "per-matrix"])
+    def test_forward_update_leaves_its_initial_states(self, frame, desk_basis, kind):
+        """A forward update of 20 steps from initial states psi, with
+        multipliers lam, returns a new field and new states and leaves psi
+        and lam as they were."""
+        if kind == "closed":
+            kernel = adjoint = frame
+            psi, lam = random_columns(8, 5, seed=25), random_columns(8, 5, seed=26)
+            bracket = _closed_bracket(frame, "P")
+        else:
+            diss = build_dissipation(desk_basis, 1e-17)
+            kernel, adjoint = (Lindblad(frame, diss, flip) for flip in (False, True))
+            if kind == "superoperator":
+                kernel, adjoint = LindbladSuperoperator(kernel), LindbladSuperoperator(adjoint)
+                bracket = _coordinate_bracket(kernel)
+            else:
+                bracket = _matrix_bracket(kernel)
+            psi, lam = self.coordinates(25) / 16, self.coordinates(26) / 16
+        kept = psi.copy(), lam.copy()
+        samples = np.r_[np.random.default_rng(27).uniform(-1.5e-11, 1.5e-11, 20), 0.0]
+        field, final = _forward_update(kernel, adjoint, np.full(21, 1e-15), psi, lam, samples,
+                                       bracket)
+        assert psi.tobytes() == kept[0].tobytes() and lam.tobytes() == kept[1].tobytes()
+        assert np.abs(field - samples).max() > 0
+        assert final.shape == psi.shape and np.abs(final - psi).max() > 0
+
+
 class TestStepBlocks:
     """`step_blocks` writes every block of a sweep into one buffer: each
     block it yields holds, bit for bit, what a fresh `operators` call on the
@@ -590,10 +677,11 @@ class TestStepBlocks:
 
 
 def matmul_kernel(kernel):
-    """(operators, step, fresh_step) of kernel by the `np.matmul`
-    expressions its per-step `np.dot` products replaced: powers @ C,
-    s @ y, y + y @ s, and the per-matrix RK4 over the rates from y @ K^dag
-    and the population transfer, with its rotation.  fresh_step(y, e) is
+    """(operators, step, fresh_step) of kernel by `np.matmul` expressions:
+    powers @ C, which `operators` also takes by `np.matmul`, and those its
+    per-step `np.dot` products replaced, s @ y, y + y @ s, and the
+    per-matrix RK4 over the rates from y @ K^dag and the population
+    transfer, with its rotation.  fresh_step(y, e) is
     the step under the held field e: for the step-matrix kernels by the
     operator the update bracket builds from the powers of e, for the
     per-matrix kernel by its operators.  The per-matrix operators take no
@@ -730,10 +818,10 @@ class TestKernelContract:
 
     def test_products_match_the_matmul_expressions(self, case):
         """Old-vs-new pin of the per-step products, one `np.dot` each, against
-        the `np.matmul` expressions they replaced (`matmul_kernel`):
-        operators with and without out, step in both directions (its out
-        path is `test_step_into_out`), and successive fresh steps, to 1e-15
-        relative.  With
+        the `np.matmul` expressions they replaced (`matmul_kernel`): step in
+        both directions (its out path is `test_step_into_out`) and
+        successive fresh steps, and the block operators, one `np.matmul`,
+        with and without out, to 1e-15 relative.  With
         numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-vCPU x86-64 host every
         result is also bit-identical."""
         kernel, y, _ = case
