@@ -26,7 +26,7 @@ from .units import TIME_AU_S
 PEAK_THRESHOLD = 0.01   # least power of a reported spectral peak, over the peak power
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
     """One-sided power spectrum |S(nu)|^2 over its peak (zero for a zero
     field); `peak_frequencies` lists its local maxima of at least

@@ -3,13 +3,26 @@
 A time in a config file may carry a unit suffix (`96 us`, `960 ps`); a
 bare number is read as atomic units.  Parsing converts to atomic units at
 this boundary and nothing else in the package ever sees SI.
+
+`RunConfig.config_hash` is computed with CPython's built-in SHA-256 module,
+so that no process of the package loads OpenSSL's libcrypto (3.4 MB of
+peak memory) through `hashlib`.
 """
 
 import configparser
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+
+# The built-in module is _sha2 from 3.12 on and _sha256 before; a build
+# that leaves the built-in hashes out falls back to hashlib.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ValidationError
 from .gridsim import Grid, check_sigma, check_substeps
@@ -88,11 +101,12 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        """Hash of every resolved value but the output directory."""
+        """First 16 hex digits of the SHA-256 of every resolved value but
+        the output directory, as JSON with sorted keys."""
         values = dict(vars(self))
         del values["outdir"]
         text = json.dumps(values, sort_keys=True, default=vars)   # vars: the TrapParams
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return sha256(text.encode()).hexdigest()[:16]
 
     @property
     def grid_points(self) -> int:

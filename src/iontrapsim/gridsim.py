@@ -19,7 +19,7 @@ UNITARITY_FATAL = 1e-8
 BOUNDARY_LEAK_WARN = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform spatial grid; x_min itself is excluded, x_max is the last point."""
 
@@ -126,7 +126,7 @@ def _apply_split(columns: np.ndarray, half_v, kin, k_steps: int) -> np.ndarray:
     return columns
 
 
-@dataclass
+@dataclass(eq=False)
 class GateMatrix:
     """The elementary evolution operator U_s(delta_t) as an N x N matrix."""
 

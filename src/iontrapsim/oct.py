@@ -142,7 +142,7 @@ class OctConfig:
         return int(round(self.t_pulse / self.dt))
 
 
-@dataclass
+@dataclass(eq=False)
 class TargetSet:
     """The gate to realize, expanded into per-trajectory initial/target pairs."""
 
@@ -292,10 +292,11 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     optimizer's completion of its trajectories to a basis: the pairing
     reads the first lam.shape[-1], and the rest ride along under the new
     field.  The two state buffers are C-contiguous, as the `np.dot` that
-    steps into them needs.
+    steps into them needs: a rotation at t = 0 returns a new C-contiguous
+    array, never its input.
     Returns (new field samples, final states)."""
     new_field = field.copy()
-    psi, lam = np.ascontiguousarray(kernel.rotate_in(psi, 0)), adjoint.rotate_in(lam, 0)
+    psi, lam = kernel.rotate_in(psi, 0), adjoint.rotate_in(lam, 0)
     states = psi, np.empty_like(psi)
     rows = _block_rows()
     for steps, lam_ops in step_blocks(adjoint, field):

@@ -139,7 +139,7 @@ SUPEROPERATOR_MAX_DIM = 16   # largest D that `lindblad_kernel` steps as a
                    # D = 12, 17 ms at 16 and 44-56 ms at 20.
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlField:
     """Uniformly sampled real field E(t_i), atomic units.
 
@@ -177,7 +177,7 @@ class ControlField:
         return float(np.abs(self.samples).max() * FIELD_AU_V_PER_M)
 
 
-@dataclass
+@dataclass(eq=False)
 class DissipationModel:
     """Phenomenological heating model: rates gamma_jk = kappa |mu_jk|, kappa folded in."""
 

@@ -49,7 +49,7 @@ class TrapParams:
         return float(np.sqrt(self.charge * self.k / self.mass))
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenBasis:
     """Trap eigenenergies and operator matrices on the dynamical subspace.
 

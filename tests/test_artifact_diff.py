@@ -1,7 +1,8 @@
 """`scripts/artifact_diff.py` on its short pipeline: a rerun compares
 identical, a one-ulp edit of one cell is reported at its size relative to
 its column's peak, a file that disappears is refused, and the pipeline
-imports no numpy submodule the benchmark's peak RSS would count."""
+imports none of numpy.ma, numpy.random and hashlib, which the benchmark's
+peak RSS would count."""
 
 import importlib.util
 import json
@@ -90,11 +91,12 @@ print(json.dumps({"code": code, "before": before, "after": sorted(sys.modules)})
 """
 
 
-def test_short_pipeline_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
+def test_short_pipeline_imports_neither_numpy_ma_numpy_random_nor_hashlib(tmp_path):
     """The desk pipeline loads neither numpy.ma (1.3 MB; `np.unique` imports
-    it on its first call) nor numpy.random, both counted by perfbench's
-    `peak_rss_mb`, beyond what `import numpy` itself loads (numpy 2.4
-    loads neither)."""
+    it on its first call), numpy.random, nor hashlib and its OpenSSL
+    binding _hashlib (3.4 MB, libcrypto; the config hash uses CPython's
+    built-in SHA-256), all counted by perfbench's `peak_rss_mb`, beyond
+    what `import numpy` itself loads (numpy 2.4 loads none of them)."""
     script = os.path.join(ROOT, "scripts", "artifact_diff.py")
     result = subprocess.run([sys.executable, "-c", _IMPORTS, script, str(tmp_path / "o")],
                             capture_output=True, text=True, check=True)
@@ -102,4 +104,4 @@ def test_short_pipeline_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
     assert modules["code"] == 0, result.stderr
     loaded = set(modules["after"]) - set(modules["before"])
     assert "iontrapsim.cli" in loaded
-    assert not {"numpy.ma", "numpy.random"} & loaded
+    assert not {"numpy.ma", "numpy.random", "hashlib", "_hashlib"} & loaded

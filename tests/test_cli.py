@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import shlex
 import shutil
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -40,6 +42,16 @@ max_iterations = 3
 
 [dissipation]
 kappa = 1e-16 au
+"""
+
+# Run in a fresh interpreter that can import CPython's built-in SHA-256
+# module under neither of its names, so that `config` takes hashlib's.
+_HASHLIB_FALLBACK = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from iontrapsim import config
+assert config.sha256 is hashlib.sha256
+print(json.dumps([config.tier_config(tier).config_hash for tier in ("desk", "paper")]))
 """
 
 
@@ -98,6 +110,26 @@ class TestConfigParsing:
         assert hashes[0] == desk.config_hash
         assert len(set(hashes)) == len(hashes)
         assert resolved_hash("--out", "elsewhere") == hashes[0]
+
+    def test_config_hash_is_sha256_of_the_sorted_json(self):
+        """The hash is the first 16 hex digits of the SHA-256 of the sorted
+        JSON of the resolved values, the output directory left out."""
+        for tier in ("desk", "paper"):
+            cfg = tier_config(tier)
+            values = dict(vars(cfg))
+            del values["outdir"]
+            text = json.dumps(values, sort_keys=True, default=vars)
+            assert cfg.config_hash == hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert tier_config("desk").config_hash == "2bb5818eae98759b"
+
+    def test_config_hash_without_the_built_in_sha256(self):
+        """A Python built without the built-in SHA-256 module falls back to
+        hashlib and gives the same hashes."""
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        result = subprocess.run([sys.executable, "-c", _HASHLIB_FALLBACK], env=env,
+                                capture_output=True, text=True, check=True)
+        assert json.loads(result.stdout) == [tier_config(t).config_hash
+                                             for t in ("desk", "paper")]
 
     def test_inconsistent_mapping_rejected(self, tmp_path):
         """The grid has one point per computational state, so its size is

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import iontrapsim
-from iontrapsim import (Grid, NumericalError, OctConfig, SimSystem, TargetSet, TrapParams,
+from iontrapsim import (ControlField, DissipationModel, EigenBasis, GateMatrix, Grid,
+                        NumericalError, OctConfig, SimSystem, Spectrum, TargetSet, TrapParams,
                         ValidationError, elementary_gate, encode, gaussian_packet,
                         optimize_state_prep)
 
@@ -28,6 +29,28 @@ def test_readme_library_sketch_runs():
         blocks = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
     assert len(blocks) == 1
     exec(blocks[0], {})
+
+
+# a class that holds arrays -> a call that builds an instance from fresh arrays
+ARRAY_HOLDERS = {
+    "ControlField": lambda: ControlField(np.zeros(3), 1.0),
+    "EigenBasis": lambda: EigenBasis(TrapParams(), np.arange(2.0), np.eye(2)),
+    "GateMatrix": lambda: GateMatrix(np.eye(2), 1.0, 1),
+    "DissipationModel": lambda: DissipationModel(np.zeros((2, 2)), 0.0),
+    "Spectrum": lambda: Spectrum(np.zeros(3), np.zeros(3)),
+    "TargetSet": lambda: TargetSet(np.eye(2)),
+    "Grid": lambda: Grid(-1.0, 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    """A generated `==` would compare the arrays elementwise and raise on
+    the truth value of the result; these classes compare and hash by
+    identity instead."""
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 # call of the library on the desk basis, grid and one bad value -> the error it must raise

@@ -562,8 +562,10 @@ class TestRotationAtZero:
     bit for bit to the rotation by the t = 0 tables, whose entries are
     exactly 1, and sharing no memory with it: `_forward_update` steps into
     the states it rotates in, so a rotation that returned its input would
-    overwrite the optimizer's initial states.  The conjugation tables are
-    built once per half index and read-only."""
+    overwrite the optimizer's initial states.  The copy is C-contiguous,
+    as the `np.dot` that steps into it needs; a rotation in is so also of
+    a Fortran-ordered input.  The conjugation tables are built once per
+    half index and read-only."""
 
     DT = 2e-9 / TIME_AU_S
 
@@ -582,6 +584,7 @@ class TestRotationAtZero:
     @staticmethod
     def assert_copy(got, want, x):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
         assert not np.shares_memory(got, x)
 
     def test_closed(self, frame):
@@ -605,6 +608,16 @@ class TestRotationAtZero:
         y = TestLindbladSuperoperator.hermitian_stack(24)
         want_c = hermitian_coordinates(y * table).reshape(5, -1)
         self.assert_copy(lindblad.rotate_out(y, 0), want_c, y)
+
+    def test_rotation_in_of_a_fortran_ordered_input(self, frame, lindblad):
+        x = np.asfortranarray(random_columns(8, 5, seed=21))
+        self.assert_copy(frame.rotate_in(x, 0), frame.phases(0)[:, None] * x, x)
+        c = np.asfortranarray(self.coordinates(22))
+        table = frame.conjugation(0)
+        want = turn_coordinates(c.reshape(5, 8, 8), table).reshape(c.shape)
+        self.assert_copy(LindbladSuperoperator(lindblad).rotate_in(c, 0), want, c)
+        self.assert_copy(lindblad.rotate_in(c, 0), hermitian_matrices(c.reshape(5, 8, 8)) * table,
+                         c)
 
     @pytest.mark.parametrize("half_idx", [0, 2, -2, 40, -40])
     def test_conjugation_tables_are_cached_read_only(self, frame, half_idx):
