@@ -141,11 +141,7 @@ class RunConfig:
             raise ValidationError("kappa needs at least one value")
         for kappa in self.kappas:
             check_kappa(kappa)
-        beyond = [d for d in check_deltas(self.deltas) if d >= self.trap.dynamical_size]
-        if beyond:
-            raise ValidationError(
-                f"deltas {beyond} select no transition among the "
-                f"{self.trap.dynamical_size} dynamical states")
+        check_deltas(self.deltas, self.trap.dynamical_size)
 
 
 # What each tier sets over RunConfig's defaults, which are the paper's problem.
@@ -213,8 +209,9 @@ def tier_config(tier: str) -> RunConfig:
 def _read_ini(path: str) -> tuple:
     """The RunConfig and the TrapParams values an INI run file sets.  An
     unknown section or key, or a value that does not parse, is an error."""
+    # no header names the section "", so [DEFAULT] is refused as unknown below
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     try:
         with open(path) as handle:
             parser.read_file(handle)

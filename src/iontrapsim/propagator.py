@@ -110,7 +110,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .trap import EigenBasis, transition_table
+from .trap import EigenBasis, check_deltas, transition_table
 from .units import FIELD_AU_V_PER_M
 
 NORM_DRIFT_TOL = 1e-8
@@ -182,7 +182,7 @@ class DissipationModel:
     """Phenomenological heating model: rates gamma_jk = kappa |mu_jk|, kappa folded in."""
 
     gamma: np.ndarray            # (D, D) rate matrix, gamma[j, k] for the jump |j><k|
-    mean_rate: float             # arithmetic mean over the averaging pair set
+    mean_rate: float             # mean rate of the transitions among the qubit states
 
     def total_out_rates(self) -> np.ndarray:
         """Gamma_k = sum_j gamma_jk, total departure rate from state k."""
@@ -197,32 +197,23 @@ def check_kappa(kappa: float) -> None:
 
 
 def build_dissipation(basis: EigenBasis, kappa: float, deltas=(1, 3)) -> DissipationModel:
-    """Rates for all |j-k| in deltas with j, k below the dynamical size.
+    """Rates gamma_jk = gamma_kj = kappa |mu_jk| for every |j - k| in
+    deltas, j and k below the dynamical size D; a delta of D or more,
+    which selects no such pair, is refused (`check_deltas`).
 
-    The mean heating rate is averaged over the pairs inside the
-    computational window (j, k below the qubit count), the set the
-    guess-field transitions are drawn from.
+    The mean heating rate is the mean rate of the transitions inside the
+    computational window (k below the qubit count), each counted once: the
+    set the guess-field transitions are drawn from.
     """
     check_kappa(kappa)
-    pairs = []
-    rates = []
-    gamma = np.zeros((basis.n_states, basis.n_states))
-    for j, k, _, dipole in transition_table(basis, deltas, basis.n_states):
-        r = kappa * abs(dipole)
-        for a, b in ((j, k), (k, j)):
-            pairs.append((a, b))
-            rates.append(r)
-            gamma[a, b] = r
-    if not pairs:
-        raise ValidationError(f"deltas {tuple(deltas)} select no transition among the "
-                              f"{basis.n_states} dynamical states")
-    pairs = np.array(pairs, dtype=int)
-    rates = np.array(rates)
-
-    n = basis.n_qubits
-    in_window = (pairs[:, 0] < n) & (pairs[:, 1] < n)
-    mean_rate = float(rates[in_window].mean()) if in_window.any() else 0.0
-    return DissipationModel(gamma, mean_rate)
+    d = basis.n_states
+    gamma = np.zeros((d, d))
+    window = []
+    for j, k, _, dipole in transition_table(basis, check_deltas(deltas, d), d):
+        gamma[j, k] = gamma[k, j] = kappa * abs(dipole)
+        if k < basis.n_qubits:
+            window.append(gamma[j, k])
+    return DissipationModel(gamma, float(np.mean(window)) if window else 0.0)
 
 
 class _StepMatrices:
@@ -620,12 +611,16 @@ def evolution_operator(
     gate columns keep their norm within 4.2e-9, but states 18-31 drift up
     to 2.6e-7, beyond NORM_DRIFT_TOL: asked for all D columns, this raises
     NumericalError."""
-    if n_states > basis.n_states:
-        raise ValidationError("n_states exceeds the dynamical basis")
+    _check_projection(n_states, basis.n_states)
     frame = InteractionFrame(basis, fieldspec.dt)
-    cols = np.zeros((basis.n_states, n_states), dtype=complex)
-    cols[:n_states, :n_states] = np.eye(n_states)
+    cols = np.eye(basis.n_states, n_states, dtype=complex)
     return _gate_block(sweep(frame, cols, fieldspec.samples), n_states)
+
+
+def _check_projection(n_states, d):
+    """P U P keeps the first n_states of the d dynamical states."""
+    if not 1 <= n_states <= d:
+        raise ValidationError(f"n_states must be from 1 to the basis size {d}, not {n_states}")
 
 
 def _gate_block(u, n_states):
@@ -724,6 +719,7 @@ class ClosedPulseMap:
     def gate(self, n_states) -> np.ndarray:
         """P U(t_pulse) P on the first n_states, as `evolution_operator`
         gives it, with its column-norm check."""
+        _check_projection(n_states, len(self.final))
         return _gate_block(self.final, n_states)
 
     def apply(self, state):

@@ -17,9 +17,11 @@ one pass: meta lines, a header, then rows parsed by Python's `float` into
 one float64 array, so loaded values are bit-identical to what was
 written.  Every cell must be a number and every row must have the
 header's column count; a loader also checks the shape its artifact
-needs, and `z_matrix.csv` must be exactly symmetric.  A file that breaks
-either raises ValidationError, which the CLI reports on one line with
-exit code 2.  The reader accepts CRLF endings too.
+needs, and `z_matrix.csv` must be exactly symmetric.  A field's header
+must begin with its writer's `t_au,e_au` and a trace's must be its
+writer's.  A file that breaks any of this raises ValidationError, which
+the CLI reports on one line with exit code 2.  The reader accepts CRLF
+endings too.
 """
 
 import json
@@ -37,6 +39,9 @@ from .units import FIELD_AU_V_PER_M, TIME_AU_S
 
 FLOAT_FMT = "%.17g"
 BLOCK_ROWS = 1024   # rows formatted per write: bounds the text held at once
+# the header of a field and of a trace, written and checked
+_FIELD_COLUMNS = ("t_au", "e_au", "t_s", "e_v_per_m")
+_TRACE_COLUMNS = ("iteration", "objective", "fidelity", "fluence_au")
 
 
 def _atomic_write(path, chunks):
@@ -224,13 +229,15 @@ def load_gate(path_csv: str, path_json: str) -> GateMatrix:
 
 def save_field(field: ControlField, path: str, meta=None):
     t, e = field.times(), field.samples
-    _write_csv(path, ["t_au", "e_au", "t_s", "e_v_per_m"],
-               [t, e, t * TIME_AU_S, e * FIELD_AU_V_PER_M], meta)
+    _write_csv(path, _FIELD_COLUMNS, [t, e, t * TIME_AU_S, e * FIELD_AU_V_PER_M], meta)
 
 
 def load_field(path: str) -> ControlField:
-    _, data, _ = _read_table(path)
-    if len(data) < 2 or data.shape[1] < 2:
+    header, data, _ = _read_table(path)
+    if tuple(header[:2]) != _FIELD_COLUMNS[:2]:   # t_s, e_v_per_m are not read
+        raise ValidationError(f"field file {path} has a header that does not begin "
+                              f"{','.join(_FIELD_COLUMNS[:2])}")
+    if len(data) < 2:
         raise ValidationError(f"field file {path} has fewer than two (t_au, e_au) samples")
     t, e = data[:, 0], data[:, 1].copy()
     dts = np.diff(t)
@@ -246,16 +253,17 @@ def load_field(path: str) -> ControlField:
 def save_trace(trace: OctTrace, path: str, meta=None):
     all_meta = dict(meta or {})
     all_meta["status"] = trace.status
-    _write_csv(path, ["iteration", "objective", "fidelity", "fluence_au"],
+    _write_csv(path, _TRACE_COLUMNS,
                [trace.iterations, trace.objectives, trace.fidelities, trace.fluences],
                all_meta)
 
 
 def load_trace(path: str) -> OctTrace:
-    _, data, meta = _read_table(path)
+    header, data, meta = _read_table(path)
     iterations = data[:, 0].astype(int)
-    if data.shape[1] != 4 or (iterations != data[:, 0]).any():
-        raise ValidationError(f"trace file {path} needs 4 columns and integer iterations")
+    if tuple(header) != _TRACE_COLUMNS or (iterations != data[:, 0]).any():
+        raise ValidationError(f"trace file {path} needs 4 columns and integer iterations, "
+                              f"under the header {','.join(_TRACE_COLUMNS)!r}")
     return OctTrace(
         iterations=iterations.tolist(),
         objectives=data[:, 1].tolist(),

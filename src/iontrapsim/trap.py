@@ -136,30 +136,26 @@ def solve_trap(params: TrapParams) -> EigenBasis:
     return EigenBasis(params=params, energies=energies, z_matrix=z_matrix)
 
 
-def check_deltas(deltas) -> list:
-    """The distinct |delta n| of a transition set, ascending; an empty set
-    or a zero is refused."""
+def check_deltas(deltas, n_states: int | None = None) -> list:
+    """The distinct |delta n| of a transition set, ascending.  An empty set
+    or a zero is refused, and, given n_states, every delta that selects no
+    transition among them (delta >= n_states): `RunConfig.validate` and
+    `build_dissipation` pass the dynamical size D, `transition_table` none."""
     deltas = sorted({abs(int(d)) for d in deltas})
     if not deltas or deltas[0] == 0:
         raise ValidationError("deltas must be a nonempty set of nonzero integers")
+    beyond = [d for d in deltas if n_states is not None and d >= n_states]
+    if beyond:
+        raise ValidationError(f"deltas {beyond} select no transition among the "
+                              f"{n_states} dynamical states")
     return deltas
 
 
 def transition_table(basis: EigenBasis, deltas, n_states: int | None = None):
-    """List transitions (j, k=j+delta) with frequency in Hz and dipole in a.u.
-
-    Parameters
-    ----------
-    basis : EigenBasis
-    deltas : iterable of int
-        Motional quantum number changes to include (e.g. {1, 3}).
-    n_states : int, optional
-        Restrict to j < k < n_states; defaults to the computational size.
-
-    Returns
-    -------
-    list of (j, k, frequency_hz, dipole_au)
-    """
+    """The transitions (j, k = j + delta, frequency in Hz, dipole in a.u.) of
+    each delta of `check_deltas(deltas)` with k < n_states, by default the
+    computational size.  A delta of n_states or more adds no row, so the
+    guess field's deltas 1 and 3 also run among N <= 3 qubit states."""
     deltas = check_deltas(deltas)
     if n_states is None:
         n_states = basis.n_qubits

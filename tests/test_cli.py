@@ -191,6 +191,25 @@ class TestConfigParsing:
         assert [line.split()[0] for line in log.read_text().splitlines()] == stages[:ran]
         assert result.returncode == (0 if status == 4 else status), result.stderr
 
+    def test_console_script_runs_main_and_passes_its_exit_code(self, tmp_path):
+        """The paper script runs the `iontrapsim` console script, which
+        pyproject.toml makes `iontrapsim.cli:main`, and reads its exit codes:
+        run as a program, `trap` exits 0 and an optimize that stops short of
+        its goal exits 4."""
+        with open(os.path.join(REPO, "pyproject.toml")) as handle:
+            assert re.search(r'^\[project\.scripts\]\niontrapsim = "iontrapsim\.cli:main"$',
+                             handle.read(), re.M)
+        ini = tmp_path / "short.ini"
+        ini.write_text("[oct]\nt_pulse = 200 ns\n")   # 100 steps of the desk's 2 ns
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        for argv, status in ((["trap"], 0),
+                             (["optimize", "--config", str(ini), "--max-iterations", "0"], 4)):
+            result = subprocess.run(
+                [sys.executable, "-m", "iontrapsim.cli", *argv, "--out", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert result.returncode == status, result.stderr
+
 
 class TestCliCommands:
     def test_trap_writes_deterministic_outputs(self, tmp_path, capsys):
@@ -252,13 +271,16 @@ class TestCliCommands:
          "[sim]\npackets = -1:0\n", "[sim]\nx_min = 4\nx_max = -4\n", "[sim]\nk_substeps = 0\n",
          "[dissipation]\nkappa = 1e-18, -1e-18\n", "[dissipation]\nkappa = nan\n",
          "[trap]\ncharge = 0\n", "[trap]\ncharge = -1\n", "[oct]\nalpha0_f = -1\n",
-         "[oct]\nfunctional = F\nalpha0_p = -1\n", "[dissipation]\ndeltas = 1, 9\n"],
+         "[oct]\nfunctional = F\nalpha0_p = -1\n", "[dissipation]\ndeltas = 1, 9\n",
+         "[DEFAULT]\ntier = paper\nn_pulses = 3\n", "[DEFAULT]\nn_pulses = 3\n[sim]\n",
+         "[DEFAULT]\nn_pulses = 3\n[run]\ntier = desk\n"],
         ids=["zero-dt", "negative-pulse", "nan-packet", "empty-kappa", "unknown-key",
              "unknown-section", "non-integer-count", "non-numeric-goal", "fractional-delta",
              "missing-file", "no-section-header", "duplicate-key", "zero-delta",
              "negative-sigma", "inverted-grid", "zero-substeps", "negative-kappa", "nan-kappa",
              "zero-charge", "negative-charge", "negative-alpha0-f-under-p",
-             "negative-alpha0-p-under-f", "delta-beyond-dynamical"],
+             "negative-alpha0-p-under-f", "delta-beyond-dynamical", "default-section-alone",
+             "default-section-beside-sim", "default-section-beside-run"],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, ini):
         """Rejected on load, whichever command reads the file, with one
@@ -814,6 +836,12 @@ def _truncate(n_chars):
     return edit
 
 
+def _as_trace(lines):
+    """The file an optimize writes beside its field: its trace."""
+    lines[:] = ["# status=converged", "iteration,objective,fidelity,fluence_au",
+                "0,0.25,0.5,0", "1,0.5,0.75,1e-20", "2,0.75,0.875,2e-20"]
+
+
 def _edit_json(change):
     def edit(lines):
         payload = json.loads("\n".join(lines))
@@ -858,6 +886,8 @@ MALFORMED = {
                         r"basis\.json is not a basis sidecar: .*charge and k must be positive"),
     "nan_energy": ("basis.json", _edit_json(lambda p: p["energies_au"].__setitem__(0, math.nan)),
                    r"basis\.json holds a non-finite energy"),
+    "trace_as_field": ("gate_p_field.csv", _as_trace,
+                       r"gate_p_field\.csv has a header that does not begin t_au,e_au$"),
 }
 
 

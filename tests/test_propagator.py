@@ -12,6 +12,7 @@ from iontrapsim import (
     evolution_operator,
     make_guess_field,
 )
+from iontrapsim.config import load_config
 from iontrapsim.gridsim import unitarity_defect
 from iontrapsim.oct import OctConfig, _closed_bracket, _coordinate_bracket, _forward_update, \
     _matrix_bracket
@@ -306,8 +307,15 @@ class TestEvolutionOperator:
         assert np.abs(evolution_operator(field, paper_basis, 16) - want).max() <= 3e-9
 
     def test_rejects_oversized_projection(self, desk_basis):
-        with pytest.raises(ValidationError):
-            evolution_operator(ControlField(np.zeros(100 + 1), 1e8 / 100), desk_basis, 16)
+        """A gate block keeps 1 to D states; 0 and -1 are refused by name,
+        not by numpy's empty-reduction or negative-dimension errors."""
+        field = ControlField(np.zeros(100 + 1), 1e8 / 100)
+        closed_map = ClosedPulseMap(field, desk_basis)
+        for n_states in (16, 0, -1):
+            with pytest.raises(ValidationError, match=f"n_states .* not {n_states}$"):
+                evolution_operator(field, desk_basis, n_states)
+            with pytest.raises(ValidationError, match=f"n_states .* not {n_states}$"):
+                closed_map.gate(n_states)
 
 
 class TestDissipationModel:
@@ -343,9 +351,20 @@ class TestDissipationModel:
     def test_rejects_deltas_selecting_no_transition(self, desk_basis):
         """A library call that no `RunConfig.validate` guards: delta 9 of 8
         states is refused by name, not by an IndexError."""
-        with pytest.raises(ValidationError, match=r"deltas \(9,\) select no transition "
+        with pytest.raises(ValidationError, match=r"deltas \[9\] select no transition "
                                                   r"among the 8 dynamical states"):
             build_dissipation(desk_basis, 1e-18, deltas=(9,))
+
+    @pytest.mark.parametrize("deltas", [(9,), (1, 9), (0,), ()])
+    def test_config_and_library_refuse_the_same_deltas(self, desk_basis, deltas):
+        """One rule (`trap.check_deltas`): every delta must select a
+        transition among the D = 8 dynamical states, in a run file and in a
+        library call alike, with one message."""
+        with pytest.raises(ValidationError) as from_config:
+            load_config(tier="desk", deltas=deltas)
+        with pytest.raises(ValidationError) as from_library:
+            build_dissipation(desk_basis, 1e-18, deltas)
+        assert str(from_library.value) == str(from_config.value)
 
 
 class TestLindblad:

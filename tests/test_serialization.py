@@ -110,6 +110,8 @@ def test_trace_roundtrip(tmp_path):
 @pytest.mark.parametrize("text", [
     "iteration,objective,fidelity,fluence_au\n0,1,0.5,0\n1.5,2,0.5,0\n",
     "iteration,objective,fidelity\n0,1,0.5\n",
+    "t_au,e_au,t_s,e_v_per_m\n0,1,0.5,0\n40,2,0.5,0\n",
+    "iteration,fidelity,objective,fluence_au\n0,1,0.5,0\n",
 ])
 def test_trace_needs_integer_iterations_and_four_columns(tmp_path, text):
     path = tmp_path / "t.csv"
@@ -156,13 +158,14 @@ def test_read_table_pins_python_float(tmp_path):
         ["0", "-0", "5e-324", "1.7976931348623157e+308"],
         ["12", "0.10000000000000001", "-2.2250738585072014e-308", "-3"],
     ]
-    text = "# config_hash=cafe01\r\n# status=converged\niteration,a,b,c\r\n"
+    text = ("# config_hash=cafe01\r\n# status=converged\n"
+            "iteration,objective,fidelity,fluence_au\r\n")
     text += "".join(",".join(row) + "\r\n" for row in rows) + "\r\n"
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode())
 
     header, data, meta = _read_table(str(path))
-    assert header == ["iteration", "a", "b", "c"]
+    assert header == ["iteration", "objective", "fidelity", "fluence_au"]
     assert meta == {"config_hash": "cafe01", "status": "converged"}
     expected = np.array([[float(cell) for cell in row] for row in rows])
     assert data.dtype == np.float64 and data.shape == (2, 4)
