@@ -31,6 +31,17 @@ own verdict sums them up and names every unresolved metric.
         --title "what the change does" --claim "paper-oct sweep_ms" \\
         --out BENCH_21.json
 
+In its `check` mode, run from the root of the repository,
+
+    python3 scripts/bench_record.py check
+
+it reads every committed BENCH_*.json there and exits 1, naming each
+problem, unless every record is complete: it names its change and its
+claim, "<workload> <metric>" of its workloads and an end-to-end metric of
+BENCHMARK.json, counts no failed operation, and holds one value per seed
+on both sides of every metric.  So a hand-edited record cannot go stale
+unseen.
+
 Only the Python standard library is used.  A workload with no seed run
 on both sides is left out; a seed run on one side only is an error, and
 so is a run record of any size but "full" (`perfbench/selfcheck.py`
@@ -190,6 +201,46 @@ def build(args):
     return record
 
 
+def record_problems(paths, end_to_end):
+    """One line per problem of the records at paths, [] if they are
+    complete; end_to_end names the end-to-end metrics of BENCHMARK.json."""
+    problems = [] if paths else ["no BENCH_*.json"]
+    for path in paths:
+        with open(path) as handle:
+            record = json.load(handle)
+        problems += [f"{path}: no {key!r}" for key in ("change", "claim", "workloads")
+                     if key not in record]
+        claim = str(record.get("claim", "")).split(" ")
+        if len(claim) != 2 or claim[0] not in record.get("workloads", {}) \
+                or claim[1] not in end_to_end:
+            problems.append(f"{path}: claim {record.get('claim')!r} is not "
+                            "'<workload> <metric>' of its workloads and BENCHMARK.json")
+        for name, workload in record.get("workloads", {}).items():
+            seeds = len(workload.get("seeds", []))
+            for side, counts in workload.get("failed", {}).items():
+                if any(counts):
+                    problems.append(f"{path} {name}: {side} failed {counts}")
+            for metric, values in workload.get("metrics", {}).items():
+                for side in ("parent", "change"):
+                    if len(values.get(side, [])) != seeds:
+                        problems.append(f"{path} {name} {metric}: {side} has "
+                                        f"{len(values.get(side, []))} values, {seeds} seeds")
+    return problems
+
+
+def check():
+    """The `check` mode: 1 unless every BENCH_*.json of the working
+    directory is complete, with each problem printed."""
+    with open("BENCHMARK.json") as handle:
+        end_to_end = {metric["name"] for metric in json.load(handle)["end_to_end"]}
+    paths = sorted(glob.glob("BENCH_*.json"))
+    problems = record_problems(paths, end_to_end)
+    print(f"{len(paths)} benchmark records, {len(problems)} problems")
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -203,6 +254,9 @@ def parse_args(argv=None):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["check"]:
+        return check()
     args = parse_args(argv)
     text = json.dumps(build(args), indent=2) + "\n"
     if args.out:

@@ -22,12 +22,11 @@ rule, and the fidelity recorded for a field is the one
 The dissipative variant replaces P's state amplitudes by density matrices
 propagated with the Lindblad generator and its adjoint, pairing
 trajectories through Tr(eta (mu rho - rho mu)).  They enter and leave
-the kernels as rows of Hermitian coordinates.  Up to
-`propagator.SUPEROPERATOR_MAX_DIM` states the kernels step those by real
-step matrices, and the pairing is a bilinear form on them
-(`_coordinate_bracket`); above it they step matrices.  With all rates
-zero it reproduces the closed-system iteration to rounding (same fields,
-same objective column).
+the kernels as rows of Hermitian coordinates, and whichever kernel
+`propagator.lindblad_kernel` picks gives the pairing and the step under
+a corrected sample by its own methods.  With all rates zero it
+reproduces the closed-system iteration to rounding (same fields, same
+objective column).
 
 All three optimizers run one iteration driver, `_run_iterations`: the
 multipliers at t = 0, one `_forward_update` and the evaluation sweep.
@@ -67,10 +66,11 @@ multipliers through the block, each step written straight into the next
 row of the block, and the bracket prepares everything that does not
 depend on the states for the whole block at once (for the closed
 functionals, the plain bras lam and mu lam of every step, which the
-pairing conjugates; for the per-matrix Lindblad kernel, eta mu).  Each
-bracket serves one kernel: `_closed_bracket` the `InteractionFrame`,
-`_coordinate_bracket` the `LindbladSuperoperator` and `_matrix_bracket`
-the per-matrix `Lindblad`.
+pairing conjugates; for density matrices, the Lindblad kernel's
+`commutator_bras`).  There are two brackets, one for amplitudes and one
+for density matrices: `_closed_bracket` serves the `InteractionFrame`,
+`_density_bracket` either Lindblad kernel, through its
+`commutator_bras`, `commutator_pairing` and `held_step`.
 Per block it returns `advance`, and a step is one call of it: it pairs
 the states with the step's bras, corrects the sample and steps the
 states under the corrected sample into the spare buffer.  At desk size a
@@ -79,9 +79,10 @@ correction and the step into one call is what makes it cheaper; the
 numpy calls, their operands and their order are those of separate calls,
 so every number stays bit for bit.  The multipliers of every block go
 into one array per forward update, and each bracket writes its bras into
-one array per optimizer run (`_block_rows`), as `step_blocks` does the
-step operators: at paper size a fresh array per block would fault its
-pages in again every BLOCK_STEPS steps.
+one array per optimizer run, each made for the first block, the longest
+of every forward update, as `step_blocks` does the step operators: at
+paper size a fresh array per block would fault its pages in again every
+BLOCK_STEPS steps.
 """
 
 import time
@@ -91,9 +92,9 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .gridsim import unitarity_defect
-from .propagator import (ControlField, DissipationModel, InteractionFrame, Lindblad,
-                         commutator_coordinates, hermitian_coordinates, lindblad_kernel,
-                         population_form, step_blocks, sweep)
+from .propagator import (ControlField, DissipationModel, InteractionFrame,
+                         hermitian_coordinates, lindblad_kernel, population_form,
+                         step_blocks, sweep)
 from .trap import EigenBasis, transition_table
 from .units import hz_to_angular_freq_au
 
@@ -178,20 +179,21 @@ class TargetSet:
 class OctTrace:
     """Per-iteration convergence record.
 
-    `backward_s` and `forward_s` hold the wall seconds of the optimizer's
-    multipliers call, which gives the multipliers at t = 0, and of the
-    forward update of every iteration swept by the last optimizer call on
-    this trace: for the closed gate optimizer one product with the
-    propagator of the last forward update (after a forward sweep of the
-    starting field on a resumed trace), for the others the backward sweep.
-    They stay in memory, so artifacts do not depend on timing."""
+    `multipliers_s` and `forward_s` hold the wall seconds of the
+    optimizer's multipliers call, which gives the multipliers at t = 0,
+    and of the forward update of every iteration swept by the last
+    optimizer call on this trace.  The multipliers call is one D x D
+    product with the propagator of the last forward update for the closed
+    gate optimizer (after a forward sweep of the starting field on a
+    resumed trace), a backward sweep of the targets for the others.  They
+    stay in memory, so artifacts do not depend on timing."""
 
     iterations: list = dataclass_field(default_factory=list)
     objectives: list = dataclass_field(default_factory=list)
     fidelities: list = dataclass_field(default_factory=list)
     fluences: list = dataclass_field(default_factory=list)
     status: str = "running"
-    backward_s: list = dataclass_field(default_factory=list)
+    multipliers_s: list = dataclass_field(default_factory=list)
     forward_s: list = dataclass_field(default_factory=list)
 
     def append(self, iteration, objective, fid, fluence):
@@ -260,22 +262,6 @@ def make_guess_field(basis: EigenBasis, config: OctConfig) -> ControlField:
     return ControlField(samples, config.dt)
 
 
-def _block_rows():
-    """rows(n, shape, dtype): the first n rows of one array of (n,) + shape,
-    made on the first call and again only for a longer block, so every
-    block of a forward update, or of an optimizer run, is written into the
-    same memory.  A block's rows are valid only until the next call."""
-    array = None
-
-    def rows(n, shape, dtype):
-        nonlocal array
-        if array is None or len(array) < n:
-            array = np.empty((n,) + shape, dtype)
-        return array[:n]
-
-    return rows
-
-
 def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     """Forward sweep with immediate update; the multipliers lam ride along
     under the old field.  Both start at t = 0 and move to the kernels'
@@ -298,10 +284,12 @@ def _forward_update(kernel, adjoint, weight, psi, lam, field, bracket):
     new_field = field.copy()
     psi, lam = kernel.rotate_in(psi, 0), adjoint.rotate_in(lam, 0)
     states = psi, np.empty_like(psi)
-    rows = _block_rows()
+    rows = None
     for steps, lam_ops in step_blocks(adjoint, field):
         n = len(lam_ops)
-        lams = rows(n + 1, lam.shape, lam.dtype)
+        if rows is None:   # the first block is the longest
+            rows = np.empty((n + 1,) + lam.shape, lam.dtype)
+        lams = rows[:n + 1]
         lams[0] = lam
         adjoint.step_rows(lams, lam_ops)
         lam = lams[n]
@@ -350,7 +338,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, bracket, measure, 
         trace.status = "converged"
         return ControlField(field, config.dt), trace
     start = trace.iterations[-1] + 1
-    trace.backward_s, trace.forward_s = [], []
+    trace.multipliers_s, trace.forward_s = [], []
     for it in range(start, config.max_iterations + start):
         t0 = time.perf_counter()
         lam = multipliers(field, finals)
@@ -374,7 +362,7 @@ def _run_iterations(basis, config, kernel, adjoint, initials, bracket, measure, 
         else:
             stall = 0
         trace.append(it, objective, fid, ControlField(field, config.dt).fluence())
-        trace.backward_s.append(t1 - t0)
+        trace.multipliers_s.append(t1 - t0)
         trace.forward_s.append(t2 - t1)
         if callback is not None:
             callback(it, ControlField(field.copy(), config.dt), trace)
@@ -408,10 +396,13 @@ def _closed_bracket(frame, functional):
     c, flat, s = frame.one_step_buffer()
     powers = np.ones(5)
     coherent = functional == "F"
-    rows = _block_rows()
+    block = None
 
     def bracket(lams, states):
-        pairs = rows(len(lams), (2,) + lams.shape[1:], complex)
+        nonlocal block
+        if block is None:   # the first block of a forward update is its longest
+            block = np.empty((len(lams), 2) + lams.shape[1:], complex)
+        pairs = block[:len(lams)]
         pairs[:, 0] = lams
         np.matmul(mu, lams.view(float), out=pairs[:, 1].view(float))
         paired = [psi[..., :lams.shape[-1]] for psi in states]
@@ -546,10 +537,6 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
     n_gate = targets.n
     kernel = lindblad_kernel(frame, diss)
     adjoint = lindblad_kernel(frame, diss, adjoint=True)
-    if isinstance(kernel, Lindblad):
-        bracket = _matrix_bracket(kernel)
-    else:
-        bracket = _coordinate_bracket(kernel)
     target_bras = eta_final * population_form(d)
 
     def multipliers(field, finals):
@@ -559,73 +546,33 @@ def optimize_gate_dissipative(basis: EigenBasis, targets: TargetSet,
         pops = np.einsum("tu,tu->t", target_bras, rho)
         return float(np.sum(pops)), float(np.mean(pops[:n_gate]))
 
-    return _run_iterations(basis, config, kernel, adjoint, rho0, bracket, measure, multipliers,
-                           initial_field, trace, callback)
+    return _run_iterations(basis, config, kernel, adjoint, rho0, _density_bracket(kernel),
+                           measure, multipliers, initial_field, trace, callback)
 
 
-def _matrix_bracket(lindblad):
-    """Update bracket of the dissipative P functional for the per-matrix
-    `Lindblad` kernel.  In y = P^* x P, Tr(eta [mu_I, rho]) =
-    Tr(y_eta [mu, y_rho]) with the static dipole, and for Hermitian y_rho
-    and y_eta that is -2i Im Tr(y_eta y_rho mu) = -2i Im Tr(mu y_eta y_rho)
-    by the cyclic property of the trace.  Per block, one stacked product
-    gives the bras y_eta mu of every step, and a step pairs them with rho
-    by one `np.vdot`, which conjugates them, then takes `Lindblad.step`
-    under the corrected sample."""
-    mu = lindblad.frame.mu
-    d = len(mu)
-    rows = _block_rows()
+def _density_bracket(kernel):
+    """Update bracket of the dissipative P functional for either Lindblad
+    kernel, whose states are the kernel's rotating variable y.  In y,
+    Tr(eta [mu_I, rho]) = Tr(y_eta [mu, y_rho]) with the static dipole,
+    and for Hermitian y_rho and y_eta that is -2i Im Tr(y_eta y_rho mu).
+    Per block, one `commutator_bras` call of the kernel gives the bras of
+    every step; a step pairs them with rho by `commutator_pairing`, which
+    gives Im Tr(y_eta y_rho mu), corrects the sample and takes the
+    kernel's `held_step` under it into the spare states."""
+    pairing, held_step = kernel.commutator_pairing, kernel.held_step
+    block = None
 
     def bracket(etas, states):
-        bras = rows(len(etas), etas.shape[1:], complex)
-        np.dot(etas.reshape(-1, d), mu, out=bras.reshape(-1, d))
+        nonlocal block
+        if block is None:   # the first block of a forward update is its longest
+            block = np.empty_like(etas)
+        bras = kernel.commutator_bras(etas, block[:len(etas)])
 
         def advance(i, e, w):
             j = i & 1
             rho = states[j]
-            e -= w * -float(np.vdot(bras[i], rho).imag)
-            lindblad.step(rho, lindblad.operators([e])[0], out=states[1 - j])
-            return e
-
-        return advance
-
-    return bracket
-
-
-def _coordinate_bracket(superop):
-    """Update bracket of the dissipative P functional for the
-    `LindbladSuperoperator` kernel superop, whose states are rows of
-    Hermitian coordinates (`propagator.hermitian_coordinates`).
-
-    Tr(X Y) of Hermitian X and Y is sum_u w_u c_u(X) c_u(Y), w the
-    population form.  With c(i [mu, y]) = c(y) @ B
-    (`propagator.commutator_coordinates`), the pairing
-    Im Tr(y_eta y_rho mu) = Tr(y_eta i [mu, y_rho]) / 2 is the bilinear form
-    c(eta) @ W @ c(rho), W = w[:, None] * B^T / 2 (Palao & Kosloff, PRA 68,
-    062308 (2003)).  Per block, one product gives the bras
-    c(eta) @ W of every step, and a step pairs them with rho by one
-    multiply-and-sum, then steps rho by the step increment of the
-    corrected sample, made as `_closed_bracket` makes its step matrix."""
-    mu = superop.lindblad.frame.mu
-    form = population_form(len(mu))[:, None] * commutator_coordinates(mu).T / 2
-    c, flat, s = superop.one_step_buffer()
-    powers = np.ones(5)
-    rows = _block_rows()
-
-    def bracket(etas, states):
-        bras = np.matmul(etas, form, out=rows(len(etas), etas.shape[1:], float))
-
-        def advance(i, e, w):
-            j = i & 1
-            rho, out = states[j], states[1 - j]
-            e -= w * -float(np.vdot(bras[i], rho))
-            powers[1] = e
-            powers[2] = e * e
-            powers[3] = e ** 3
-            powers[4] = e ** 4
-            np.dot(powers, c, out=flat)
-            np.dot(rho, s, out=out)
-            out += rho
+            e -= w * -pairing(bras[i], rho)
+            held_step(e, rho, states[1 - j])
             return e
 
         return advance

@@ -55,15 +55,15 @@ bits as `np.dot` and builds the wide blocks faster: 16 steps of 64 x 64
 superoperator increments, (16, 5) by (5, 4096), in 29 against 40 us, and
 a paper closed block (5, 2048) in 17 against 24 us, though a desk closed
 block (5, 128) takes 1.8 against 1.3 us (into the buffer, the same host
-and thread).  Only the per-matrix `Lindblad.step` also writes into out=
-(not y), for its `step_rows` and the optimizer.  The step under a sample
-the optimizer has just corrected is taken by the optimizer's update bracket
-(`oct`), in the same call that pairs and corrects: for the step-matrix
-kernels it writes the one operator into a buffer the kernel owns
-(`one_step_buffer`) and steps into the spare states with it, and for the
-per-matrix kernel it calls `Lindblad.step` into them.  That buffer makes
-a kernel non-reentrant: one kernel must not serve two forward updates
-at once, from two threads say.
+and thread).  The `step` of both Lindblad kernels also writes into out=
+(not y), for their `step_rows` and the three methods the optimizer's
+density-matrix bracket (`oct`) asks of them: `commutator_bras`, the bras
+of a block of multipliers, `commutator_pairing`, Im Tr(y_eta y mu) of
+the states with one bra, and `held_step`, the step under a sample just
+corrected.  The superoperator takes that step through a buffer it owns
+(`one_step_buffer`, which the closed bracket fills too).  That buffer
+makes a kernel non-reentrant: one kernel must not serve two forward
+updates at once, from two threads say.
 Density matrices enter and leave both Lindblad kernels as the rows
 (..., D^2) of their `hermitian_coordinates`, which the superoperator turns
 by the frame phases (`turn_coordinates`) and the per-matrix kernel
@@ -400,6 +400,22 @@ class Lindblad:
         for i, kdag in enumerate(kdags):
             self.step(rows[i], kdag, out=rows[i + 1])
 
+    def commutator_bras(self, etas, out):
+        """The bras y_eta mu of the Hermitian stacks etas, one stacked
+        product written into out, an array of the shape and dtype of etas."""
+        d = len(self.frame.mu)
+        np.dot(etas.reshape(-1, d), self.frame.mu, out=out.reshape(-1, d))
+        return out
+
+    def commutator_pairing(self, bra, y):
+        """Im Tr(y_eta y mu) = Im Tr(mu y_eta y) of the Hermitian stack y
+        with the bras of `commutator_bras`, which `np.vdot` conjugates."""
+        return float(np.vdot(bra, y).imag)
+
+    def held_step(self, e, y, out):
+        """The forward step of y under the held field e, into out."""
+        return self.step(y, self.operators([e])[0], out=out)
+
     def rotate_in(self, c, half_idx):
         """y = P^* x P at t = half_idx dt / 2 from the coordinate rows c
         (..., D^2) of x, so y is Hermitian, as the one-product rate needs;
@@ -442,6 +458,8 @@ class LindbladSuperoperator(_StepMatrices):
         super().__init__()
         self.lindblad = lindblad
         self.dim = len(lindblad.frame.energies)
+        self._commutator_form = None
+        self._powers = np.ones(5)
 
     def _rk4_coefficients(self, backward: bool) -> np.ndarray:
         """The step increments C_0..C_4, S - I = sum_k e^k C_k, flattened
@@ -494,17 +512,48 @@ class LindbladSuperoperator(_StepMatrices):
         d2 = self.dim * self.dim
         return sums.reshape(sums.shape[:-1] + (d2, d2))
 
-    def step(self, y, s, backward=False):
-        """One step of the coordinate rows y with the step increment s."""
-        return y + np.dot(y, s)
+    def step(self, y, s, backward=False, out=None):
+        """One step of the coordinate rows y with the step increment s,
+        y + y @ s, into out if given."""
+        out = np.dot(y, s, out=out)
+        out += y
+        return out
 
     def step_rows(self, rows, ops):
         """Step rows[i] forward into rows[i + 1] with the step increment
-        ops[i], for every i of ops, as `step` does."""
+        ops[i], for every i of ops."""
         for i, s in enumerate(ops):
-            y, out = rows[i], rows[i + 1]
-            np.dot(y, s, out=out)
-            out += y
+            self.step(rows[i], s, out=rows[i + 1])
+
+    def commutator_bras(self, etas, out):
+        """The bras c(eta) @ W of the coordinate rows etas, into out.  With w
+        the population form and c(i [mu, y]) = c(y) @ B (`commutator_coordinates`),
+        Im Tr(y_eta y mu) = Tr(y_eta i [mu, y]) / 2 = c(eta) @ W @ c(y),
+        W = w[:, None] * B^T / 2 (Palao & Kosloff, PRA 68, 062308 (2003)),
+        built on the first call."""
+        if self._commutator_form is None:
+            mu = self.lindblad.frame.mu
+            self._commutator_form = (population_form(self.dim)[:, None]
+                                     * commutator_coordinates(mu).T / 2)
+        return np.matmul(etas, self._commutator_form, out=out)
+
+    def commutator_pairing(self, bra, y):
+        """Im Tr(y_eta y mu) of the coordinate rows y with the bras of
+        `commutator_bras`, by one multiply-and-sum."""
+        return float(np.vdot(bra, y))
+
+    def held_step(self, e, y, out):
+        """The forward step of y under the held field e, into out, with the
+        step increment written into the one-step buffer from the powers
+        1, e, e^2, e^3, e^4 of the float e."""
+        c, flat, s = self.one_step_buffer()
+        powers = self._powers
+        powers[1] = e
+        powers[2] = e * e
+        powers[3] = e ** 3
+        powers[4] = e ** 4
+        np.dot(powers, c, out=flat)
+        return self.step(y, s, out=out)
 
     def rotate_out(self, c, half_idx):
         """The coordinate rows of x = P y P^* at t = half_idx dt / 2 from
@@ -517,8 +566,9 @@ class LindbladSuperoperator(_StepMatrices):
 
 def lindblad_kernel(frame: InteractionFrame, diss: DissipationModel, adjoint: bool = False):
     """The `Lindblad` generator (or its adjoint) of frame and diss as the
-    kernel that steps it fastest: its `LindbladSuperoperator` up to
-    SUPEROPERATOR_MAX_DIM states, the per-matrix `Lindblad` above."""
+    kernel that steps it fastest, the one choice of kernel: its
+    `LindbladSuperoperator` up to SUPEROPERATOR_MAX_DIM states, the
+    per-matrix `Lindblad` above."""
     lindblad = Lindblad(frame, diss, adjoint)
     if len(frame.energies) <= SUPEROPERATOR_MAX_DIM:
         return LindbladSuperoperator(lindblad)

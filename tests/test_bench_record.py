@@ -1,6 +1,7 @@
-"""`scripts/bench_record.py` assembles a record that CI's completeness check
-accepts, one value per seed on both sides of every end-to-end metric, and
-gives each metric its verdict."""
+"""`scripts/bench_record.py` assembles a record that its `check` mode, CI's
+completeness check, accepts, one value per seed on both sides of every
+end-to-end metric, and gives each metric its verdict; `check` refuses
+every kind of incomplete record and accepts every committed one."""
 
 import importlib.util
 import json
@@ -164,3 +165,73 @@ def test_refuses_a_claim_on_no_recorded_metric(tmp_path):
     with pytest.raises(SystemExit, match="claim 'paper-oct sweep_ms'"):
         bench_record.main(["--parent", parent, "--change", change, "--title", "t",
                            "--claim", "paper-oct sweep_ms"])
+
+
+def checked(tmp_path, monkeypatch, capsys, record=None):
+    """(exit status, output) of the `check` mode in a directory holding
+    BENCHMARK.json and, if given, record as its one BENCH_*.json."""
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    if record is not None:
+        (tmp_path / "BENCH_1.json").write_text(json.dumps(record))
+    monkeypatch.chdir(tmp_path)
+    status = bench_record.main(["check"])
+    return status, capsys.readouterr().out
+
+
+@pytest.fixture
+def complete(tmp_path):
+    """A record the script writes, of ten desk-gate pairs claiming sweep_ms."""
+    return ten_pairs(tmp_path, PARENT_SWEEPS, [p - 0.1 for p in PARENT_SWEEPS])
+
+
+def test_check_accepts_a_record_the_script_writes(tmp_path, monkeypatch, capsys, complete):
+    assert checked(tmp_path, monkeypatch, capsys, complete) == (
+        0, "1 benchmark records, 0 problems\n")
+
+
+def test_check_accepts_every_committed_record(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    status = bench_record.main(["check"])
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert out.endswith(" benchmark records, 0 problems\n") and not out.startswith("0 ")
+
+
+def test_check_refuses_no_records(tmp_path, monkeypatch, capsys):
+    assert checked(tmp_path, monkeypatch, capsys) == (
+        1, "0 benchmark records, 1 problems\nno BENCH_*.json\n")
+
+
+@pytest.mark.parametrize("key", ["change", "claim", "workloads"])
+def test_check_refuses_a_record_without_a_key(tmp_path, monkeypatch, capsys, complete, key):
+    del complete[key]
+    status, out = checked(tmp_path, monkeypatch, capsys, complete)
+    assert status == 1 and f"BENCH_1.json: no '{key}'\n" in out
+
+
+@pytest.mark.parametrize("claim", ["desk-gate", "desk-gate sweep_ms extra",
+                                   "paper-oct sweep_ms", "desk-gate wall_s"],
+                         ids=["no-metric", "three-words", "workload-not-recorded",
+                              "not-end-to-end"])
+def test_check_refuses_a_claim_not_a_workload_and_metric(tmp_path, monkeypatch, capsys,
+                                                         complete, claim):
+    complete["claim"] = claim
+    assert checked(tmp_path, monkeypatch, capsys, complete) == (
+        1, f"1 benchmark records, 1 problems\nBENCH_1.json: claim {claim!r} is not "
+           "'<workload> <metric>' of its workloads and BENCHMARK.json\n")
+
+
+def test_check_refuses_failed_operations(tmp_path, monkeypatch, capsys, complete):
+    complete["workloads"]["desk-gate"]["failed"]["change"][3] = 2
+    assert checked(tmp_path, monkeypatch, capsys, complete) == (
+        1, "1 benchmark records, 1 problems\n"
+           "BENCH_1.json desk-gate: change failed [0, 0, 0, 2, 0, 0, 0, 0, 0, 0]\n")
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_check_refuses_a_side_with_fewer_values_than_seeds(tmp_path, monkeypatch, capsys,
+                                                           complete, side):
+    complete["workloads"]["desk-gate"]["metrics"]["check_ms"][side].pop()
+    assert checked(tmp_path, monkeypatch, capsys, complete) == (
+        1, f"1 benchmark records, 1 problems\n"
+           f"BENCH_1.json desk-gate check_ms: {side} has 9 values, 10 seeds\n")

@@ -20,9 +20,8 @@ from iontrapsim import (
 )
 from iontrapsim import ConvergenceError, NumericalError, propagator
 from iontrapsim.analysis import map_fidelity_trace
-from iontrapsim.oct import (STALL_IMPROVEMENT, OctTrace, _block_rows, _closed_bracket,
-                           _coordinate_bracket, _matrix_bracket, _run_iterations,
-                           switch_envelope)
+from iontrapsim.oct import (STALL_IMPROVEMENT, OctTrace, _closed_bracket, _density_bracket,
+                           _run_iterations, switch_envelope)
 from iontrapsim.serialization import load_trace, save_trace
 from iontrapsim.units import TIME_AU_S
 
@@ -187,16 +186,16 @@ class TestOptimizeGate:
         cfg = small_config(t_pulse=0.2e-6 / TIME_AU_S, max_iterations=3)
         field, trace = optimize_gate(desk_basis, targets, cfg)
         assert len(trace) == 4
-        for seconds in (trace.backward_s, trace.forward_s):
+        for seconds in (trace.multipliers_s, trace.forward_s):
             assert len(seconds) == len(trace) - 1
             assert all(s > 0 for s in seconds)
         save_trace(trace, str(tmp_path / "trace.csv"))
         loaded = load_trace(str(tmp_path / "trace.csv"))
-        assert loaded.backward_s == [] and loaded.forward_s == []
+        assert loaded.multipliers_s == [] and loaded.forward_s == []
         _, trace = optimize_gate(desk_basis, targets, small_config(
             t_pulse=0.2e-6 / TIME_AU_S, max_iterations=1), initial_field=field, trace=loaded)
         assert trace.iterations == [0, 1, 2, 3, 4]
-        assert len(trace.backward_s) == len(trace.forward_s) == 1
+        assert len(trace.multipliers_s) == len(trace.forward_s) == 1
 
     def test_functional_configs_validated(self):
         with pytest.raises(ValidationError):
@@ -308,26 +307,34 @@ class TestDissipativeOptimizer:
         assert trace.iterations == [0]
         assert process[0] <= trace.fidelities[0]
 
+    @pytest.mark.parametrize("steps, kappa, rtol, gain", [
+        (300, 1e-17, 1e-12, 1e-3),   # a partial block at the end
+        (20, 5e-18, 1e-15, 1e-4),    # to rounding: 2.2e-16 measured
+    ], ids=["300-steps", "20-steps"])
     def test_superoperator_kernel_matches_per_matrix_kernel(self, desk_basis, desk_gate,
-                                                            monkeypatch):
-        """Three iterations on 300 desk steps (a partial block at the end):
-        the field and the trace of the `LindbladSuperoperator` kernels and
-        their coordinate bracket agree at 1e-12 relative with the per-matrix
-        kernels, which SUPEROPERATOR_MAX_DIM = 0 selects."""
-        cfg = small_config(t_pulse=600e-9 / TIME_AU_S, max_iterations=3)
-        diss = build_dissipation(desk_basis, kappa=1e-17)
+                                                            monkeypatch, steps, kappa, rtol,
+                                                            gain):
+        """Three desk iterations through the one density bracket: the field
+        and the trace of the `LindbladSuperoperator` kernels agree at rtol
+        relative with the per-matrix kernels, which SUPEROPERATOR_MAX_DIM = 0
+        selects.  On 20 steps the measured gap is 2.2e-16 in the field and
+        the objectives, 1.2e-16 in the fidelities (numpy 2.4.6, OpenBLAS
+        0.3.31, x86-64)."""
+        cfg = small_config(t_pulse=steps * DT, dt=DT, max_iterations=3)
+        diss = build_dissipation(desk_basis, kappa=kappa)
         runs = []
         for max_dim in (propagator.SUPEROPERATOR_MAX_DIM, 0):
             monkeypatch.setattr(propagator, "SUPEROPERATOR_MAX_DIM", max_dim)
             runs.append(optimize_gate_dissipative(desk_basis, TargetSet(desk_gate.entries),
                                                   cfg, diss))
         (field, trace), (want_field, want_trace) = runs
+        assert len(want_trace) == 4
         assert np.abs(field.samples - want_field.samples).max() <= (
-            1e-12 * np.abs(want_field.samples).max())
+            rtol * np.abs(want_field.samples).max())
         for got, want in ((trace.objectives, want_trace.objectives),
                           (trace.fidelities, want_trace.fidelities)):
-            assert np.abs(np.subtract(got, want)).max() <= 1e-12 * np.abs(want).max()
-        assert want_trace.objectives[-1] > want_trace.objectives[0] + 1e-3
+            assert np.abs(np.subtract(got, want)).max() <= rtol * np.abs(want).max()
+        assert want_trace.objectives[-1] > want_trace.objectives[0] + gain
 
 
 class TestIterationDriver:
@@ -399,19 +406,6 @@ class TestIterationDriver:
         assert finals[0] is None and finals[1].shape == (desk_basis.n_states, 1)
 
 
-def test_block_rows_reuse_one_array():
-    """The forward update and the brackets write every block into one
-    array: a block of no more rows than the array holds is a view of it,
-    and only a longer block gets a new one."""
-    rows = _block_rows()
-    first = rows(16, (3, 2), complex)
-    partial = rows(5, (3, 2), complex)
-    assert partial.shape == (5, 3, 2) and np.shares_memory(first, partial)
-    longer = rows(20, (3, 2), complex)
-    assert longer.shape == (20, 3, 2) and not np.shares_memory(first, longer)
-    assert np.shares_memory(rows(16, (3, 2), complex), longer)
-
-
 @pytest.mark.parametrize("functional", ["P", "F"])
 @pytest.mark.parametrize("d, n", [(8, 5), (32, 17)], ids=["desk", "paper"])
 def test_closed_pairing_matches_the_conjugated_sum(request, functional, d, n):
@@ -452,12 +446,13 @@ def test_closed_pairing_matches_the_conjugated_sum(request, functional, d, n):
 
 @pytest.mark.parametrize("bracket", ["coordinate", "matrix"])
 def test_dissipative_pairing_matches_the_commutator_trace(desk_basis, bracket):
-    """The dissipative brackets' `advance(i, e, w)` with e = 0 and w = -1
-    returns the value sum_t Im Tr(eta_t [mu, rho_t]) / 2 that they pair
-    the multipliers eta with the states rho by: the coordinate bracket as
-    a bilinear form on Hermitian coordinates, the matrix bracket from
-    the bras eta mu.  Over 200 random Hermitian stacks it agrees with that
-    trace formed on the matrices and summed by `np.add.reduce` to 1e-13
+    """The density bracket's `advance(i, e, w)` with e = 0 and w = -1
+    returns the value sum_t Im Tr(eta_t [mu, rho_t]) / 2 that it pairs
+    the multipliers eta with the states rho by, through the kernel's
+    commutator form: the superoperator's ("coordinate") a bilinear form on
+    Hermitian coordinates, the per-matrix kernel's ("matrix") the bras
+    eta mu.  Over 200 random Hermitian stacks it agrees with that trace
+    formed on the matrices and summed by `np.add.reduce` to 1e-13
     relative to the magnitude of the terms summed."""
     d = desk_basis.n_states
     rng = np.random.default_rng(29)
@@ -470,11 +465,12 @@ def test_dissipative_pairing_matches_the_commutator_trace(desk_basis, bracket):
     if bracket == "coordinate":
         def rows(y):
             return propagator.hermitian_coordinates(y).reshape(y.shape[:-2] + (-1,))
-        make = _coordinate_bracket(propagator.LindbladSuperoperator(lindblad))
+        kernel = propagator.LindbladSuperoperator(lindblad)
     else:
         def rows(y):
             return y
-        make = _matrix_bracket(lindblad)
+        kernel = lindblad
+    make = _density_bracket(kernel)
     states = np.empty((2,) + rows(rhos[0]).shape, rows(rhos[0]).dtype)
     advance = make(rows(etas), states)
     mu, abs_mu = desk_basis.dipole, np.abs(desk_basis.dipole)

@@ -14,8 +14,7 @@ from iontrapsim import (
 )
 from iontrapsim.config import load_config
 from iontrapsim.gridsim import unitarity_defect
-from iontrapsim.oct import OctConfig, _closed_bracket, _coordinate_bracket, _forward_update, \
-    _matrix_bracket
+from iontrapsim.oct import OctConfig, _closed_bracket, _density_bracket, _forward_update
 from iontrapsim.propagator import (BLOCK_STEPS, ClosedPulseMap, InteractionFrame, Lindblad,
                                    LindbladPulseMap, LindbladSuperoperator,
                                    commutator_coordinates, hermitian_coordinates,
@@ -519,17 +518,16 @@ class TestLindbladSuperoperator:
 
     def assert_advances_agree(self, lindblad, superop, x):
         """One forward-update step of the stack x, paired with the
-        multipliers eta, by the coordinate bracket of the superoperator and
-        the matrix bracket of the per-matrix kernel under one field after
-        another: the corrected samples and the stepped states agree at
-        1e-12 relative."""
+        multipliers eta, by the density bracket of the per-matrix kernel
+        and of the superoperator under one field after another: the
+        corrected samples and the stepped states agree at 1e-12 relative."""
         eta = coordinate_rows(self.hermitian_stack(5))
         runs = []
-        for bracket, kernel in ((_matrix_bracket(lindblad), lindblad),
-                                (_coordinate_bracket(superop), superop)):
+        for kernel in (lindblad, superop):
             y = kernel.rotate_in(x, 0)
             states = np.stack([y, np.full_like(y, np.nan)])
-            runs.append((bracket(kernel.rotate_in(eta, 0)[None], states), states))
+            runs.append((_density_bracket(kernel)(kernel.rotate_in(eta, 0)[None], states),
+                         states))
         (matrix, matrix_states), (coordinate, states) = runs
         scale = 1e-12 / matrix(0, 0.0, -1.0)
         for e in self.FIELDS:
@@ -661,9 +659,7 @@ class TestRotationAtZero:
             kernel, adjoint = (Lindblad(frame, diss, flip) for flip in (False, True))
             if kind == "superoperator":
                 kernel, adjoint = LindbladSuperoperator(kernel), LindbladSuperoperator(adjoint)
-                bracket = _coordinate_bracket(kernel)
-            else:
-                bracket = _matrix_bracket(kernel)
+            bracket = _density_bracket(kernel)
             psi, lam = self.coordinates(25) / 16, self.coordinates(26) / 16
         kept = psi.copy(), lam.copy()
         samples = np.r_[np.random.default_rng(27).uniform(-1.5e-11, 1.5e-11, 20), 0.0]
@@ -715,9 +711,8 @@ def matmul_kernel(kernel):
     per-matrix RK4 over the rates from y @ K^dag and the population
     transfer, with its rotation.  fresh_step(y, e) is
     the step under the held field e: for the step-matrix kernels by the
-    operator the update bracket builds from the powers of e, for the
-    per-matrix kernel by its operators.  The per-matrix operators take no
-    product."""
+    operator built from the powers of e, for the per-matrix kernel by its
+    operators.  The per-matrix operators take no product."""
     if isinstance(kernel, Lindblad):
         d = len(kernel.frame.energies)
 
@@ -761,18 +756,18 @@ def matmul_kernel(kernel):
 
 class TestKernelContract:
     """What `_forward_update` asks of every kernel and of the update
-    bracket that serves it (`oct`), at desk and at paper size: `step_rows`
+    bracket that serves it (`oct`: `_closed_bracket`, or `_density_bracket`
+    for both Lindblad kernels), at desk and at paper size: `step_rows`
     steps row i into row i + 1 bit for bit as step(rows[i], ops[i]) does,
     and the bracket's `advance` steps the states into the spare buffer as
     step(y, operators([e])[0]) does under the corrected sample e it
     returns, under one field after another, so the reused one-step buffer
     of the kernel, the bracket's own buffers and the spare states are
-    overwritten, never stale.  Those are the into-buffer paths of the two
-    step-matrix kernels, whose `step` returns a new array.  The per-matrix
-    `step` also writes into out, as its `step_rows` and its bracket call
-    it: step(y, op, out=buf) returns buf, holding bit for bit what
-    step(y, op) gives.  The superoperator is built at D = 32 too, above the
-    dimension `lindblad_kernel` gives it."""
+    overwritten, never stale.  The closed `step` returns a new array; the
+    `step` of both Lindblad kernels also writes into out, as their
+    `step_rows` and `held_step` call it: step(y, op, out=buf) returns buf,
+    holding bit for bit what step(y, op) gives.  The superoperator is
+    built at D = 32 too, above the dimension `lindblad_kernel` gives it."""
 
     DT = 2e-9 / TIME_AU_S
     FIELDS = (0.0, 8e-12, -1.5e-11)
@@ -796,8 +791,8 @@ class TestKernelContract:
         x = coordinate_rows(x + x.conj().swapaxes(-1, -2))
         if request.param == "superoperator":
             superop = LindbladSuperoperator(lindblad)
-            return superop, x, _coordinate_bracket(superop)
-        return lindblad, lindblad.rotate_in(x, 0), _matrix_bracket(lindblad)
+            return superop, x, _density_bracket(superop)
+        return lindblad, lindblad.rotate_in(x, 0), _density_bracket(lindblad)
 
     @staticmethod
     def advance(case):
@@ -812,7 +807,7 @@ class TestKernelContract:
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("basis", [8, 32], ids=["D8", "D32"], indirect=True)
-    @pytest.mark.parametrize("case", ["per-matrix"], indirect=True)
+    @pytest.mark.parametrize("case", ["superoperator", "per-matrix"], indirect=True)
     def test_step_into_out(self, case, backward):
         kernel, y, _ = case
         for e in self.FIELDS:
